@@ -6,11 +6,12 @@ import sys
 from fractions import Fraction
 
 from soldyn import (
+    BreakpointCapExceeded,
     analytic_new,
     enclosure_sequence,
     pl_new,
-    rational_certificate,
     rotation_lift,
+    rotation_report,
     translation_enclosure,
 )
 
@@ -21,16 +22,15 @@ def sweep(name, F, q_max):
     for q in sorted({1, 2, 5, 10, q_max // 2, q_max}):
         e = encs[q - 1]
         print(f"  q={q:>6}  [{e.lo}, {e.hi}]  width={float(e.width):.3e}")
-    last = encs[-1]
+    bound = min(q_max, 64)
     try:
-        found = rational_certificate(F, last.lo, last.hi, min(q_max, 64))
-    except Exception:
-        found = None
-    if found:
-        val, wit = found
-        print(f"  certified rational: {val} with witness x*={wit}")
+        rep = rotation_report(F, q_max, max_cert_den=bound)
+    except BreakpointCapExceeded:
+        rep = None
+    if rep is not None and rep.exact is not None:
+        print(f"  certified rational: {rep.exact} with witness x*={rep.witness}")
     else:
-        print(f"  no rational with denominator <= {min(q_max, 64)} certifies")
+        print(f"  no rational with denominator <= {bound} certifies")
 
 
 def main():

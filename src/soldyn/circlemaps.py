@@ -44,6 +44,15 @@ def as_rational(v) -> Fraction:
     return Fraction(v)
 
 
+def _slope(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> Fraction:
+    """(y1 - y0) / (x1 - x0) over common denominators, normalized once."""
+    xd0, xd1, yd0, yd1 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
+    return Fraction(
+        (y1.numerator * yd0 - y0.numerator * yd1) * (xd0 * xd1),
+        (x1.numerator * xd0 - x0.numerator * xd1) * (yd0 * yd1),
+    )
+
+
 class PLLift:
     """Strictly increasing piecewise-linear map with F(x + n) = F(x) + n."""
 
@@ -67,14 +76,26 @@ class PLLift:
                 raise NotMonotone(f"values must increase: y({xs[i]}) >= y({xs[i + 1]})")
         if ys[-1] >= ys[0] + degree:
             raise NotMonotone("wrap-around violates strict monotonicity")
-        slopes = []
-        for i in range(len(xs) - 1):
-            slopes.append((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]))
-        slopes.append((ys[0] + degree - ys[-1]) / (xs[0] + degree - xs[-1]))
+        self._set(degree, xs, ys)
+
+    def _set(self, degree: int, xs: tuple, ys: tuple) -> None:
+        slopes = [_slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
+        slopes.append(_slope(xs[-1], ys[-1], xs[0] + degree, ys[0] + degree))
         self.degree = degree
         self.xs = xs
         self.ys = ys
         self.slopes = tuple(slopes)
+
+    @classmethod
+    def _trusted(cls, degree: int, xs: tuple, ys: tuple) -> "PLLift":
+        """A lift from breakpoint data already known to be valid.
+
+        `xs` must be sorted in [0, degree) and `ys` strictly increasing with
+        ys[-1] < ys[0] + degree, all Fractions; only the slopes are computed.
+        """
+        lift = cls.__new__(cls)
+        lift._set(degree, xs, ys)
+        return lift
 
     def eval(self, x):
         n = self.degree
@@ -102,26 +123,44 @@ class PLLift:
         return x
 
     def compose(self, other: "PLLift") -> "PLLift":
-        """Exact composition self(other(x)); breakpoint sets merge."""
+        """Exact composition self(other(x)); breakpoint sets merge.
+
+        The result's breakpoints are other's breakpoints, where self is
+        evaluated at other's values, plus the preimages under other of self's
+        breakpoints, where the value is self's breakpoint value shifted by
+        the integer carry and no evaluation is needed.
+        """
         if not isinstance(other, PLLift):
             raise AnalyticExactUnsupported("exact composition needs PL lifts")
         if self.degree != other.degree:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
         n = self.degree
-        xs = set(other.xs)
-        inv = other.inverse()
-        for u in self.xs:
-            z = inv.eval(u)
-            xs.add(z - floor_div(z, n) * n)
-        return PLLift(n, [(x, self.eval(other.eval(x))) for x in sorted(xs)])
+        pts = {x: self.eval(y) for x, y in zip(other.xs, other.ys)}
+        oxs, oys, oslopes = other.xs, other.ys, other.slopes
+        y0 = oys[0]
+        for u, v in zip(self.xs, self.ys):
+            # u - m*n lies in [y0, y0 + n), the range of other on [xs[0], xs[0] + n)
+            m = floor_div(u - y0, n)
+            w = u - m * n if m else u
+            i = bisect.bisect_right(oys, w) - 1
+            z = oxs[i] + (w - oys[i]) / oslopes[i]
+            if z >= n:
+                z -= n
+                m += 1
+            pts[z] = v - m * n if m else v
+        xs = tuple(sorted(pts))
+        return PLLift._trusted(n, xs, tuple(pts[x] for x in xs))
 
     def inverse(self) -> "PLLift":
         n = self.degree
-        pts = []
-        for x, y in zip(self.xs, self.ys):
-            j = floor_div(y, n)
-            pts.append((y - j * n, x - j * n))
-        return PLLift(n, pts)
+        xs, ys = self.xs, self.ys
+        # ys span less than one period, so reducing them mod n rotates the list
+        j = floor_div(ys[0], n)
+        lo, hi = j * n, (j + 1) * n
+        cut = bisect.bisect_left(ys, hi)
+        new_xs = [y - hi for y in ys[cut:]] + [y - lo if j else y for y in ys[:cut]]
+        new_ys = [x - hi for x in xs[cut:]] + [x - lo if j else x for x in xs[:cut]]
+        return PLLift._trusted(n, tuple(new_xs), tuple(new_ys))
 
     def power(self, q: int, cap: int = BREAKPOINT_CAP) -> "PLLift":
         """Materialize F^q as a PL lift (exponentiation by squaring)."""

@@ -21,7 +21,7 @@ from math import factorial
 import click
 
 from . import dynamics, hull as hull_mod
-from .circlemaps import AnalyticLift, PLLift, map_from_descriptor
+from .circlemaps import PLLift, map_from_descriptor
 from .errors import SoldynError
 from .induced import (
     InducedHomeo,
@@ -157,41 +157,21 @@ def _certified_pq(f: InducedHomeo, cfg: ExperimentConfig) -> tuple[int, int]:
     """Given p/q flags use them; otherwise certify from the enclosure."""
     if cfg.p is not None and cfg.q is not None:
         return cfg.p, cfg.q
-    L = f.leaf_lift()
-    if not isinstance(L, PLLift):
+    if not isinstance(f.base, PLLift):
         raise click.ClickException("cannot certify p/q for an analytic map")
-    enc = dynamics.rho_of_induced(f, cfg.iters)
-    found = dynamics.rational_certificate(L, enc.lo, enc.hi, min(cfg.iters, 1000))
-    if found is None:
+    enc = dynamics.rotation_report(f, cfg.iters)
+    if enc.exact is None:
         raise click.ClickException(
             f"no rational rotation number certified within q = {cfg.iters}"
         )
-    cand, _ = found
-    return cand.numerator, cand.denominator
-
-
-def _homeo_rotation_report(f: InducedHomeo, iters: int) -> dynamics.RotationEnclosure:
-    enc = dynamics.rho_of_induced(f, iters)
-    L = f.leaf_lift()
-    if isinstance(L, PLLift):
-        found = dynamics.rational_certificate(L, enc.lo, enc.hi, min(iters, 1000))
-        if found is not None:
-            cand, wit = found
-            enc = dynamics.RotationEnclosure(enc.lo, enc.hi, enc.iters, cand, wit)
-    return enc
+    return enc.exact.numerator, enc.exact.denominator
 
 
 def cmd_rotation(cfg: ExperimentConfig) -> str:
     obj = _load_input(cfg.input_path)
     if isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("rotation expects a map or homeo descriptor")
-    if isinstance(obj, InducedHomeo):
-        enc = _homeo_rotation_report(obj, cfg.iters)
-    elif isinstance(obj, AnalyticLift):
-        enc = dynamics.translation_enclosure(obj, cfg.iters)
-    else:
-        enc = dynamics.rotation_report(obj, cfg.iters)
-    return _json_text(enc.to_report())
+    return _json_text(dynamics.rotation_report(obj, cfg.iters).to_report())
 
 
 def cmd_orbit(cfg: ExperimentConfig) -> str:
@@ -253,7 +233,7 @@ def cmd_hull(cfg: ExperimentConfig) -> str:
         delta = leaf_displacement(obj)
         verdict = hull_mod.periodicity_classify(obj)
         hull_mod.quotient_map(delta)
-        enc = _homeo_rotation_report(obj, cfg.iters)
+        enc = dynamics.rotation_report(obj, cfg.iters)
     except SoldynError as exc:
         raise click.ClickException(str(exc))
     return _json_text(

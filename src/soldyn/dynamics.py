@@ -2,9 +2,19 @@
 
 The enclosure is the classical one for degree-1 monotone lifts: the
 translation number tau satisfies |F^q(x) - x - q tau| < 1, so
-[(F^q(x) - x - 1)/q, (F^q(x) - x + 1)/q] always contains it.  Exact
-rational certification goes through materialized PL powers; analytic maps
-get float enclosures only.
+[(F^q(x) - x - 1)/q, (F^q(x) - x + 1)/q] always contains it.  The leaf lift
+of a degree-n induced map gets the bound n, so width 2n/q.
+
+Exact certification goes through materialized PL powers.  At degree 1 the
+orbit that gives the enclosure also gives a Farey bracket: with
+v_m = F^m(x) - x, v_m >= p forces tau >= p/m and v_m <= p forces
+tau <= p/m, so tau lies in [L, U] with L = max floor(v_m)/m and
+U = min ceil(v_m)/m over m <= M, and no rational with denominator <= M lies
+strictly between L and U.  F^d(w) = w + p has a solution iff tau = p/d
+(Herman, Publ. Math. IHES 49, 1979), so only L or U can certify, and testing
+them costs at most two powers.  At degree n >= 2 a return with n not dividing
+p does not pin tau, so there every denominator is tried in order.  Analytic
+maps get float enclosures only.
 """
 from __future__ import annotations
 
@@ -17,6 +27,7 @@ from .circlemaps import BREAKPOINT_CAP, CircleLift, PLLift
 from .errors import (
     AnalyticExactUnsupported,
     BreakpointCapExceeded,
+    CertificateMismatch,
     DegreeMismatch,
     NoSuchOrbit,
 )
@@ -104,10 +115,12 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 def _leftmost_return(G: PLLift, p: int) -> Optional[Fraction]:
     """Leftmost zero of G(x) - x - p in [0, degree) for a materialized PL G."""
-    n = G.degree
-    G = G.with_breakpoint(0)
-    vals = [y - x - p for x, y in zip(G.xs, G.ys)]
-    xs = list(G.xs) + [G.xs[0] + n]
+    xs, ys = list(G.xs), list(G.ys)
+    if xs[0] != 0:
+        xs.insert(0, Fraction(0))
+        ys.insert(0, G.eval(Fraction(0)))
+    vals = [y - x - p for x, y in zip(xs, ys)]
+    xs.append(xs[0] + G.degree)
     vals.append(vals[0])
     for i in range(len(xs) - 1):
         if vals[i] == 0:
@@ -134,18 +147,67 @@ def certify_rational(
     return _leftmost_return(F.power(q, cap), p)
 
 
+def _orbit_bracket(F: PLLift, x0: Fraction, steps: int, q: int):
+    """Walk the orbit of x0 for `steps` >= 1 steps.
+
+    Returns (F^q(x0), L, U), where [L, U] is the Farey bracket of tau from
+    v_m = F^m(x0) - x0, m <= steps.  The bracket is kept as integer pairs
+    and updated by cross-multiplication, so a step builds no Fraction beyond
+    the one F.eval returns.
+    """
+    an, ad = x0.numerator, x0.denominator
+    ln, ld, un, ud = -1, 0, 1, 0  # L = -inf, U = +inf
+    x = xq = x0
+    for m in range(1, steps + 1):
+        x = F.eval(x)
+        if m == q:
+            xq = x
+        num = x.numerator * ad - an * x.denominator
+        den = x.denominator * ad
+        fl = num // den
+        if fl * ld > ln * m:
+            ln, ld = fl, m
+        ce = -(-num // den)
+        if ce * ud < un * m:
+            un, ud = ce, m
+    return xq, Fraction(ln, ld), Fraction(un, ud)
+
+
+def _certify_bracket(
+    F: PLLift, L: Fraction, U: Fraction, lo, hi, max_den: int, cap: int
+) -> Optional[tuple[Fraction, Fraction]]:
+    """Test the bracket ends that lie in [lo, hi] with denominator <= max_den."""
+    for cand in sorted({L, U}, key=lambda c: (c.denominator, c)):
+        if cand.denominator <= max_den and lo <= cand <= hi:
+            wit = _leftmost_return(F.power(cand.denominator, cap), cand.numerator)
+            if wit is not None:
+                return cand, wit
+    return None
+
+
 def rational_certificate(
     F: PLLift, lo: Fraction, hi: Fraction, max_den: int, cap: int = BREAKPOINT_CAP
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Search [lo, hi] for a certified rational rotation number.
 
-    Tries every reduced p/q in the interval with q <= max_den, by increasing
-    denominator, reusing the materialized powers F^q incrementally.  Returns
-    (p/q, witness) for the first exact return orbit found, or None, which
-    means: no rational with denominator <= max_den certifies.
+    Returns (p/q, witness) with q <= max_den, where the witness is the
+    leftmost x in [0, degree) with F^q(x) = x + p, or None, which means: no
+    rational in [lo, hi] with denominator <= max_den certifies.
+
+    At degree 1 only tau can certify, so the orbit of 0 over max_den steps
+    brackets the one candidate pair (see the module docstring): cost
+    max_den evaluations plus at most two powers.  At degree n >= 2 several
+    p/q can have exact returns, so every reduced p/q in the interval is
+    tried by increasing denominator, composing F^q = F o F^(q-1); that cost
+    grows quadratically in max_den.
     """
     if not isinstance(F, PLLift):
         raise AnalyticExactUnsupported("certification needs a PL lift")
+    if F.degree == 1:
+        if max_den < 1:
+            return None
+        _, L, U = _orbit_bracket(F, Fraction(0), max_den, max_den)
+        return _certify_bracket(F, L, U, lo, hi, max_den, cap)
     G = None
     for den in range(1, max_den + 1):
         G = F if G is None else F.compose(G)
@@ -160,27 +222,59 @@ def rational_certificate(
     return None
 
 
-def rotation_report(
-    F: CircleLift, q: int, x0=0, max_cert_den: Optional[int] = None
-) -> RotationEnclosure:
-    """Enclosure plus, for PL lifts, an exact-certification sweep.
-
-    Certification tries candidate denominators up to max_cert_den (default
-    min(q, 1000); the sweep cost grows quadratically in the bound).  A
-    missing `exact` field therefore reads: no rational with denominator up
-    to the bound has an exact return orbit.
-    """
-    enc = translation_enclosure(F, q, x0)
-    if not isinstance(F, PLLift):
-        return enc
-    if max_cert_den is None:
-        max_cert_den = min(q, 1000)
-    found = rational_certificate(F, enc.lo, enc.hi, max_cert_den)
+def _checked(F: PLLift, enc: RotationEnclosure, found) -> RotationEnclosure:
+    """Attach a certificate to the enclosure after re-checking its witness."""
     if found is None:
         return enc
     cand, wit = found
-    assert F.iterate_eval(wit, cand.denominator) == wit + cand.numerator
-    return RotationEnclosure(enc.lo, enc.hi, q, cand, wit)
+    if F.iterate_eval(wit, cand.denominator) != wit + cand.numerator:
+        raise CertificateMismatch(f"witness {wit} fails the return identity for {cand}")
+    return RotationEnclosure(enc.lo, enc.hi, enc.iters, cand, wit)
+
+
+def rotation_report(
+    F: Union[CircleLift, InducedHomeo], q: int, x0=0, max_cert_den: Optional[int] = None
+) -> RotationEnclosure:
+    """Enclosure of tau plus, for PL maps, an exact certificate when one exists.
+
+    F is a degree-1 lift or an induced map of any degree (whose leaf lift
+    gives an enclosure of width 2n/q).  Certification tries denominators up
+    to max_cert_den (default min(q, 1000)).  A missing `exact` field
+    therefore reads: no rational with denominator up to the bound has an
+    exact return orbit.  A found certificate is re-checked by iterating the
+    lift from the witness; a failure raises CertificateMismatch.
+
+    At degree 1 one orbit pass of max(q, max_cert_den) evaluations gives
+    both the enclosure and the Farey bracket, and at most two materialized
+    powers settle certification.  A binary64 x0 keeps its float enclosure;
+    its bracket comes from the exact orbit of Fraction(x0).  Degree n >= 2
+    runs the per-denominator search of rational_certificate.
+    """
+    if max_cert_den is None:
+        max_cert_den = min(q, 1000)
+    if isinstance(F, InducedHomeo):
+        if F.degree != 1:
+            enc = rho_of_induced(F, q, x0)
+            L = F.leaf_lift()
+            if not isinstance(L, PLLift):
+                return enc
+            return _checked(L, enc, rational_certificate(L, enc.lo, enc.hi, max_cert_den))
+        F = F.leaf_lift()
+    if not isinstance(F, PLLift):
+        return translation_enclosure(F, q, x0)
+    if F.degree != 1:
+        raise DegreeMismatch("rotation_report needs a degree-1 lift or an induced map")
+    if q < 1:
+        raise ValueError("iteration count must be >= 1")
+    start = Fraction(x0)
+    xq, L, U = _orbit_bracket(F, start, max(q, max_cert_den), q)
+    if isinstance(x0, float):
+        enc = translation_enclosure(F, q, x0)
+    else:
+        d = xq - start
+        enc = RotationEnclosure((d - 1) / q, (d + 1) / q, q)
+    found = _certify_bracket(F, L, U, enc.lo, enc.hi, max_cert_den, BREAKPOINT_CAP)
+    return _checked(F, enc, found)
 
 
 def rho_of_induced(f: InducedHomeo, q: int, x0=0) -> RotationEnclosure:
@@ -243,7 +337,8 @@ def find_fiber_periodic(
     if wit is None:
         raise NoSuchOrbit(f"no orbit with return p/q = {p}/{q}")
     s = canonicalize(wit, embed_int(0, depth))
-    assert apply_iter(f, s, q) == sol_add(s, sigma(p, depth))
+    if apply_iter(f, s, q) != sol_add(s, sigma(p, depth)):
+        raise CertificateMismatch(f"point over {wit} fails f^{q}(s) = s + sigma({p})")
     return s
 
 

@@ -55,3 +55,7 @@ class NotIncreasing(SoldynError):
 
 class NoSuchOrbit(SoldynError):
     """No exact return orbit exists for the requested p/q."""
+
+
+class CertificateMismatch(SoldynError):
+    """A certificate failed its independent exact re-check."""

@@ -1,0 +1,208 @@
+"""Seeded corpus behind the golden-byte tests, and the script that writes it.
+
+The rotation corpus holds 200 degree-1 PL lifts of three kinds: rigid
+rotations p/q with q <= 30, lifts carrying a p/d periodic orbit on their
+breakpoints (d <= 12), and Farey-gap maps whose displacement stays strictly
+inside a Farey gap of order 60, so that no rational with denominator <= 60
+certifies.  Each lift gets `rotation_report` at q = 7, 25 and 60 from x0 = 0,
+one report from a nonzero exact x0 and one from a binary64 x0.
+
+The CLI corpus holds seeded induced descriptors of degrees 1-6 (genuine
+degree-n lifts and degree-1 lifts embedded at degree n) and records the exit
+code and stdout of `rotation`, `hull` and `orbit` on each.
+
+Certified outputs must not change under refactors, so the stored files are
+regenerated only by a change that means to alter them:
+
+    PYTHONPATH=src python tests/golden_corpus.py
+"""
+from __future__ import annotations
+
+import json
+import math
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROTATION_PATH = GOLDEN_DIR / "rotation_reports.json"
+CLI_PATH = GOLDEN_DIR / "cli_outputs.json"
+
+REPORT_QS = (7, 25, 60)
+X0_Q = 25
+FAREY_ORDER = 60
+CLI_ITERS = ("12", "24")
+
+
+def dump(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def _between(rng: random.Random, lo: Fraction, hi: Fraction, m: int) -> list[Fraction]:
+    """m increasing rationals strictly between lo and hi."""
+    steps = 3 * m + 3
+    ks = sorted(rng.sample(range(1, steps), m))
+    return [lo + (hi - lo) * Fraction(k, steps) for k in ks]
+
+
+def periodic_orbit_lift(rng: random.Random, p: int, d: int, extra: int, den: int):
+    """A degree-1 PL lift with a p/d periodic orbit through some breakpoints.
+
+    The orbit points are breakpoints xs[o_0] < ... < xs[o_{d-1}] and the lift
+    maps xs[o_j] to xs[o_{j+p}] (indices mod d, plus the integer carry); the
+    other breakpoints take random values strictly between their anchored
+    neighbours, so the lift is increasing by construction.
+    """
+    from soldyn import pl_new
+
+    nb = d + extra
+    xs = sorted(Fraction(k, den) for k in rng.sample(range(den), nb))
+    orbit = sorted(rng.sample(range(nb), d))
+    ys: list = [None] * nb
+    for j, idx in enumerate(orbit):
+        t = j + p
+        ys[idx] = xs[orbit[t % d]] + t // d
+    # walk the breakpoints cyclically from the first anchored one
+    start = orbit[0]
+    order = list(range(start, nb)) + list(range(start))
+    vals = [ys[i] for i in order]  # breakpoints before `start` are not anchored
+    xcyc = [xs[i] if i >= start else xs[i] + 1 for i in order]
+    marks = [k for k, v in enumerate(vals) if v is not None] + [len(order)]
+    vals.append(vals[0] + 1)
+    for a, b in zip(marks, marks[1:]):
+        if b - a > 1:
+            for k, v in zip(range(a + 1, b), _between(rng, vals[a], vals[b], b - a - 1)):
+                vals[k] = v
+    pts = [(x - 1, y - 1) if x >= 1 else (x, y) for x, y in zip(xcyc, vals[:-1])]
+    return pl_new(1, pts)
+
+
+def farey_gap(rng: random.Random, n: int) -> tuple[Fraction, Fraction]:
+    """Consecutive Farey neighbours a/b < c/d of order n."""
+    while True:
+        b = rng.randint(n // 2 + 1, n)
+        a = rng.randrange(b)
+        if math.gcd(a, b) == 1:
+            break
+    r = (-pow(a, -1, b)) % b
+    d = r + ((n - r) // b) * b
+    c = (1 + a * d) // b
+    return Fraction(a, b), Fraction(c, d)
+
+
+def rotation_corpus(seed: int = 0) -> list[tuple[str, object]]:
+    """(kind, lift) pairs: 70 rigid, 80 periodic-orbit, 50 Farey-gap lifts."""
+    from soldyn import pl_new, rotation_lift
+
+    rng = random.Random(f"golden-rotation:{seed}")
+    out = []
+    for _ in range(70):
+        q = rng.randint(1, 30)
+        out.append(("rigid", rotation_lift(Fraction(rng.randrange(-q, 2 * q), q))))
+    for i in range(80):
+        d = 1 + i % 12
+        p = rng.choice([p for p in range(d) if math.gcd(p, d) == 1]) + rng.randint(-1, 1)
+        den = rng.choice([24, 36, 48])
+        out.append(("periodic", periodic_orbit_lift(rng, p, d, rng.randint(0, 3), den)))
+    for i in range(50):
+        lo, hi = farey_gap(rng, FAREY_ORDER)
+        nb = 2 + i % 3
+        xs = sorted(Fraction(k, 12) for k in rng.sample(range(12), nb))
+        F = pl_new(1, [(x, x + lo + Fraction(rng.randint(1, 9), 10) * (hi - lo)) for x in xs])
+        out.append(("farey", F))
+    return out
+
+
+def rotation_cases(seed: int = 0) -> list[dict]:
+    """Every (lift, q, x0) case of the rotation golden, without its report."""
+    rng = random.Random(f"golden-x0:{seed}")
+    cases = []
+    for i, (kind, F) in enumerate(rotation_corpus(seed)):
+        starts = [(q, 0) for q in REPORT_QS]
+        starts.append((X0_Q, Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 9))))
+        starts.append((X0_Q, rng.choice([0.3, -1.7, 2.25, 0.1])))
+        for q, x0 in starts:
+            cases.append({"id": i, "kind": kind, "F": F, "q": q, "x0": x0})
+    return cases
+
+
+def rotation_golden(seed: int = 0) -> list[dict]:
+    from soldyn import rotation_report
+
+    rows = []
+    for c in rotation_cases(seed):
+        rep = rotation_report(c["F"], c["q"], c["x0"])
+        rows.append({
+            "id": c["id"], "kind": c["kind"], "map": repr(c["F"]),
+            "q": c["q"], "x0": repr(c["x0"]), "report": rep.to_report(),
+        })
+    return rows
+
+
+def cli_descriptors(seed: int = 0) -> list[dict]:
+    """Induced descriptors of degrees 1-6: genuine and embedded, some with a fixed point."""
+    from soldyn import embed_degree, induce, pl_new
+
+    rng = random.Random(f"golden-cli:{seed}")
+    out = []
+    for n in range(1, 7):
+        for j in range(4):
+            embedded = n > 1 and j % 2 == 1
+            base = 1 if embedded else n
+            nb = (2 + rng.randrange(2)) * base
+            xs = sorted(Fraction(k, 8) for k in rng.sample(range(8 * base), nb))
+            gaps = [rng.randint(1, 6) for _ in range(nb)]
+            scale = Fraction(base, sum(gaps))
+            ys = [xs[0]]
+            for g in gaps[:-1]:
+                ys.append(ys[-1] + g * scale)
+            if j < 2:
+                k = rng.randrange(nb)  # F0 fixes the breakpoint xs[k]
+                shift = xs[k] - ys[k]
+            else:
+                shift = Fraction(rng.randint(-4, 4), 16)
+            ys = [y + shift for y in ys]
+            f = induce(pl_new(base, list(zip(xs, ys))), rng.randint(-2, 2))
+            if embedded:
+                f = embed_degree(f, n)
+            out.append(f.to_descriptor())
+    return out
+
+
+def cli_golden(seed: int = 0) -> list[dict]:
+    from click.testing import CliRunner
+
+    from soldyn.cli import main
+
+    runner = CliRunner()
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, desc in enumerate(cli_descriptors(seed)):
+            path = Path(tmp) / f"d{i:02d}.json"
+            path.write_text(json.dumps(desc), encoding="utf-8")
+            jobs = [["rotation", "--iters", it] for it in CLI_ITERS]
+            jobs.append(["hull", "--iters", CLI_ITERS[-1]])
+            jobs.append(["orbit", "--iters", CLI_ITERS[0], "--start", "1/3"])
+            for args in jobs:
+                res = runner.invoke(main, [args[0], "--input", str(path), *args[1:]])
+                row = {
+                    "id": i, "args": args, "descriptor": desc,
+                    "exit_code": res.exit_code, "stdout": res.stdout,
+                }
+                if res.exception is not None and not isinstance(res.exception, SystemExit):
+                    row["uncaught"] = type(res.exception).__name__
+                rows.append(row)
+    return rows
+
+
+def main() -> int:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    ROTATION_PATH.write_text(dump(rotation_golden()), encoding="utf-8")
+    CLI_PATH.write_text(dump(cli_golden()), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

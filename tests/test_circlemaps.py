@@ -222,3 +222,38 @@ def test_canonical_form_strips_collinear():
     F = pl_new(1, [(0, 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2), Fraction(1, 2))])
     assert F == identity_lift(1)
     assert F.canonical_breakpoints() == ((Fraction(0), Fraction(0)),)
+
+
+def _reference_inverse(F):
+    """The previous inverse: reduce every breakpoint pair, then validate and sort."""
+    n = F.degree
+    pts = []
+    for x, y in zip(F.xs, F.ys):
+        j = y.numerator // (y.denominator * n)
+        pts.append((y - j * n, x - j * n))
+    return pl_new(n, pts)
+
+
+def _reference_compose(F, G):
+    """The previous composition: evaluate F(G(x)) on the merged breakpoint set."""
+    n = F.degree
+    xs = set(G.xs)
+    inv = _reference_inverse(G)
+    for u in F.xs:
+        z = inv.eval(u)
+        xs.add(z - (z.numerator // (z.denominator * n)) * n)
+    return pl_new(n, [(x, F.eval(G.eval(x))) for x in sorted(xs)])
+
+
+def test_compose_and_inverse_match_reference_construction():
+    rng = random.Random(2024)
+    for i in range(150):
+        n = 1 + i % 3
+        F = rand_pl_lift(rng, n, rng.randint(1, 4 * n), rng.choice([4, 8, 12]))
+        G = rand_pl_lift(rng, n, rng.randint(1, 4 * n), rng.choice([4, 8, 12]))
+        F = F.translate(Fraction(rng.randint(-12, 12), 4))
+        G = G.translate(Fraction(rng.randint(-12, 12), 3))
+        for got, ref in ((F.compose(G), _reference_compose(F, G)),
+                         (G.compose(F), _reference_compose(G, F)),
+                         (F.inverse(), _reference_inverse(F))):
+            assert (got.xs, got.ys, got.slopes) == (ref.xs, ref.ys, ref.slopes)

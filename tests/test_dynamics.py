@@ -1,19 +1,27 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from soldyn import (
     AsymptoticToFiber,
+    DegreeMismatch,
     FiberPeriodic,
     Inconclusive,
     NoSuchOrbit,
+    PLLift,
     analytic_new,
     apply_iter,
     canonicalize,
     certify_rational,
     classify_orbit,
+    embed_degree,
     embed_int,
     enclosure_sequence,
     fiber_target,
@@ -295,3 +303,99 @@ def test_breakpoint_cap_guards_materialization():
         F.power(100, cap=20)
     with pytest.raises(BreakpointCapExceeded):
         certify_rational(F, 1, 97, cap=30)
+
+
+def _reference_sweep(F, lo, hi, max_den):
+    """The previous certification: every reduced p/q in [lo, hi], by denominator."""
+    for den in range(1, max_den + 1):
+        for num in range(math.ceil(lo * den), math.floor(hi * den) + 1):
+            if math.gcd(num, den) == 1:
+                wit = certify_rational(F, num, den)
+                if wit is not None:
+                    return Fraction(num, den), wit
+    return None
+
+
+def test_rational_certificate_degree1_matches_reference_sweep():
+    rng = random.Random(77)
+    for _ in range(60):
+        F = rand_pl_lift(rng, 1, rng.randint(1, 4), rng.choice([4, 6, 8]))
+        max_den = rng.randint(1, 12)
+        enc = translation_enclosure(F, rng.randint(1, 30))
+        lo = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+        intervals = [(enc.lo, enc.hi), (lo, lo + Fraction(rng.randint(0, 8), 8))]
+        for a, b in intervals:
+            assert rational_certificate(F, a, b, max_den) == _reference_sweep(F, a, b, max_den)
+
+
+# displacement strictly inside the Farey gap (139/226, 147/239) of order 240
+_GAP_LO, _GAP_HI = Fraction(139, 226), Fraction(147, 239)
+FAREY240 = pl_new(1, [
+    (x, x + _GAP_LO + t * (_GAP_HI - _GAP_LO))
+    for x, t in ((0, Fraction(1, 4)), (Fraction(1, 3), Fraction(3, 4)), (Fraction(2, 3), Fraction(1, 2)))
+])
+
+
+def test_farey_gap_q240_needs_logarithmically_many_compositions(monkeypatch):
+    calls = []
+    compose = PLLift.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(PLLift, "compose", counting)
+    q = 240
+    rep = rotation_report(FAREY240, q)
+    assert rep.exact is None
+    assert rep.width == Fraction(2, q)
+    # at most two powers, each at most 2*ceil(log2 q) + 1 compositions;
+    # the per-denominator sweep needed q - 1 = 239
+    assert len(calls) <= 2 * (2 * math.ceil(math.log2(q)) + 1)
+
+
+def test_rotation_report_accepts_induced_maps():
+    rng = random.Random(31)
+    for _ in range(5):
+        F = rand_pl_lift(rng, 1, 3, 8)
+        f = induce(F, rng.randint(-2, 2))
+        assert rotation_report(f, 20) == rotation_report(f.leaf_lift(), 20)
+        g = embed_degree(f, 2)
+        rep = rotation_report(g, 20)
+        assert rep.width == Fraction(4, 20)
+        if rep.exact is not None:
+            assert g.leaf_lift().iterate_eval(rep.witness, rep.exact.denominator) == (
+                rep.witness + rep.exact.numerator
+            )
+    with pytest.raises(DegreeMismatch):
+        rotation_report(rand_pl_lift(rng, 2, 3, 8), 20)
+
+
+def test_certificate_rechecks_survive_python_O():
+    # _leftmost_return is patched to hand back a wrong witness; the explicit
+    # re-checks must still catch it when asserts are stripped
+    code = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import soldyn.dynamics as dyn
+        from soldyn import CertificateMismatch, find_fiber_periodic, induce, pl_new, rotation_report
+        if not sys.flags.optimize:
+            sys.exit(3)
+        dyn._leftmost_return = lambda G, p: Fraction(1, 3)
+        F = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(1, 4))])
+        for call in (lambda: rotation_report(F, 10), lambda: find_fiber_periodic(induce(F), 0, 1)):
+            try:
+                call()
+            except CertificateMismatch:
+                continue
+            sys.exit(4)
+        print("rechecked")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "rechecked"

@@ -1,0 +1,25 @@
+"""Golden-byte checks: certified outputs of the seeded corpus never change.
+
+The stored files were written by `tests/golden_corpus.py`; see its docstring
+for what the corpus covers and how to regenerate it.
+"""
+import json
+
+import golden_corpus as gc
+
+
+def _check(rows, path):
+    stored = path.read_text(encoding="utf-8")
+    old = json.loads(stored)
+    assert len(rows) == len(old)
+    for new_row, old_row in zip(json.loads(gc.dump(rows)), old):
+        assert new_row == old_row
+    assert gc.dump(rows) == stored
+
+
+def test_rotation_reports_match_golden():
+    _check(gc.rotation_golden(), gc.ROTATION_PATH)
+
+
+def test_cli_outputs_match_golden():
+    _check(gc.cli_golden(), gc.CLI_PATH)
