@@ -196,14 +196,6 @@ class PLLift:
             pts.append((z - j * n, y - r - j * n))
         return PLLift(n, pts)
 
-    def with_breakpoint(self, x) -> "PLLift":
-        x = as_rational(x) % self.degree
-        if x in self.xs:
-            return self
-        pts = list(zip(self.xs, self.ys))
-        pts.append((x, self.eval(x)))
-        return PLLift(self.degree, pts)
-
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Breakpoints where the slope actually changes; rotations anchor at 0.
 
@@ -262,9 +254,14 @@ class AnalyticLift:
         degree = int(degree)
         if degree < 1:
             raise ValueError("degree must be a positive integer")
+        alpha = float(alpha)
         terms = tuple((float(a), float(T)) for a, T in terms)
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha {alpha} is not finite")
         margin = 0.0
         for a, T in terms:
+            if not (math.isfinite(a) and math.isfinite(T)):
+                raise ValueError(f"perturbation term ({a}, {T}) is not finite")
             if T <= 0:
                 raise ValueError("perturbation periods must be positive")
             ratio = degree / T
@@ -274,7 +271,7 @@ class AnalyticLift:
         if margin >= 1:
             raise NotMonotone(f"derivative margin {margin} >= 1")
         self.degree = degree
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self.terms = terms
 
     def eval(self, x):
@@ -380,42 +377,27 @@ class PeriodicPL:
         c = as_rational(c)
         return PeriodicPL(self.period, [(x, v * c) for x, v in zip(self.xs, self.vs)])
 
+    def grid(self, T) -> set:
+        """Breakpoint abscissae repeated over [0, T); T a multiple of the period."""
+        P = self.period
+        offsets = [j * P for j in range(int(T / P))]
+        return {x + off for off in offsets for x in self.xs}
+
+    def _common_grid(self, other: "PeriodicPL"):
+        """A common period T and the union of both breakpoint grids over it."""
+        T = max(self.period, other.period)
+        if (T / self.period).denominator != 1 or (T / other.period).denominator != 1:
+            raise ValueError(f"incommensurable periods {self.period}, {other.period}")
+        return T, self.grid(T) | other.grid(T)
+
     def add(self, other: "PeriodicPL") -> "PeriodicPL":
         """Pointwise sum; periods must be equal or one a multiple of the other."""
-        p1, p2 = self.period, other.period
-        if p1 == p2:
-            T = p1
-        elif (p2 / p1).denominator == 1:
-            T = p2
-        elif (p1 / p2).denominator == 1:
-            T = p1
-        else:
-            raise ValueError(f"incommensurable periods {p1}, {p2}")
-        grid = set()
-        for f in (self, other):
-            reps = int(T / f.period)
-            for j in range(reps):
-                off = j * f.period
-                for x in f.xs:
-                    grid.add(x + off)
+        T, grid = self._common_grid(other)
         return PeriodicPL(T, [(x, self.eval(x) + other.eval(x)) for x in sorted(grid)])
 
     def sup_diff(self, other: "PeriodicPL") -> Fraction:
         """Exact sup |self - other| over a common period."""
-        p1, p2 = self.period, other.period
-        if (p2 / p1).denominator == 1:
-            T = p2
-        elif (p1 / p2).denominator == 1:
-            T = p1
-        else:
-            raise ValueError(f"incommensurable periods {p1}, {p2}")
-        grid = set()
-        for f in (self, other):
-            reps = int(T / f.period)
-            for j in range(reps):
-                off = j * f.period
-                for x in f.xs:
-                    grid.add(x + off)
+        _, grid = self._common_grid(other)
         return max(abs(self.eval(x) - other.eval(x)) for x in grid)
 
     def has_period(self, T) -> bool:
@@ -470,9 +452,6 @@ class AnalyticDisplacement:
         return abs(self.lift.alpha) + sum(abs(a) for a, _ in self.lift.terms)
 
 
-Displacement = PeriodicPL | AnalyticDisplacement
-
-
 def pl_new(degree: int, breakpoints) -> PLLift:
     return PLLift(degree, breakpoints)
 
@@ -490,28 +469,14 @@ def rotation_lift(alpha, degree: int = 1) -> PLLift:
     return PLLift(degree, [(0, as_rational(alpha))])
 
 
-def lift_eval(F: CircleLift, x):
-    return F.eval(x)
+def displacement_lift(delta: PeriodicPL, period: int, offset=0) -> PLLift:
+    """The degree-`period` lift of x -> x + delta(x) + offset.
 
-
-def lift_compose(F: CircleLift, G: CircleLift) -> PLLift:
-    if not isinstance(F, PLLift) or not isinstance(G, PLLift):
-        raise AnalyticExactUnsupported("exact composition needs PL lifts")
-    return F.compose(G)
-
-
-def lift_inverse(F: CircleLift) -> PLLift:
-    if not isinstance(F, PLLift):
-        raise AnalyticExactUnsupported("exact inversion needs a PL lift")
-    return F.inverse()
-
-
-def lift_iterate_eval(F: CircleLift, x, q: int):
-    return F.iterate_eval(x, q)
-
-
-def displacement_of(F: CircleLift) -> Displacement:
-    return F.displacement()
+    `period` must be an integer period of delta.  The breakpoints are
+    delta's canonical ones reduced mod `period`, plus 0.
+    """
+    xs = sorted({x % period for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
+    return PLLift(period, [(x, x + delta.eval(x) + offset) for x in xs])
 
 
 def divisors(n: int) -> list[int]:
@@ -538,13 +503,11 @@ def minimal_period(delta: PeriodicPL, candidates=None):
 
 def map_from_descriptor(d: dict) -> CircleLift:
     """Build a lift from its JSON descriptor."""
+    if not isinstance(d, dict):
+        raise TypeError("a map descriptor must be a JSON object")
     variant = d.get("variant")
     if variant == "pl":
         return PLLift(d.get("degree", 1), [(x, y) for x, y in d["breakpoints"]])
     if variant == "analytic":
         return AnalyticLift(d["alpha"], d.get("terms", ()), d.get("degree", 1))
     raise ValueError(f"unknown map variant: {variant!r}")
-
-
-def map_to_descriptor(F: CircleLift) -> dict:
-    return F.to_descriptor()

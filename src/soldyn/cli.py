@@ -35,9 +35,6 @@ from .induced import (
 from .profinite import DEFAULT_DEPTH, embed_int
 from .solenoid import SolenoidPoint, parse_point, sigma, sol_add, sol_dist
 
-DEFAULT_TOL = Fraction(1, 10**6)
-
-
 @dataclass
 class ExperimentConfig:
     """Resolved knobs for one experiment run; seed fixed => identical bytes."""
@@ -45,7 +42,6 @@ class ExperimentConfig:
     input_path: str | None = None
     depth: int = DEFAULT_DEPTH
     iters: int = 100
-    tol: Fraction = DEFAULT_TOL
     samples: int = 100
     seed: int = 0
     out: str | None = None
@@ -61,20 +57,22 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise click.UsageError(f"malformed JSON in {path}: {exc}")
 
 
 def _load_input(path: str):
     """Sniff the descriptor kind: lp tower, induced homeo, or bare map."""
     d = _load_json(path)
+    if not isinstance(d, dict):
+        raise click.UsageError(f"invalid descriptor in {path}: not a JSON object")
     try:
         if "lp" in d:
             return lp_from_descriptor(d)
         if "lift" in d:
             return homeo_from_descriptor(d)
         return map_from_descriptor(d)
-    except (SoldynError, KeyError, ValueError, TypeError) as exc:
+    except (SoldynError, KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise click.UsageError(f"invalid descriptor in {path}: {exc}")
 
 
@@ -148,9 +146,12 @@ def _parse_start(cfg: ExperimentConfig) -> SolenoidPoint:
     if cfg.start is None:
         return sigma(Fraction(0), cfg.depth)
     text = cfg.start.strip()
-    if text.startswith("x="):
-        return parse_point(text)
-    return sigma(Fraction(text), cfg.depth)
+    try:
+        if text.startswith("x="):
+            return parse_point(text)
+        return sigma(Fraction(text), cfg.depth)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"invalid --start {cfg.start!r}: {exc}")
 
 
 def _certified_pq(f: InducedHomeo, cfg: ExperimentConfig) -> tuple[int, int]:
@@ -167,11 +168,21 @@ def _certified_pq(f: InducedHomeo, cfg: ExperimentConfig) -> tuple[int, int]:
     return enc.exact.numerator, enc.exact.denominator
 
 
+def _require_iters(cfg: ExperimentConfig) -> None:
+    if cfg.iters < 1:
+        raise click.UsageError("--iters must be >= 1")
+
+
 def cmd_rotation(cfg: ExperimentConfig) -> str:
+    _require_iters(cfg)
     obj = _load_input(cfg.input_path)
     if isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("rotation expects a map or homeo descriptor")
-    return _json_text(dynamics.rotation_report(obj, cfg.iters).to_report())
+    try:
+        enc = dynamics.rotation_report(obj, cfg.iters)
+    except SoldynError as exc:
+        raise click.ClickException(str(exc))
+    return _json_text(enc.to_report())
 
 
 def cmd_orbit(cfg: ExperimentConfig) -> str:
@@ -227,6 +238,7 @@ def cmd_hull(cfg: ExperimentConfig) -> str:
                 "bounds": [str(b) for b in verdict.bounds],
             }
         )
+    _require_iters(cfg)
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
     try:
@@ -288,11 +300,10 @@ def _common_options(fn):
                       type=click.Path(exists=True, dir_okay=False),
                       help="JSON descriptor path.")(fn)
     fn = click.option("--depth", default=DEFAULT_DEPTH, show_default=True,
+                      type=click.IntRange(min=1),
                       help="Profinite truncation depth M.")(fn)
     fn = click.option("--iters", "-q", "iters", default=100, show_default=True,
                       help="Iteration budget q.")(fn)
-    fn = click.option("--tol", default="1/1000000", show_default=True,
-                      help="Tolerance as a rational p/q.")(fn)
     fn = click.option("--samples", default=100, show_default=True,
                       help="Sample count (points / grid size).")(fn)
     fn = click.option("--seed", default=0, show_default=True,
@@ -309,8 +320,7 @@ def _make_config(default_fmt: str, allowed=None, **kw) -> ExperimentConfig:
     fmt = kw.pop("fmt") or default_fmt
     if allowed is not None and fmt not in allowed:
         raise click.UsageError(f"unsupported format {fmt!r}; choose from {allowed}")
-    tol = Fraction(kw.pop("tol"))
-    return ExperimentConfig(fmt=fmt, tol=tol, **kw)
+    return ExperimentConfig(fmt=fmt, **kw)
 
 
 @click.group()

@@ -1,9 +1,10 @@
 """Rotation numbers with certified enclosures and fiber-periodic dynamics.
 
-The enclosure is the classical one for degree-1 monotone lifts: the
-translation number tau satisfies |F^q(x) - x - q tau| < 1, so
-[(F^q(x) - x - 1)/q, (F^q(x) - x + 1)/q] always contains it.  The leaf lift
-of a degree-n induced map gets the bound n, so width 2n/q.
+The enclosure is the classical one for monotone lifts: a degree-n lift's
+translation number tau satisfies |F^q(x) - x - q tau| < n, so
+[(F^q(x) - x - n)/q, (F^q(x) - x + n)/q] always contains it.
+translation_enclosure gives this width-2n/q interval for any lift; an
+induced map is measured through its leaf lift.
 
 Exact certification goes through materialized PL powers.  At degree 1 the
 orbit that gives the enclosure also gives a Farey bracket: with
@@ -15,6 +16,10 @@ strictly between L and U.  F^d(w) = w + p has a solution iff tau = p/d
 them costs at most two powers.  At degree n >= 2 a return with n not dividing
 p does not pin tau, so there every denominator is tried in order.  Analytic
 maps get float enclosures only.
+
+fiber_target and classify_orbit find the limit of a non-periodic orbit the
+same way: the nearest fixed point of the leafwise return map F_k^q - p in
+the direction the orbit moves.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from .errors import (
     DegreeMismatch,
     NoSuchOrbit,
 )
-from .induced import InducedHomeo, apply, apply_iter
+from .induced import InducedHomeo, apply_iter
 from .profinite import DEFAULT_DEPTH, embed_int
 from .solenoid import SolenoidPoint, canonicalize, sigma, sol_add, sol_dist
 
@@ -79,14 +84,13 @@ class RotationEnclosure:
 
 
 def translation_enclosure(F: CircleLift, q: int, x0=0) -> RotationEnclosure:
-    """Finite-q enclosure of tau(F) for a degree-1 lift; width exactly 2/q."""
-    if F.degree != 1:
-        raise DegreeMismatch("translation_enclosure needs a degree-1 lift")
+    """Finite-q enclosure of tau(F) for a degree-n lift; width exactly 2n/q."""
     if q < 1:
         raise ValueError("iteration count must be >= 1")
+    n = F.degree
     v = F.iterate_eval(x0, q)
     d = Fraction(v - x0)
-    return RotationEnclosure((d - 1) / q, (d + 1) / q, q)
+    return RotationEnclosure((d - n) / q, (d + n) / q, q)
 
 
 def enclosure_sequence(F: CircleLift, q_max: int, x0=0):
@@ -253,17 +257,14 @@ def rotation_report(
     if max_cert_den is None:
         max_cert_den = min(q, 1000)
     if isinstance(F, InducedHomeo):
-        if F.degree != 1:
-            enc = rho_of_induced(F, q, x0)
-            L = F.leaf_lift()
-            if not isinstance(L, PLLift):
-                return enc
-            return _checked(L, enc, rational_certificate(L, enc.lo, enc.hi, max_cert_den))
         F = F.leaf_lift()
+    elif F.degree != 1:
+        raise DegreeMismatch("rotation_report needs a degree-1 lift or an induced map")
     if not isinstance(F, PLLift):
         return translation_enclosure(F, q, x0)
     if F.degree != 1:
-        raise DegreeMismatch("rotation_report needs a degree-1 lift or an induced map")
+        enc = translation_enclosure(F, q, x0)
+        return _checked(F, enc, rational_certificate(F, enc.lo, enc.hi, max_cert_den))
     if q < 1:
         raise ValueError("iteration count must be >= 1")
     start = Fraction(x0)
@@ -275,21 +276,6 @@ def rotation_report(
         enc = RotationEnclosure((d - 1) / q, (d + 1) / q, q)
     found = _certify_bracket(F, L, U, enc.lo, enc.hi, max_cert_den, BREAKPOINT_CAP)
     return _checked(F, enc, found)
-
-
-def rho_of_induced(f: InducedHomeo, q: int, x0=0) -> RotationEnclosure:
-    """Leafwise translation-number enclosure of an induced map.
-
-    Uses the zero-fiber lift F0 + offset; for degree n the classical bound
-    loosens to |F^q(x) - x - q tau| < n, so the width is 2n/q.
-    """
-    if q < 1:
-        raise ValueError("iteration count must be >= 1")
-    L = f.leaf_lift()
-    n = f.degree
-    v = L.iterate_eval(x0, q)
-    d = Fraction(v - x0)
-    return RotationEnclosure((d - n) / q, (d + n) / q, q)
 
 
 @dataclass(frozen=True)
@@ -367,23 +353,39 @@ def _nearest_zero(G: PLLift, p: int, x0, upward: bool):
         a, b, va, vb = pts[i], pts[i + 1], vals[i], vals[i + 1]
         if va * vb > 0:
             continue
-        if upward:
-            if va == 0:
-                z = a
-            elif vb == 0:
-                z = b
-            else:
-                z = a - va * (b - a) / (vb - va)
+        near, far = (a, b) if upward else (b, a)
+        v_near, v_far = (va, vb) if upward else (vb, va)
+        if v_near == 0:
+            z = near
+        elif v_far == 0:
+            z = far
         else:
-            if vb == 0:
-                z = b
-            elif va == 0:
-                z = a
-            else:
-                z = a - va * (b - a) / (vb - va)
-        if (upward and z > x0) or (not upward and z < x0):
+            z = a - va * (b - a) / (vb - va)
+        if (z > x0) if upward else (z < x0):
             return z
     return None
+
+
+def _return_fixed_point(f: InducedHomeo, s: SolenoidPoint, p: int, q: int):
+    """(G, x_inf): the return lift G = F_k^q at the fiber of s and the fixed
+    point x_inf of G - p that the orbit of s.x converges to.
+
+    Raises AnalyticExactUnsupported for an analytic base and NoSuchOrbit
+    when the return map is untracked or has no fixed point.
+    """
+    if not isinstance(f.base, PLLift):
+        raise AnalyticExactUnsupported("fiber targets need a PL base")
+    n = f.degree
+    if n != 1 and p % n != 0:
+        # h^m tracks f^{qm} only when integer translation by p commutes
+        # with the fiber lift, i.e. n | p (always true at degree 1).
+        raise NoSuchOrbit(f"return map untracked for degree {n} with p = {p}")
+    G = f.fiber_lift(s.k).power(q)
+    g0 = G.eval(s.x) - s.x - p
+    x_inf = _nearest_zero(G, p, s.x, upward=g0 > 0)
+    if x_inf is None:
+        raise NoSuchOrbit("return map has no fixed point; rho(f) != p/q")
+    return G, x_inf
 
 
 def fiber_target(f: InducedHomeo, s: SolenoidPoint, p: int, q: int) -> SolenoidPoint:
@@ -393,18 +395,9 @@ def fiber_target(f: InducedHomeo, s: SolenoidPoint, p: int, q: int) -> SolenoidP
     the nearest fixed point of the leafwise return map in the direction of
     motion.  Raises NoSuchOrbit when the return map has no fixed point.
     """
-    n = f.degree
     if apply_iter(f, s, q) == sol_add(s, sigma(p, s.depth)):
         return s
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("fiber targets need a PL base")
-    if n != 1 and p % n != 0:
-        raise NoSuchOrbit(f"return map untracked for degree {n} with p = {p}")
-    G = f.fiber_lift(s.k).power(q)
-    g0 = G.eval(s.x) - s.x - p
-    x_inf = _nearest_zero(G, p, s.x, upward=g0 > 0)
-    if x_inf is None:
-        raise NoSuchOrbit("return map has no fixed point; rho(f) != p/q")
+    _, x_inf = _return_fixed_point(f, s, p, q)
     return canonicalize(x_inf, s.k)
 
 
@@ -427,21 +420,14 @@ def classify_orbit(
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    n = f.degree
     if apply_iter(f, s, q) == sol_add(s, sigma(p, s.depth)):
         return FiberPeriodic(p, q, s)
-    if not isinstance(f.base, PLLift):
+    try:
+        G, x_inf = _return_fixed_point(f, s, p, q)
+    except AnalyticExactUnsupported:
         return Inconclusive("asymptotics need a PL lift")
-    if n != 1 and p % n != 0:
-        # h^m tracks f^{qm} only when integer translation by p commutes
-        # with the fiber lift, i.e. n | p (always true at degree 1).
-        return Inconclusive(f"return map untracked for degree {n} with p = {p}")
-    Fk = f.fiber_lift(s.k)
-    G = Fk.power(q)
-    g0 = G.eval(s.x) - s.x - p
-    x_inf = _nearest_zero(G, p, s.x, upward=g0 > 0)
-    if x_inf is None:
-        return Inconclusive("return map has no fixed point; rho(f) != p/q")
+    except NoSuchOrbit as exc:
+        return Inconclusive(str(exc))
     target = canonicalize(x_inf, s.k)
     x = s.x
     trace = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .circlemaps import PeriodicPL, PLLift, minimal_period
+from .circlemaps import PeriodicPL, PLLift, displacement_lift, minimal_period
 from .errors import MixedHulls, NotIncreasing, NotMonotone
 from .induced import (
     InducedHomeo,
@@ -53,14 +53,6 @@ def hull_of(delta: PeriodicPL, candidates=None) -> Hull:
     """Hull of a periodic PL displacement at its exact minimal period."""
     T = Fraction(minimal_period(delta, candidates))
     return Hull(delta, T)
-
-
-def hull_translate(hull: Hull, t) -> HullPoint:
-    return hull.translate(t)
-
-
-def hull_point_eval(hp: HullPoint, x):
-    return hp.eval(x)
 
 
 def _same_hull(a: HullPoint, b: HullPoint) -> Hull:
@@ -124,9 +116,8 @@ def quotient_map(delta: PeriodicPL, candidates=None) -> QuotientMap:
     T = Fraction(minimal_period(delta, candidates))
     if T.denominator != 1:
         raise ValueError("quotient map needs an integer minimal period")
-    xs = sorted({x % T for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
     try:
-        lift = PLLift(T.numerator, [(x, x + delta.eval(x)) for x in xs])
+        lift = displacement_lift(delta, T.numerator)
     except NotMonotone as exc:
         raise NotIncreasing(f"id + delta is not strictly increasing: {exc}") from exc
     return QuotientMap(T, lift)

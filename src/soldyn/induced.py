@@ -22,6 +22,7 @@ from .circlemaps import (
     CircleLift,
     PeriodicPL,
     PLLift,
+    displacement_lift,
     identity_lift,
     map_from_descriptor,
     minimal_period,
@@ -120,12 +121,9 @@ def apply_iter(f: InducedHomeo, s: SolenoidPoint, q: int) -> SolenoidPoint:
 
 def displacement_at(f: InducedHomeo, k: ProfiniteInt) -> PeriodicPL:
     """The displacement at fiber k: x -> delta0(x + r(k)) + offset."""
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("exact displacement needs a PL base")
-    delta0 = f.base.displacement()
+    delta = leaf_displacement(f)
     r = k.residue(f.degree)
-    out = delta0.translate(r) if r else delta0
-    return out.add_const(f.offset) if f.offset else out
+    return delta.translate(r) if r else delta
 
 
 def leaf_displacement(f: InducedHomeo) -> PeriodicPL:
@@ -169,19 +167,8 @@ def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":
     T = minimal_period(delta)
     if d % T != 0:
         raise NotInducedAtLevel(f"no covered map at level {d}; period {T}")
-    xs = sorted({x % T for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
-    pts = [(x, x + delta.eval(x) + f.offset) for x in xs]
-    return CircleMapModN(d, PLLift(d, _replicate(pts, T, d)))
-
-
-def _replicate(pts, span, d):
-    if span == d:
-        return pts
-    out = []
-    for j in range(d // span):
-        off = j * span
-        out.extend((x + off, y + off) for x, y in pts)
-    return out
+    level_T = InducedHomeo(displacement_lift(delta, T, f.offset))
+    return CircleMapModN(d, embed_degree(level_T, d).base)
 
 
 @dataclass(frozen=True)
@@ -318,14 +305,14 @@ def lp_truncate(h: LimitPeriodicHomeo, level: int) -> tuple[InducedHomeo, Fracti
     for d in h.summands[1:level]:
         S = S.add(d)
     T = h.tower[level - 1]
-    reps = int(Fraction(T) / S.period)
-    grid = {x + j * S.period for j in range(reps) for x in S.xs}
-    lift = PLLift(T, [(x, x + S.eval(x)) for x in sorted(grid)])
+    lift = PLLift(T, [(x, x + S.eval(x)) for x in sorted(S.grid(T))])
     return InducedHomeo(lift, 0), h.tail_from(level)
 
 
 def lp_from_descriptor(d: dict) -> LimitPeriodicHomeo:
     body = d["lp"]
+    if not isinstance(body, dict):
+        raise TypeError("an lp descriptor must be a JSON object")
     summands = [
         PeriodicPL(s["period"], [(x, v) for x, v in s["breakpoints"]])
         for s in body["summands"]

@@ -1,9 +1,10 @@
 """Exact arithmetic in a depth-M truncation of the profinite integers.
 
-A tower of depth M stores the residues r_m = a mod m! for m = 1..M.  The
-factorial moduli are cofinal in the divisibility order, so a depth-M tower
-determines the class of a mod every n dividing M!.  All arithmetic is exact
-(arbitrary-precision integers) and values are immutable.
+A depth-M value is the class of an integer a mod M!, stored as the one
+integer value = a mod M! in [0, M!).  The factorial moduli are cofinal in
+the divisibility order, so it determines the class of a mod every n dividing
+M!; the residues r_m = a mod m!, m = 1..M, are derived from it.  All
+arithmetic is exact (arbitrary-precision integers) and values are immutable.
 """
 from __future__ import annotations
 
@@ -25,27 +26,40 @@ def _fact(m: int) -> int:
 
 @dataclass(frozen=True)
 class ProfiniteInt:
-    """Compatible residue tower (r_1, ..., r_M) with r_m the class mod m!."""
+    """The class of an integer mod depth!, stored as its representative
+    value in [0, depth!); residues are derived from it."""
 
-    residues: tuple[int, ...]
+    value: int
+    depth: int
 
     def __post_init__(self) -> None:
-        if not self.residues:
+        if self.depth < 1 or not 0 <= self.value < _fact(self.depth):
+            raise ValueError(f"value {self.value} outside [0, depth!) at depth {self.depth}")
+
+    @classmethod
+    def from_residues(cls, residues) -> "ProfiniteInt":
+        """The value with residue tower (r_1, ..., r_M), r_m its class mod m!.
+
+        Checks every level: each residue in range and compatible with the
+        level below.
+        """
+        residues = tuple(int(r) for r in residues)
+        if not residues:
             raise ValueError("residue tower must have depth >= 1")
-        object.__setattr__(self, "residues", tuple(int(r) for r in self.residues))
         prev = 0
         prev_mod = 1
-        for m, r in enumerate(self.residues, start=1):
+        for m, r in enumerate(residues, start=1):
             mod = _fact(m)
             if not 0 <= r < mod:
                 raise ValueError(f"residue {r} outside [0, {mod}) at level {m}")
             if r % prev_mod != prev:
                 raise ValueError(f"incompatible residues at levels {m - 1}, {m}")
             prev, prev_mod = r, mod
+        return cls(residues[-1], len(residues))
 
     @property
-    def depth(self) -> int:
-        return len(self.residues)
+    def residues(self) -> tuple[int, ...]:
+        return tuple(self.value % _fact(m) for m in range(1, self.depth + 1))
 
     def truncate(self, depth: int) -> "ProfiniteInt":
         # No silent extension: a truncation does not determine deeper levels.
@@ -53,7 +67,7 @@ class ProfiniteInt:
             raise DepthExceeded(f"cannot truncate depth {self.depth} to {depth}")
         if depth == self.depth:
             return self
-        return ProfiniteInt(self.residues[:depth])
+        return ProfiniteInt(self.value % _fact(depth), depth)
 
     def residue(self, n: int) -> int:
         """Class mod n for any modulus n dividing depth!."""
@@ -61,7 +75,7 @@ class ProfiniteInt:
             raise ValueError("modulus must be positive")
         if _fact(self.depth) % n != 0:
             raise DepthExceeded(f"modulus {n} does not divide {self.depth}!")
-        return self.residues[-1] % n
+        return self.value % n
 
     def __add__(self, other: "ProfiniteInt") -> "ProfiniteInt":
         return pf_add(self, other)
@@ -81,26 +95,20 @@ class ProfiniteInt:
 
 
 def embed_int(t: int, depth: int = DEFAULT_DEPTH) -> ProfiniteInt:
-    """Dense inclusion of the integers: t maps to its residues mod 1!, ..., M!."""
+    """Dense inclusion of the integers: t maps to its class mod depth!."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    t = int(t)
-    return ProfiniteInt(tuple(t % _fact(m) for m in range(1, depth + 1)))
+    return ProfiniteInt(int(t) % _fact(depth), depth)
 
 
 def pf_add(a: ProfiniteInt, b: ProfiniteInt) -> ProfiniteInt:
-    """Componentwise modular addition; mixed depths truncate to the smaller."""
+    """Modular addition; mixed depths truncate to the smaller."""
     d = min(a.depth, b.depth)
-    ra, rb = a.residues, b.residues
-    return ProfiniteInt(
-        tuple((ra[m] + rb[m]) % _fact(m + 1) for m in range(d))
-    )
+    return ProfiniteInt((a.value + b.value) % _fact(d), d)
 
 
 def pf_neg(a: ProfiniteInt) -> ProfiniteInt:
-    return ProfiniteInt(
-        tuple((-r) % _fact(m + 1) for m, r in enumerate(a.residues))
-    )
+    return ProfiniteInt(-a.value % _fact(a.depth), a.depth)
 
 
 def pf_sub(a: ProfiniteInt, b: ProfiniteInt) -> ProfiniteInt:
@@ -113,10 +121,10 @@ def residue(a: ProfiniteInt, n: int) -> int:
 
 def pf_dist(a: ProfiniteInt, b: ProfiniteInt) -> Fraction:
     """Indicator metric sum_m 2^-m [r_m(a) != r_m(b)]; an ultrametric on towers."""
-    d = min(a.depth, b.depth)
+    diff = a.value - b.value
     total = Fraction(0)
-    for m in range(1, d + 1):
-        if a.residues[m - 1] != b.residues[m - 1]:
+    for m in range(1, min(a.depth, b.depth) + 1):
+        if diff % _fact(m):
             total += Fraction(1, 2**m)
     return total
 
@@ -135,4 +143,4 @@ def parse_profinite(text: str) -> ProfiniteInt:
     residues = tuple(int(p) for p in parts)
     if len(residues) != int(m.group("depth")):
         raise ValueError("declared depth does not match residue count")
-    return ProfiniteInt(residues)
+    return ProfiniteInt.from_residues(residues)

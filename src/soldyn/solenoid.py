@@ -70,9 +70,12 @@ def canonicalize(x: Coordinate, k: ProfiniteInt) -> SolenoidPoint:
         t = x.numerator // x.denominator
     else:
         t = math.floor(x)
+        if x - t == 1:
+            # binary64: for a tiny negative x, x - floor(x) rounds up to 1.0
+            return SolenoidPoint(0.0, embed_int(k.value + t + 1, k.depth))
     if t == 0:
         return SolenoidPoint(x, k)
-    return SolenoidPoint(x - t, pf_add(k, embed_int(t, k.depth)))
+    return SolenoidPoint(x - t, embed_int(k.value + t, k.depth))
 
 
 def zero_point(depth: int = DEFAULT_DEPTH) -> SolenoidPoint:
@@ -106,7 +109,7 @@ def project(s: SolenoidPoint, n: int) -> CirclePointModN:
 def deck(pair: tuple[Coordinate, ProfiniteInt], t: int) -> tuple[Coordinate, ProfiniteInt]:
     """Deck transformation on covering coordinates: (x, k) -> (x + t, k - t)."""
     x, k = pair
-    return (x + t, pf_add(k, embed_int(-t, k.depth)))
+    return (x + t, embed_int(k.value - t, k.depth))
 
 
 def sol_dist(s: SolenoidPoint, t: SolenoidPoint) -> Coordinate:
@@ -115,11 +118,12 @@ def sol_dist(s: SolenoidPoint, t: SolenoidPoint) -> Coordinate:
     Sum over m = 1..M of 2^-m times the arc distance between the level-m!
     projections.  Zero exactly when the points agree at the stored depth.
     """
-    depth = min(s.depth, t.depth)
+    sv, tv = s.k.value, t.k.value
     total: Coordinate = 0
-    for m in range(1, depth + 1):
+    for m in range(1, min(s.depth, t.depth) + 1):
         n = factorial(m)
-        d = (project(s, n).value - project(t, n).value) % n
+        # the level-n projections, with project's arithmetic
+        d = ((s.x + sv % n) % n - (t.x + tv % n) % n) % n
         arc = min(d, n - d)
         if arc:
             total = total + arc * Fraction(1, 2**m)
@@ -140,5 +144,5 @@ def parse_point(text: str) -> SolenoidPoint:
         raise ValueError(f"cannot parse point literal: {text!r}")
     x = Fraction(m.group("x").strip())
     parts = [p.strip() for p in m.group("k").split(",") if p.strip()]
-    k = ProfiniteInt(tuple(int(p) for p in parts))
+    k = ProfiniteInt.from_residues(int(p) for p in parts)
     return SolenoidPoint(x, k)

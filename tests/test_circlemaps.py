@@ -12,14 +12,10 @@ from soldyn import (
     NotMonotone,
     PeriodicPL,
     analytic_new,
-    displacement_of,
     identity_lift,
-    lift_compose,
-    lift_eval,
-    lift_inverse,
-    lift_iterate_eval,
+    induce,
+    invert_induced,
     map_from_descriptor,
-    map_to_descriptor,
     minimal_period,
     pl_new,
     rotation_lift,
@@ -31,10 +27,10 @@ HALF = [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
 
 def test_pl_new_examples():
     rot = pl_new(1, [(0, Fraction(2, 7))])
-    assert lift_eval(rot, Fraction(3, 5)) == Fraction(3, 5) + Fraction(2, 7)
+    assert rot.eval(Fraction(3, 5)) == Fraction(3, 5) + Fraction(2, 7)
     halfmap = pl_new(1, HALF)
-    assert lift_eval(halfmap, 0) == Fraction(1, 2)
-    assert lift_eval(halfmap, Fraction(1, 2)) == 1
+    assert halfmap.eval(0) == Fraction(1, 2)
+    assert halfmap.eval(Fraction(1, 2)) == 1
 
 
 def test_pl_new_rejections():
@@ -79,8 +75,8 @@ def test_equivariance_degree_n():
 def test_compose_inverse_identity():
     rng = random.Random(1)
     F = rand_pl_lift(rng, n_bps=4)
-    FI = lift_inverse(F)
-    C = lift_compose(F, FI)
+    FI = F.inverse()
+    C = F.compose(FI)
     pts = [Fraction(i, 500) for i in range(1000)]
     assert all(C.eval(x) == x for x in pts)
     assert C == identity_lift(1)
@@ -89,7 +85,7 @@ def test_compose_inverse_identity():
 def test_compose_is_function_composition():
     rng = random.Random(2)
     F, G = rand_pl_lift(rng), rand_pl_lift(rng)
-    C = lift_compose(F, G)
+    C = F.compose(G)
     for _ in range(200):
         x = rand_fraction(rng, 64)
         assert C.eval(x) == F.eval(G.eval(x))
@@ -98,8 +94,8 @@ def test_compose_is_function_composition():
 def test_compose_associative():
     rng = random.Random(3)
     F, G, H = (rand_pl_lift(rng) for _ in range(3))
-    left = lift_compose(lift_compose(F, G), H)
-    right = lift_compose(F, lift_compose(G, H))
+    left = F.compose(G).compose(H)
+    right = F.compose(G.compose(H))
     grid = sorted(set(left.xs) | set(right.xs))
     mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
     for x in grid + mids:
@@ -109,11 +105,11 @@ def test_compose_associative():
 
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        lift_compose(identity_lift(2), identity_lift(3))
+        identity_lift(2).compose(identity_lift(3))
 
 
 def test_iterate_eval_example():
-    assert lift_iterate_eval(pl_new(1, HALF), 0, 2) == 1
+    assert pl_new(1, HALF).iterate_eval(0, 2) == 1
     # negative exponent runs through the exact inverse
     F = pl_new(1, HALF)
     assert F.iterate_eval(F.iterate_eval(Fraction(1, 3), 5), -5) == Fraction(1, 3)
@@ -130,11 +126,11 @@ def test_power_matches_pointwise_iteration():
 
 def test_displacement_examples():
     rot = rotation_lift(Fraction(2, 5))
-    d = displacement_of(rot)
+    d = rot.displacement()
     assert d.is_constant() and d.eval(Fraction(9, 7)) == Fraction(2, 5)
     assert d.sup_norm() == Fraction(2, 5)
-    assert displacement_of(identity_lift(1)).sup_norm() == 0
-    dh = displacement_of(pl_new(1, HALF))
+    assert identity_lift(1).displacement().sup_norm() == 0
+    dh = pl_new(1, HALF).displacement()
     assert dh.sup_norm() == Fraction(1, 2)
     assert dh.eval(0) == Fraction(1, 2)
 
@@ -143,31 +139,31 @@ def test_displacement_of_translated_lift():
     rng = random.Random(5)
     F = rand_pl_lift(rng)
     for m in (-2, 1, 3):
-        shifted = displacement_of(lift_compose(rotation_lift(m), F))
-        base = displacement_of(F)
+        shifted = rotation_lift(m).compose(F).displacement()
+        base = F.displacement()
         assert shifted.sup_diff(base.add_const(m)) == 0
 
 
 def test_minimal_period_examples():
     rot2 = rotation_lift(Fraction(1, 3), degree=2)
-    assert minimal_period(displacement_of(rot2)) == 1
+    assert minimal_period(rot2.displacement()) == 1
 
     # degree-2 lift made by repeating a 1-periodic pattern
     rng = random.Random(6)
     F1 = rand_pl_lift(rng)
     rep = pl_new(2, [(x + j, y + j) for j in (0, 1) for x, y in zip(F1.xs, F1.ys)])
-    assert minimal_period(displacement_of(rep)) == 1
+    assert minimal_period(rep.displacement()) == 1
 
     # degree-2 lift with distinct behavior on [0,1) and [1,2)
     distinct = pl_new(2, [(0, Fraction(1, 4)), (1, Fraction(3, 2))])
-    assert minimal_period(displacement_of(distinct)) == 2
+    assert minimal_period(distinct.displacement()) == 2
 
 
 def test_minimal_period_divides_degree():
     rng = random.Random(7)
     for degree in (1, 2, 3, 4, 6):
         F = rand_pl_lift(rng, degree=degree)
-        T = minimal_period(displacement_of(F))
+        T = minimal_period(F.displacement())
         assert degree % T == 0
 
 
@@ -192,10 +188,10 @@ def test_analytic_lift():
     with pytest.raises(ValueError):
         analytic_new(0.1, [(0.01, 0.7)])  # period does not divide degree
     with pytest.raises(AnalyticExactUnsupported):
-        lift_compose(F, F)
+        identity_lift(1).compose(F)
     with pytest.raises(AnalyticExactUnsupported):
-        lift_inverse(F)
-    d = displacement_of(F)
+        invert_induced(induce(F))
+    d = F.displacement()
     assert d.eval(0.0) == pytest.approx(0.3)
     # binary64 family: the bound holds to roundoff only
     assert d.sup_bound() + 1e-12 >= max(abs(d.eval(i / 100)) for i in range(100))
@@ -203,7 +199,7 @@ def test_analytic_lift():
 
 def test_descriptor_roundtrip():
     F = pl_new(1, HALF)
-    d = map_to_descriptor(F)
+    d = F.to_descriptor()
     assert d == {
         "degree": 1,
         "variant": "pl",
@@ -211,7 +207,7 @@ def test_descriptor_roundtrip():
     }
     assert map_from_descriptor(d) == F
     A = analytic_new(0.25, [(0.01, 1.0)])
-    A2 = map_from_descriptor(map_to_descriptor(A))
+    A2 = map_from_descriptor(A.to_descriptor())
     assert A2.alpha == A.alpha and A2.terms == A.terms
     with pytest.raises(ValueError):
         map_from_descriptor({"variant": "spline"})
@@ -257,3 +253,19 @@ def test_compose_and_inverse_match_reference_construction():
                          (G.compose(F), _reference_compose(G, F)),
                          (F.inverse(), _reference_inverse(F))):
             assert (got.xs, got.ys, got.slopes) == (ref.xs, ref.ys, ref.slopes)
+
+
+def test_analytic_rejects_non_finite_data():
+    for alpha, terms in (
+        (float("nan"), ()),
+        ("inf", ()),
+        (0.1, [(float("nan"), 1.0)]),
+        (0.1, [(0.01, float("inf"))]),
+        (0.1, [(float("inf"), float("inf"))]),
+    ):
+        with pytest.raises(ValueError):
+            analytic_new(alpha, terms)
+    with pytest.raises(ValueError):
+        map_from_descriptor({"degree": 1, "variant": "analytic", "alpha": "nan"})
+    with pytest.raises(TypeError):
+        map_from_descriptor([1, 2])

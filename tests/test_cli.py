@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soldyn.cli import main
 
@@ -204,3 +206,150 @@ def test_out_file_written(runner, tmp_path):
     )
     assert res.exit_code == 0 and res.output == ""
     assert json.loads(out.read_text())["exact"] == "1/2"
+
+
+SUBCOMMANDS = ("rotation", "orbit", "semiconj", "hull", "density")
+
+
+def assert_usage_error(res):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)  # no traceback
+
+
+def test_json_list_descriptor_exits_2(runner, tmp_path):
+    path = write(tmp_path, "list.json", [HALFMAP])
+    for sub in SUBCOMMANDS:
+        assert_usage_error(runner.invoke(main, [sub, "--input", path]))
+    nested = write(tmp_path, "nested.json", {"degree": 1, "offset": 0, "lift": [1]})
+    assert_usage_error(runner.invoke(main, ["rotation", "--input", nested]))
+    lp = write(tmp_path, "lp.json", {"lp": ["tower"]})
+    assert_usage_error(runner.invoke(main, ["density", "--input", lp]))
+
+
+def test_division_by_zero_breakpoint_exits_2(runner, tmp_path):
+    bad = {"degree": 1, "variant": "pl", "breakpoints": [["0", "1/0"]]}
+    path = write(tmp_path, "zero.json", bad)
+    assert_usage_error(runner.invoke(main, ["rotation", "--input", path]))
+    lp = {"lp": {**LP4["lp"], "tail_bound": "1/0"}}
+    assert_usage_error(runner.invoke(main, ["density", "--input", write(tmp_path, "lp.json", lp)]))
+
+
+def test_non_finite_alpha_exits_2(runner, tmp_path):
+    for alpha in ("nan", "inf"):
+        path = write(tmp_path, "nan.json", {**GOLDEN, "alpha": alpha})
+        assert_usage_error(runner.invoke(main, ["rotation", "--input", path]))
+
+
+def test_iters_zero_exits_2_for_rotation_and_hull(runner, tmp_path):
+    path = write(tmp_path, "half.json", HALFMAP)
+    for sub in ("rotation", "hull"):
+        assert_usage_error(runner.invoke(main, [sub, "--input", path, "--iters", "0"]))
+
+
+def test_depth_zero_exits_2_on_every_subcommand(runner, tmp_path):
+    half = write(tmp_path, "half.json", HALFMAP)
+    lp = write(tmp_path, "lp.json", LP4)
+    for sub in SUBCOMMANDS:
+        path = lp if sub == "density" else half
+        assert_usage_error(runner.invoke(main, [sub, "--input", path, "--depth", "0"]))
+
+
+def test_tol_option_is_gone(runner, tmp_path):
+    path = write(tmp_path, "half.json", HALFMAP)
+    assert_usage_error(runner.invoke(main, ["rotation", "--input", path, "--tol", "1/2"]))
+
+
+def test_bad_start_and_non_utf8_input_exit_2(runner, tmp_path):
+    path = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
+    for start in ("abc", "1/0", "x=1/4; k=(1)"):
+        assert_usage_error(runner.invoke(main, ["orbit", "--input", path, "--start", start]))
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b'{"variant": "\xff"}')
+    assert_usage_error(runner.invoke(main, ["rotation", "--input", str(raw)]))
+
+
+def test_rotation_on_bare_degree_two_map_exits_1(runner, tmp_path):
+    deg2 = {"degree": 2, "variant": "pl", "breakpoints": [["0", "1/2"]]}
+    res = runner.invoke(main, ["rotation", "--input", write(tmp_path, "d2.json", deg2)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+
+
+# malformed descriptors: one field of a valid descriptor replaced by a bad value
+
+_BAD_RATIONAL = st.sampled_from(
+    ["1/0", "0/0", "x", "", "nan", "inf", "1/2/3", "--1", 0.5, float("nan"), None, [], {}]
+)
+_BAD_PAIR = st.one_of(
+    st.tuples(_BAD_RATIONAL, st.sampled_from(["0", "1/2"])).map(list),
+    st.tuples(st.sampled_from(["0", "1/2"]), _BAD_RATIONAL).map(list),
+    st.sampled_from([None, 3, [], ["0"], ["0", "1/2", "1"]]),
+)
+_GOOD_PAIR = st.sampled_from([["0", "1/2"], ["1/4", "3/4"], ["1/2", "1"]])
+_BAD_BREAKPOINTS = st.one_of(
+    st.sampled_from([None, 5, "01", "", [], {}]),
+    st.lists(_GOOD_PAIR, max_size=3).flatmap(
+        lambda good: st.builds(
+            lambda bad, i: good[:i] + [bad] + good[i:], _BAD_PAIR, st.integers(0, len(good))
+        )
+    ),
+)
+_BAD_DEGREE = st.one_of(
+    st.integers(max_value=0),
+    st.sampled_from(["x", "", "1/2", None, [], {}, float("nan"), float("inf")]),
+)
+_BAD_SCALAR = st.sampled_from(["nan", "inf", "-inf", "x", "", None, [], {}, float("nan"), float("inf")])
+_BAD_TERMS = st.sampled_from(
+    [5, None, "x", [["nan", 1.0]], [[0.01]], [[0.01, 0]], [[0.5, 1.0]], [[0.01, 0.7]],
+     [[0.01, "inf"]], [[1e308, 1e-308]]]
+)
+_NOT_AN_OBJECT = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+def _corrupt(base: dict, bad: dict):
+    """Replace (or, with value `...`, delete) one field of `base`."""
+    items = [st.tuples(st.just(k), v) for k, v in bad.items()]
+    return st.one_of(items).map(
+        lambda kv: {k: v for k, v in {**base, kv[0]: kv[1]}.items() if v is not ...}
+    )
+
+
+_PL_BAD = _corrupt(HALFMAP, {
+    "breakpoints": _BAD_BREAKPOINTS | st.just(...),
+    "degree": _BAD_DEGREE,
+    "variant": st.one_of(st.text(max_size=8).filter(lambda v: v not in ("pl", "analytic")),
+                         st.none(), st.integers()),
+})
+_ANALYTIC_BAD = _corrupt(
+    {**GOLDEN, "terms": [[0.01, 1.0]]},
+    {"alpha": _BAD_SCALAR | st.just(...), "terms": _BAD_TERMS, "degree": _BAD_DEGREE},
+)
+_MAP_BAD = _PL_BAD | _ANALYTIC_BAD
+_HOMEO_BAD = _corrupt(ROT35_HOMEO, {
+    "lift": _MAP_BAD | _NOT_AN_OBJECT,
+    "offset": st.sampled_from(["x", "1/2", "", None, [], {}, float("nan"), float("inf")]),
+    "degree": _BAD_DEGREE,
+})
+_LP_BODY_BAD = _corrupt(LP4["lp"], {
+    "tower": st.sampled_from([[1, 2, 5, 24], [1, 2, 6], [1, 0, 6, 24], "x", None, 7]),
+    "summands": st.sampled_from([None, "x", 3, [], [{"period": "1"}]]) | st.just(...),
+    "tail_bound": _BAD_SCALAR,
+})
+_MALFORMED = st.one_of(
+    _NOT_AN_OBJECT,
+    _MAP_BAD,
+    _HOMEO_BAD,
+    _LP_BODY_BAD.map(lambda body: {"lp": body}),
+    _NOT_AN_OBJECT.map(lambda body: {"lp": body}),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(desc=_MALFORMED, sub=st.sampled_from(SUBCOMMANDS))
+def test_malformed_descriptors_exit_2_without_traceback(tmp_path, desc, sub):
+    path = write(tmp_path, "fuzz.json", desc)
+    res = CliRunner().invoke(main, [sub, "--input", path])
+    assert_usage_error(res)

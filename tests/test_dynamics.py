@@ -28,11 +28,8 @@ from soldyn import (
     find_fiber_periodic,
     identity_lift,
     induce,
-    lift_compose,
-    lift_inverse,
     pl_new,
     rational_certificate,
-    rho_of_induced,
     rotation_lift,
     rotation_report,
     sigma,
@@ -97,7 +94,7 @@ def test_enclosure_conjugation_invariance():
     for _ in range(10):
         F = rand_pl_lift(rng)
         g = rand_pl_lift(rng)
-        conj = lift_compose(lift_compose(g, F), lift_inverse(g))
+        conj = g.compose(F).compose(g.inverse())
         for q in (5, 17):
             e1 = translation_enclosure(F, q)
             e2 = translation_enclosure(conj, q)
@@ -206,7 +203,7 @@ def test_find_fiber_periodic_examples():
 def test_find_fiber_periodic_degree_n():
     rng = random.Random(5)
     f = rand_induced(rng, degree=2)
-    enc = rho_of_induced(f, 60)
+    enc = translation_enclosure(f.leaf_lift(), 60)
     found = rational_certificate(f.leaf_lift(), enc.lo, enc.hi, 12)
     if found is None:
         pytest.skip("random map not rational up to denominator 12")
@@ -276,22 +273,22 @@ def test_fiber_target_downhill():
 
 def test_rho_of_induced_examples():
     for m in (-1, 0, 2):
-        enc = rho_of_induced(translation_homeo(m), 10)
+        enc = translation_enclosure(translation_homeo(m).leaf_lift(), 10)
         assert (enc.lo, enc.hi) == (m - Fraction(1, 10), m + Fraction(1, 10))
     alpha = Fraction(2, 7)
-    enc = rho_of_induced(induce(rotation_lift(alpha), 0), 50)
+    enc = translation_enclosure(induce(rotation_lift(alpha), 0).leaf_lift(), 50)
     assert enc.lo <= alpha <= enc.hi
     # offset shifts the leafwise translation number
-    enc2 = rho_of_induced(induce(rotation_lift(alpha), 3), 50)
+    enc2 = translation_enclosure(induce(rotation_lift(alpha), 3).leaf_lift(), 50)
     assert enc2.lo == enc.lo + 3 and enc2.hi == enc.hi + 3
 
 
 def test_rho_of_induced_degree_n_width():
     rng = random.Random(7)
     f = rand_induced(rng, degree=3)
-    enc = rho_of_induced(f, 30)
+    enc = translation_enclosure(f.leaf_lift(), 30)
     assert enc.width == Fraction(2 * 3, 30)
-    e2 = rho_of_induced(f, 60)
+    e2 = translation_enclosure(f.leaf_lift(), 60)
     assert e2.lo <= enc.hi and enc.lo <= e2.hi
 
 

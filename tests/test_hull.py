@@ -14,15 +14,12 @@ from soldyn import (
     Unknown,
     apply,
     check_semiconjugacy,
-    displacement_of,
     g_apply,
     hull_dist,
     hull_func_dist,
     hull_inv,
     hull_mul,
     hull_of,
-    hull_point_eval,
-    hull_translate,
     induce,
     isotopy_eval,
     leaf_displacement,
@@ -44,18 +41,18 @@ SAW2 = PeriodicPL(2, [(0, 0), (1, Fraction(1, 4))])  # minimal period 2
 def test_hull_translate_and_eval():
     h = hull_of(SAW2)
     assert h.period == 2
-    neutral = hull_translate(h, 0)
+    neutral = h.translate(0)
     for x in (0, Fraction(1, 3), Fraction(7, 5)):
-        assert hull_point_eval(neutral, x) == SAW2.eval(x)
-    assert hull_translate(h, 2) == neutral
-    hp = hull_translate(h, Fraction(1, 3))
-    assert hull_point_eval(hp, Fraction(1, 6)) == SAW2.eval(Fraction(1, 2))
+        assert neutral.eval(x) == SAW2.eval(x)
+    assert h.translate(2) == neutral
+    hp = h.translate(Fraction(1, 3))
+    assert hp.eval(Fraction(1, 6)) == SAW2.eval(Fraction(1, 2))
 
 
 def test_hull_group_laws():
     h = hull_of(SAW2)
     rng = random.Random(0)
-    pts = [hull_translate(h, Fraction(rng.randrange(32), 16)) for _ in range(8)]
+    pts = [h.translate(Fraction(rng.randrange(32), 16)) for _ in range(8)]
     neutral = h.neutral
     for a in pts:
         assert hull_mul(a, neutral) == a
@@ -65,7 +62,7 @@ def test_hull_group_laws():
             for c in pts[:3]:
                 assert hull_mul(hull_mul(a, b), c) == hull_mul(a, hull_mul(b, c))
     assert hull_mul(
-        hull_translate(h, Fraction(1, 3)), hull_translate(h, Fraction(5, 3))
+        h.translate(Fraction(1, 3)), h.translate(Fraction(5, 3))
     ) == neutral
 
 
@@ -78,9 +75,9 @@ def test_mixed_hulls_rejected():
 def test_hull_parameter_faithful():
     # functional sup-distance vanishes exactly on equal parameters
     h = hull_of(SAW2)
-    a = hull_translate(h, Fraction(1, 5))
-    b = hull_translate(h, Fraction(1, 5) + 2)
-    c = hull_translate(h, Fraction(2, 5))
+    a = h.translate(Fraction(1, 5))
+    b = h.translate(Fraction(1, 5) + 2)
+    c = h.translate(Fraction(2, 5))
     assert hull_func_dist(a, b) == 0
     assert hull_func_dist(a, c) > 0
 
@@ -102,7 +99,7 @@ def test_K_map_is_homomorphism():
 
 
 def test_K_map_period_one_is_pi1():
-    delta = displacement_of(rotation_lift(Fraction(1, 3)))
+    delta = rotation_lift(Fraction(1, 3)).displacement()
     h = hull_of(delta)
     assert h.period == 1
     rng = random.Random(2)
@@ -112,7 +109,7 @@ def test_K_map_period_one_is_pi1():
 
 
 def test_quotient_map_rotation_case():
-    delta = displacement_of(rotation_lift(Fraction(2, 5)))
+    delta = rotation_lift(Fraction(2, 5)).displacement()
     gm = quotient_map(delta)
     assert gm.period == 1
     hp = hull_of(delta).translate(Fraction(1, 10))
@@ -155,10 +152,10 @@ def test_isotopy_endpoints_and_midpoint():
     gm = quotient_map(delta)
     rng = random.Random(4)
     for _ in range(20):
-        hp = hull_translate(h, Fraction(rng.randrange(64), 16))
+        hp = h.translate(Fraction(rng.randrange(64), 16))
         assert isotopy_eval(delta, 0, hp) == hp
         assert isotopy_eval(delta, 1, hp) == g_apply(gm, hp)
-    const = displacement_of(rotation_lift(Fraction(2, 5)))
+    const = rotation_lift(Fraction(2, 5)).displacement()
     hc = hull_of(const)
     hp = hc.translate(Fraction(1, 7))
     mid = isotopy_eval(const, Fraction(1, 2), hp)
@@ -244,13 +241,13 @@ def test_lp_hull_level():
 
 def test_quotient_rotation_matches_leafwise_enclosures():
     # the quotient dynamics g rotates by the same translation number as f
-    from soldyn import rho_of_induced, translation_enclosure
+    from soldyn import translation_enclosure
 
     f = induce(pl_new(1, [(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))]), 0)
     gm = quotient_map(leaf_displacement(f))
     for q in (5, 20, 80):
         eg = translation_enclosure(gm.lift, q)
-        ef = rho_of_induced(f, q)
+        ef = translation_enclosure(f.leaf_lift(), q)
         assert eg.lo <= ef.hi and ef.lo <= eg.hi
     assert (eg.lo, eg.hi) == (ef.lo, ef.hi)  # degree 1: identical routes
 

@@ -275,3 +275,25 @@ def test_lp_truncations_are_homeomorphisms():
         inv = invert_induced(trunc)
         s = canonicalize(Fraction(5, 16), embed_int(77, 8))
         assert apply(inv, apply(trunc, s)) == s
+
+
+def test_circle_map_breakpoints_match_direct_construction():
+    # reference: canonical breakpoints of delta mod T, plus 0, repeated to level d
+    rng = random.Random(14)
+    for n in (1, 2, 3, 4, 6):
+        f = rand_embedded(rng, n) if n % 2 else rand_induced(rng, degree=n)
+        delta = f.base.displacement()
+        T = minimal_period(delta)
+        xs = sorted({x % T for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
+        for d in (T, 2 * T, n, 12):
+            if d % T:
+                continue
+            pts = sorted(
+                (x + j * T, x + delta.eval(x) + f.offset + j * T)
+                for j in range(d // T)
+                for x in xs
+            )
+            lift = circle_map(f, d).lift
+            assert (lift.degree, lift.xs, lift.ys) == (
+                d, tuple(p[0] for p in pts), tuple(p[1] for p in pts)
+            )

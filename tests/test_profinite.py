@@ -30,7 +30,7 @@ def test_residue_examples():
     assert residue(embed_int(7, 4), 3) == 1
     for t in range(-10, 10):
         assert residue(embed_int(t, 4), 1) == 0
-    assert residue(ProfiniteInt((0, 1, 1, 7)), 4) == 3
+    assert residue(ProfiniteInt.from_residues((0, 1, 1, 7)), 4) == 3
 
 
 def test_residue_requires_dividing_modulus():
@@ -47,7 +47,7 @@ def test_add_examples():
     assert pf_add(embed_int(3, 3), embed_int(4, 3)) == embed_int(7, 3)
     a = embed_int(13, 5)
     assert pf_add(a, pf_neg(a)) == embed_int(0, 5)
-    assert pf_add(embed_int(1, 2), ProfiniteInt((0, 1))).residues == (0, 0)
+    assert pf_add(embed_int(1, 2), ProfiniteInt.from_residues((0, 1))).residues == (0, 0)
 
 
 def test_mixed_depth_truncates():
@@ -66,11 +66,11 @@ def test_no_silent_extension():
 
 def test_invalid_towers_rejected():
     with pytest.raises(ValueError):
-        ProfiniteInt((1,))  # r_1 must be 0 mod 1!
+        ProfiniteInt.from_residues((1,))  # r_1 must be 0 mod 1!
     with pytest.raises(ValueError):
-        ProfiniteInt((0, 1, 2))  # 2 mod 2! != 1
+        ProfiniteInt.from_residues((0, 1, 2))  # 2 mod 2! != 1
     with pytest.raises(ValueError):
-        ProfiniteInt(())
+        ProfiniteInt.from_residues(())
 
 
 def test_dist_examples():
@@ -141,3 +141,19 @@ def test_render_parse_roundtrip():
         parse_profinite("(0, 1) @ depth 3")
     with pytest.raises(ValueError):
         parse_profinite("garbage")
+
+
+def test_value_is_one_integer_mod_depth_factorial():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(ProfiniteInt)] == ["value", "depth"]
+    a = embed_int(-37, 6)
+    assert (a.value, a.depth) == (-37 % 720, 6)
+    assert a.residues == tuple(-37 % factorial(m) for m in range(1, 7))
+    assert ProfiniteInt.from_residues(a.residues) == a
+    assert a.truncate(3) == ProfiniteInt(-37 % 6, 3)
+    for value, depth in ((720, 6), (-1, 6), (0, 0), (0, -2)):
+        with pytest.raises(ValueError):
+            ProfiniteInt(value, depth)
+    with pytest.raises(ValueError):
+        ProfiniteInt.from_residues((0, 1, 7))  # 7 outside [0, 3!)

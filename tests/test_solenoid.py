@@ -167,3 +167,38 @@ def test_point_literal_roundtrip():
     assert parse_point("x=0; k=(0, 1)") == SolenoidPoint(Fraction(0), embed_int(1, 2))
     with pytest.raises(ValueError):
         parse_point("nope")
+
+
+def test_canonicalize_binary64_roundoff_through_apply():
+    from soldyn import analytic_new, apply, induce
+
+    # -1e-17 - floor(-1e-17) rounds to 1.0; the unit carries into k instead
+    s = apply(induce(analytic_new(-1e-17)), sigma(0.0))
+    assert s == SolenoidPoint(0.0, embed_int(0, 8))
+    k = embed_int(5, 4)
+    assert canonicalize(-1e-17, k) == SolenoidPoint(0.0, k)
+    assert canonicalize(-5e-324, k) == SolenoidPoint(0.0, k)
+    assert canonicalize(-0.25, k) == SolenoidPoint(0.75, embed_int(4, 4))
+
+
+def test_sol_dist_matches_projection_reference():
+    # reference: the metric written through project(), for exact and binary64
+    def reference(s, t):
+        total = 0
+        for m in range(1, min(s.depth, t.depth) + 1):
+            n = factorial(m)
+            d = (project(s, n).value - project(t, n).value) % n
+            arc = min(d, n - d)
+            if arc:
+                total = total + arc * Fraction(1, 2**m)
+        return Fraction(total) if isinstance(total, int) else total
+
+    rng = random.Random(13)
+    for _ in range(60):
+        s, t = rand_point(rng, 6), rand_point(rng, 8)
+        assert sol_dist(s, t) == reference(s, t)
+        fs = SolenoidPoint(float(s.x) + rng.random() * 1e-3, s.k)
+        ft = SolenoidPoint(rng.random(), t.k)
+        for a, b in ((fs, ft), (fs, t), (s, ft)):
+            got, want = sol_dist(a, b), reference(a, b)
+            assert type(got) is type(want) and got == want
