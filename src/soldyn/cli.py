@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -30,7 +31,6 @@ from .induced import (
     homeo_from_descriptor,
     leaf_displacement,
     lp_from_descriptor,
-    lp_truncate,
 )
 from .profinite import DEFAULT_DEPTH, embed_int
 from .solenoid import SolenoidPoint, parse_point, sigma, sol_add, sol_dist
@@ -77,8 +77,10 @@ def _load_input(path: str):
 
 
 def _emit(text: str, out: str | None) -> None:
+    # An explicit file: without one click caches a wrapper per sys.stdout
+    # object it sees, which keeps every in-process invocation's stream alive.
     if out is None:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -190,11 +192,11 @@ def cmd_orbit(cfg: ExperimentConfig) -> str:
     if isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("orbit expects a map or homeo descriptor")
     f = obj if isinstance(obj, InducedHomeo) else InducedHomeo(obj, 0)
-    depth = cfg.depth
     s = _parse_start(cfg)
+    depth = s.k.depth  # a literal start point carries its own tower depth
     header = ["iter", "x"] + [f"r{m}" for m in range(1, depth + 1)] + ["dist_to_target"]
     if cfg.iters < 1:
-        click.echo("inconclusive: iteration budget is 0", err=True)
+        click.echo("inconclusive: iteration budget is 0", file=sys.stderr)
         return _csv_text(header, [])
     p, q = _certified_pq(f, cfg)
     try:
@@ -265,16 +267,13 @@ def cmd_density(cfg: ExperimentConfig) -> str:
     h = obj
     N = max(cfg.samples, 1)
     top = h.tower[-1]
-    grid = [Fraction(i * top, N) for i in range(N)]
-    rows = []
     levels = list(range(1, h.levels + 1))
-    bounds, gaps = [], []
-    for j in levels:
-        trunc, bound = lp_truncate(h, j)
-        gap = max(abs(h.eval(x) - trunc.base.eval(x)) for x in grid)
-        bounds.append(bound)
-        gaps.append(gap)
-        rows.append([str(j), str(h.tower[j - 1]), str(bound), str(gap)])
+    bounds = [h.tail_from(j) for j in levels]
+    gaps = h.sampled_gaps(Fraction(i * top, N) for i in range(N))
+    rows = [
+        [str(j), str(T), str(b), str(g)]
+        for j, T, b, g in zip(levels, h.tower, bounds, gaps)
+    ]
     if cfg.fmt == "svg":
         return _svg_chart(
             "certified bound vs measured gap",
@@ -339,9 +338,11 @@ def rotation(**kw):
 @main.command()
 @_common_options
 @click.option("--start", default=None,
-              help='Start point: rational t (for sigma(t)) or literal "x=p/q; k=(...)".')
+              help='Start point: rational t (for sigma(t)) or literal "x=p/q; k=(...)", '
+                   'whose residue tower sets the depth.')
 @click.option("--p", "p", default=None, type=int, help="Return numerator p.")
-@click.option("--q-return", "q_return", default=None, type=int, help="Return denominator q.")
+@click.option("--q-return", "q_return", default=None, type=click.IntRange(min=1),
+              help="Return denominator q.")
 def orbit(start, p, q_return, **kw):
     """Orbit trace CSV with distance to the certified fiber-periodic target."""
     cfg = _make_config("csv", allowed=("csv",), start=start, p=p, q=q_return, **kw)
@@ -367,7 +368,11 @@ def hull_cmd(**kw):
 @main.command()
 @_common_options
 def density(**kw):
-    """Per-level certified bound vs measured sup gap for a limit-periodic tower."""
+    """Per-level certified bound vs sampled gap for a limit-periodic tower.
+
+    measured_sup_gap is the max of |h - truncation| over the --samples grid
+    of the top period: a lower bound on the sup, not the sup itself.
+    """
     cfg = _make_config("csv", allowed=("csv", "json", "svg"), **kw)
     _emit(cmd_density(cfg), cfg.out)
 

@@ -250,6 +250,23 @@ class LimitPeriodicHomeo:
             (d.sup_norm() for d in self.summands[level:]), start=self.tail_bound
         )
 
+    def sampled_gaps(self, grid) -> list[Fraction]:
+        """max |h - truncation at level j| over the points of `grid`, for
+        j = 1..levels: a lower bound on the sup that `tail_from(j)` bounds.
+
+        h minus its level-j truncation is the tail sum_{i>j} delta_i, so one
+        running suffix sum over summands m, m-1, ..., 2 gives every level;
+        summand 1 is never evaluated and level m's gap is 0.
+        """
+        grid = list(grid)
+        tail = [Fraction(0)] * len(grid)
+        gaps = [Fraction(0)]
+        for d in reversed(self.summands[1:]):
+            tail = [t + d.eval(x) for t, x in zip(tail, grid)]
+            gaps.append(max(map(abs, tail), default=Fraction(0)))
+        gaps.reverse()
+        return gaps
+
     def to_descriptor(self) -> dict:
         return {
             "lp": {
@@ -271,8 +288,12 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
 
     The tower must be a divisor chain; summand j must have stored period
     T_j; every partial sum id + sum_{i<=j} delta_i must be strictly
-    increasing (each truncation is itself a homeomorphism).
+    increasing (each truncation is itself a homeomorphism); the tail bound
+    must be nonnegative.
     """
+    tail_bound = Fraction(tail_bound)
+    if tail_bound < 0:
+        raise ValueError(f"tail_bound must be nonnegative, got {tail_bound}")
     tower = tuple(int(T) for T in tower)
     summands = tuple(summands)
     if len(tower) != len(summands) or not tower:
@@ -293,7 +314,7 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
             raise NotHomeomorphism(
                 "partial displacement sum has slope <= -1; id + sum not increasing"
             )
-    return LimitPeriodicHomeo(tower, summands, Fraction(tail_bound))
+    return LimitPeriodicHomeo(tower, summands, tail_bound)
 
 
 def lp_truncate(h: LimitPeriodicHomeo, level: int) -> tuple[InducedHomeo, Fraction]:

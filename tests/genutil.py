@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from soldyn import (
     InducedHomeo,
+    NotHomeomorphism,
     PLLift,
+    PeriodicPL,
     SolenoidPoint,
     embed_degree,
     embed_int,
     induce,
+    lp_build,
     pl_new,
 )
 
@@ -60,6 +63,23 @@ def rand_induced(
 def rand_embedded(rng: random.Random, degree: int) -> InducedHomeo:
     """Random degree-1 map included at the given degree via the direct limit."""
     return embed_degree(rand_induced(rng, 1), degree)
+
+
+def rand_lp(rng: random.Random, tower, zero_tail: bool = False):
+    """A limit-periodic tower with signed summands on a grid of quarters,
+    redrawn until lp_build accepts it; the tail bound is 0 or a small
+    positive rational."""
+    while True:
+        summands = []
+        for j, T in enumerate(tower):
+            xs = sorted(Fraction(k, 4) for k in rng.sample(range(4 * T), 2 + rng.randrange(3)))
+            vals = [Fraction(rng.randint(-5, 5), 2 * 4 ** (j + 1)) for _ in xs]
+            summands.append(PeriodicPL(T, list(zip(xs, vals))))
+        tail = 0 if zero_tail else Fraction(rng.randint(1, 5), 4 ** (len(tower) + 1))
+        try:
+            return lp_build(tower, summands, tail)
+        except NotHomeomorphism:
+            continue
 
 
 # hypothesis strategies

@@ -9,7 +9,11 @@ one report from a nonzero exact x0 and one from a binary64 x0.
 
 The CLI corpus holds seeded induced descriptors of degrees 1-6 (genuine
 degree-n lifts and degree-1 lifts embedded at degree n) and records the exit
-code and stdout of `rotation`, `hull` and `orbit` on each.
+code and stdout of `rotation`, `hull` and `orbit` on each.  The `semiconj`
+corpus runs that subcommand on the same descriptors and on the checked-in
+ones.  The `density` corpus runs it on `descriptors/lp_tower4.json` and on
+seeded limit-periodic towers of depth 2-5, in every format, at 1, 64 and 600
+samples.
 
 Certified outputs must not change under refactors, so the stored files are
 regenerated only by a change that means to alter them:
@@ -29,11 +33,16 @@ from pathlib import Path
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ROTATION_PATH = GOLDEN_DIR / "rotation_reports.json"
 CLI_PATH = GOLDEN_DIR / "cli_outputs.json"
+SEMICONJ_PATH = GOLDEN_DIR / "semiconj_outputs.json"
+DENSITY_PATH = GOLDEN_DIR / "density_outputs.json"
+DESCRIPTORS = GOLDEN_DIR.parents[1] / "descriptors"
 
 REPORT_QS = (7, 25, 60)
 X0_Q = 25
 FAREY_ORDER = 60
 CLI_ITERS = ("12", "24")
+DENSITY_SAMPLES = ("1", "64", "600")
+DENSITY_FORMATS = ("csv", "json", "svg")
 
 
 def dump(obj) -> str:
@@ -171,7 +180,8 @@ def cli_descriptors(seed: int = 0) -> list[dict]:
     return out
 
 
-def cli_golden(seed: int = 0) -> list[dict]:
+def _invoke_rows(jobs: list[tuple[int, dict, list[str]]]) -> list[dict]:
+    """Exit code and stdout of each (id, descriptor, [subcommand, *flags]) job."""
     from click.testing import CliRunner
 
     from soldyn.cli import main
@@ -179,28 +189,77 @@ def cli_golden(seed: int = 0) -> list[dict]:
     runner = CliRunner()
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, desc in enumerate(cli_descriptors(seed)):
+        for i, desc, args in jobs:
             path = Path(tmp) / f"d{i:02d}.json"
             path.write_text(json.dumps(desc), encoding="utf-8")
-            jobs = [["rotation", "--iters", it] for it in CLI_ITERS]
-            jobs.append(["hull", "--iters", CLI_ITERS[-1]])
-            jobs.append(["orbit", "--iters", CLI_ITERS[0], "--start", "1/3"])
-            for args in jobs:
-                res = runner.invoke(main, [args[0], "--input", str(path), *args[1:]])
-                row = {
-                    "id": i, "args": args, "descriptor": desc,
-                    "exit_code": res.exit_code, "stdout": res.stdout,
-                }
-                if res.exception is not None and not isinstance(res.exception, SystemExit):
-                    row["uncaught"] = type(res.exception).__name__
-                rows.append(row)
+            res = runner.invoke(main, [args[0], "--input", str(path), *args[1:]])
+            row = {
+                "id": i, "args": args, "descriptor": desc,
+                "exit_code": res.exit_code, "stdout": res.stdout,
+            }
+            if res.exception is not None and not isinstance(res.exception, SystemExit):
+                row["uncaught"] = type(res.exception).__name__
+            rows.append(row)
     return rows
+
+
+def cli_golden(seed: int = 0) -> list[dict]:
+    jobs = []
+    for i, desc in enumerate(cli_descriptors(seed)):
+        args = [["rotation", "--iters", it] for it in CLI_ITERS]
+        args.append(["hull", "--iters", CLI_ITERS[-1]])
+        args.append(["orbit", "--iters", CLI_ITERS[0], "--start", "1/3"])
+        jobs += [(i, desc, a) for a in args]
+    return _invoke_rows(jobs)
+
+
+def _checked_in(name: str) -> dict:
+    return json.loads((DESCRIPTORS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def semiconj_golden(seed: int = 0) -> list[dict]:
+    """`semiconj` on the induced corpus and on the checked-in descriptors
+    (the analytic one exits 1, the limit-periodic one exits 2)."""
+    descs = cli_descriptors(seed) + [
+        _checked_in(name) for name in
+        ("halfmap", "rot35_homeo", "fixedpoint_homeo", "golden_analytic", "lp_tower4")
+    ]
+    jobs = [
+        (i, desc, ["semiconj", "--samples", "12", "--seed", str(i), "--depth", str(4 + i % 5)])
+        for i, desc in enumerate(descs)
+    ]
+    return _invoke_rows(jobs)
+
+
+def lp_tower_descriptors(seed: int = 0) -> list[dict]:
+    """`lp_tower4.json`, then seeded towers of depth 2-5 with signed summands;
+    half of the seeded towers declare a zero tail bound."""
+    from genutil import rand_lp
+
+    rng = random.Random(f"golden-density:{seed}")
+    chains = ((1, 3), (1, 2, 6), (2, 4, 12, 24), (1, 2, 4, 12, 24), (1, 3, 6, 12, 24))
+    out = [_checked_in("lp_tower4")]
+    for i, tower in enumerate(chains):
+        out.append(rand_lp(rng, tower, zero_tail=i % 2 == 0).to_descriptor())
+    return out
+
+
+def density_golden(seed: int = 0) -> list[dict]:
+    jobs = [
+        (i, desc, ["density", "--samples", n, "--format", fmt])
+        for i, desc in enumerate(lp_tower_descriptors(seed))
+        for n in DENSITY_SAMPLES
+        for fmt in DENSITY_FORMATS
+    ]
+    return _invoke_rows(jobs)
 
 
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     ROTATION_PATH.write_text(dump(rotation_golden()), encoding="utf-8")
     CLI_PATH.write_text(dump(cli_golden()), encoding="utf-8")
+    SEMICONJ_PATH.write_text(dump(semiconj_golden()), encoding="utf-8")
+    DENSITY_PATH.write_text(dump(density_golden()), encoding="utf-8")
     return 0
 
 

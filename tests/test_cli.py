@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +9,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import soldyn
+from soldyn import PeriodicPL, lp_from_descriptor
 from soldyn.cli import main
 
 HALFMAP = {
@@ -353,3 +357,105 @@ def test_malformed_descriptors_exit_2_without_traceback(tmp_path, desc, sub):
     path = write(tmp_path, "fuzz.json", desc)
     res = CliRunner().invoke(main, [sub, "--input", path])
     assert_usage_error(res)
+
+
+def test_q_return_zero_exits_2(runner, tmp_path):
+    path = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
+    assert_usage_error(runner.invoke(main, ["orbit", "--input", path, "--p", "0", "--q-return", "0"]))
+
+
+def test_q_return_negative_exits_2(runner, tmp_path):
+    path = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
+    assert_usage_error(runner.invoke(main, ["orbit", "--input", path, "--p", "0", "--q-return", "-1"]))
+
+
+def test_orbit_literal_start_rows_match_header(runner, tmp_path):
+    path = write(tmp_path, "rot.json", ROT35_HOMEO)
+    for depth in ("8", "3"):
+        res = runner.invoke(
+            main,
+            ["orbit", "--input", path, "--start", "x=1/4; k=(0, 1)", "--depth", depth,
+             "--iters", "4", "--p", "3", "--q-return", "5"],
+        )
+        assert res.exit_code == 0, res.output
+        lines = res.output.strip().splitlines()
+        header = lines[0].split(",")
+        assert header == ["iter", "x", "r1", "r2", "dist_to_target"]
+        assert len(lines) == 5
+        assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+
+def test_density_negative_tail_bound_exits_2(runner, tmp_path):
+    lp = {"lp": {**LP4["lp"], "tail_bound": "-1"}}
+    path = write(tmp_path, "lp.json", lp)
+    assert_usage_error(runner.invoke(main, ["density", "--input", path]))
+
+
+DEPTH5_LP = {
+    "lp": {
+        "tower": [1, 2, 4, 12, 24],
+        "summands": [
+            {"period": "1", "breakpoints": [["0", "0"], ["1/4", "-3/32"], ["1/2", "1/16"]]},
+            {"period": "2", "breakpoints": [["0", "1/64"], ["5/4", "-1/32"]]},
+            {"period": "4", "breakpoints": [["1/2", "0"], ["3", "3/256"]]},
+            {"period": "12", "breakpoints": [["0", "-1/512"], ["7", "1/512"]]},
+            {"period": "24", "breakpoints": [["0", "0"], ["12", "1/2048"], ["13", "0"]]},
+        ],
+        "tail_bound": "1/4096",
+    }
+}
+
+
+def test_density_evaluates_each_tail_summand_once_per_sample(runner, tmp_path, monkeypatch):
+    calls = {"eval": 0, "lp_truncate": 0}
+    plain_eval = PeriodicPL.eval
+
+    def counting_eval(self, x):
+        calls["eval"] += 1
+        return plain_eval(self, x)
+
+    def no_truncation(*args):
+        calls["lp_truncate"] += 1
+        raise AssertionError("density must not build truncations")
+
+    monkeypatch.setattr(PeriodicPL, "eval", counting_eval)
+    monkeypatch.setattr(PeriodicPL, "__call__", counting_eval)
+    monkeypatch.setattr(soldyn.induced, "lp_truncate", no_truncation)
+    monkeypatch.setattr(soldyn.cli, "lp_truncate", no_truncation, raising=False)
+    m, n = len(DEPTH5_LP["lp"]["tower"]), 37
+    lp_from_descriptor(DEPTH5_LP)
+    build_calls = calls["eval"]
+    calls["eval"] = 0
+    path = write(tmp_path, "lp5.json", DEPTH5_LP)
+    res = runner.invoke(main, ["density", "--input", path, "--samples", str(n)])
+    assert res.exit_code == 0, res.output
+    assert calls["lp_truncate"] == 0
+    assert 0 < calls["eval"] - build_calls <= (m - 1) * n
+
+
+def _live_runner_streams() -> int:
+    gc.collect()
+    return sum(
+        1 for o in gc.get_objects()
+        if isinstance(o, io.TextIOWrapper) and type(o).__module__ == "click.testing"
+    )
+
+
+def test_in_process_invocations_leave_no_stdout_wrapper_alive(runner, tmp_path):
+    # CliRunner installs a fresh sys.stdout per call; a stream cache keyed on
+    # it must not outlive the call, whatever the exit path
+    half = write(tmp_path, "half.json", HALFMAP)
+    fp = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
+    lp = write(tmp_path, "lp.json", LP4)
+    jobs = [
+        ["rotation", "--input", half, "--iters", "10"],
+        ["orbit", "--input", fp, "--iters", "0"],
+        ["semiconj", "--input", fp, "--samples", "3"],
+        ["density", "--input", lp, "--samples", "4", "--format", "json"],
+        ["density", "--input", half],
+    ]
+    before = _live_runner_streams()
+    for i in range(100):
+        res = runner.invoke(main, jobs[i % len(jobs)])
+        assert res.exit_code == (2 if i % len(jobs) == 4 else 0), res.output
+    assert _live_runner_streams() <= before

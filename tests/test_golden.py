@@ -23,3 +23,11 @@ def test_rotation_reports_match_golden():
 
 def test_cli_outputs_match_golden():
     _check(gc.cli_golden(), gc.CLI_PATH)
+
+
+def test_semiconj_outputs_match_golden():
+    _check(gc.semiconj_golden(), gc.SEMICONJ_PATH)
+
+
+def test_density_outputs_match_golden():
+    _check(gc.density_golden(), gc.DENSITY_PATH)

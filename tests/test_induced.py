@@ -40,7 +40,7 @@ from soldyn import (
     sol_add,
     translation_homeo,
 )
-from genutil import rand_embedded, rand_induced, rand_pl_lift, rand_point
+from genutil import rand_embedded, rand_induced, rand_lp, rand_pl_lift, rand_point
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 
@@ -255,6 +255,32 @@ def test_lp_truncate_geometric_tail():
         trunc, bound = lp_truncate(h, j)
         gap = max(abs(h.eval(x) - trunc.base.eval(x)) for x in grid)
         assert gap <= bound
+
+
+def test_lp_build_rejects_negative_tail_bound():
+    with pytest.raises(ValueError, match="tail_bound"):
+        lp_build((1, 2), [tri(1, "1/4"), tri(2, "1/16")], tail_bound="-1/48")
+    assert lp_build((1,), [tri(1, "1/4")], tail_bound=0).tail_from(1) == 0
+
+
+def test_sampled_gaps_match_truncation_reference():
+    # reference: the full h minus the lift of its level-j truncation, per point
+    rng = random.Random(41)
+    chains = ((1,), (1, 3), (1, 2, 6), (2, 4, 12, 24), (1, 2, 4, 12, 24))
+    for i in range(20):
+        h = rand_lp(rng, chains[i % len(chains)], zero_tail=i % 3 == 0)
+        top = h.tower[-1]
+        n = rng.choice((1, 7, 50))
+        grid = [Fraction(k * top, n) + Fraction(rng.randrange(8), 97) for k in range(n)]
+        expected = []
+        for j in range(1, h.levels + 1):
+            trunc, _ = lp_truncate(h, j)
+            expected.append(max(abs(h.eval(x) - trunc.base.eval(x)) for x in grid))
+        gaps = h.sampled_gaps(grid)
+        assert gaps == expected
+        assert all(type(g) is Fraction for g in gaps)
+        assert gaps[-1] == 0
+        assert all(g <= h.tail_from(j) for j, g in enumerate(gaps, start=1))
 
 
 def test_lp_descriptor_roundtrip():
