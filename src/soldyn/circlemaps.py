@@ -401,11 +401,19 @@ class PeriodicPL:
         return max(abs(self.eval(x) - other.eval(x)) for x in grid)
 
     def has_period(self, T) -> bool:
-        """Exact test whether delta(x + T) = delta(x) for all x."""
+        """Exact test whether delta(x + T) = delta(x) for all x.
+
+        A continuous periodic PL function is determined by its slope-change
+        points and their values, so T is a period exactly when shifting the
+        canonical breakpoints by T (mod the stored period) gives the same
+        set.  A constant function has no such points and every period.
+        """
         T = as_rational(T)
         if T <= 0:
             raise ValueError("candidate period must be positive")
-        return self.sup_diff(self.translate(T)) == 0
+        P = self.period
+        canon = self.canonical_breakpoints()
+        return {((x - T) % P, v) for x, v in canon} == set(canon)
 
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         keep = []
@@ -486,7 +494,9 @@ def divisors(n: int) -> list[int]:
 def minimal_period(delta: PeriodicPL, candidates=None):
     """Smallest candidate period T with delta(x + T) = delta(x), decided exactly.
 
-    By default candidates are the divisors of the (integer) stored period;
+    Each candidate goes through `PeriodicPL.has_period`, which compares the
+    canonical breakpoints shifted by T with the unshifted ones.  By default
+    candidates are the divisors of the (integer) stored period;
     displacements of degree-n lifts always admit T = n, so the search cannot
     fail.  Non-divisor rational periods are out of scope here.
     """

@@ -175,6 +175,15 @@ def _require_iters(cfg: ExperimentConfig) -> None:
         raise click.UsageError("--iters must be >= 1")
 
 
+def _require_depth(f: InducedHomeo, depth: int, source: str) -> None:
+    """A degree-n map acts on points whose tower resolves n: n | depth!."""
+    if factorial(depth) % f.degree:
+        raise click.UsageError(
+            f"depth {depth} is too shallow for a degree-{f.degree} map: "
+            f"{f.degree} does not divide {depth}! (depth set by {source})"
+        )
+
+
 def cmd_rotation(cfg: ExperimentConfig) -> str:
     _require_iters(cfg)
     obj = _load_input(cfg.input_path)
@@ -194,6 +203,7 @@ def cmd_orbit(cfg: ExperimentConfig) -> str:
     f = obj if isinstance(obj, InducedHomeo) else InducedHomeo(obj, 0)
     s = _parse_start(cfg)
     depth = s.k.depth  # a literal start point carries its own tower depth
+    _require_depth(f, depth, "--depth, or the tower of a literal --start")
     header = ["iter", "x"] + [f"r{m}" for m in range(1, depth + 1)] + ["dist_to_target"]
     if cfg.iters < 1:
         click.echo("inconclusive: iteration budget is 0", file=sys.stderr)
@@ -220,6 +230,7 @@ def cmd_semiconj(cfg: ExperimentConfig) -> str:
         raise click.UsageError("semiconj expects a map or homeo descriptor")
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
+    _require_depth(obj, cfg.depth, "--depth")
     rng = random.Random(cfg.seed)
     pts = [_random_exact_point(rng, cfg.depth) for _ in range(cfg.samples)]
     try:
@@ -322,7 +333,38 @@ def _make_config(default_fmt: str, allowed=None, **kw) -> ExperimentConfig:
     return ExperimentConfig(fmt=fmt, **kw)
 
 
-@click.group()
+def _show_help(ctx: click.Context, param, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _HelpThroughSysStdout:
+    """Help output through an explicit file, for the reason given in _emit."""
+
+    def get_help_option(self, ctx: click.Context):
+        opt = super().get_help_option(ctx)
+        if opt is not None:
+            opt.callback = _show_help
+        return opt
+
+
+class _Command(_HelpThroughSysStdout, click.Command):
+    pass
+
+
+class _Group(_HelpThroughSysStdout, click.Group):
+    command_class = _Command
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        # a bare call prints the help to stderr and exits 2, as click does
+        if not args and self.no_args_is_help and not ctx.resilient_parsing:
+            click.echo(ctx.get_help(), color=ctx.color, file=sys.stderr)
+            ctx.exit(2)
+        return super().parse_args(ctx, args)
+
+
+@click.group(cls=_Group)
 def main():
     """Experiments on solenoid homeomorphisms: exact arithmetic throughout."""
 

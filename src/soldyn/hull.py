@@ -57,6 +57,8 @@ def hull_of(delta: PeriodicPL, candidates=None) -> Hull:
 
 def _same_hull(a: HullPoint, b: HullPoint) -> Hull:
     ha, hb = a.hull, b.hull
+    if ha is hb:
+        return ha
     if ha.period != hb.period or ha.delta != hb.delta:
         raise MixedHulls("hull points belong to different hulls")
     return ha
@@ -113,7 +115,11 @@ class QuotientMap:
 
 
 def quotient_map(delta: PeriodicPL, candidates=None) -> QuotientMap:
-    T = Fraction(minimal_period(delta, candidates))
+    return _quotient_map(delta, Fraction(minimal_period(delta, candidates)))
+
+
+def _quotient_map(delta: PeriodicPL, T: Fraction) -> QuotientMap:
+    """The quotient map of delta, whose minimal period T is already known."""
     if T.denominator != 1:
         raise ValueError("quotient map needs an integer minimal period")
     try:
@@ -170,7 +176,7 @@ def check_semiconjugacy(
     """
     delta = leaf_displacement(f)
     hull = hull_of(delta)
-    gm = quotient if quotient is not None else quotient_map(delta)
+    gm = quotient if quotient is not None else _quotient_map(delta, hull.period)
     worst = Fraction(0)
     count = 0
     for s in samples:

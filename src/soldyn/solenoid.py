@@ -32,6 +32,14 @@ class SolenoidPoint:
         if not 0 <= self.x < 1:
             raise ValueError(f"leaf coordinate {self.x} outside [0, 1)")
 
+    @classmethod
+    def _trusted(cls, x: Coordinate, k: ProfiniteInt) -> "SolenoidPoint":
+        """A point from a Fraction or float x already known to lie in [0, 1)."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "x", x)
+        object.__setattr__(s, "k", k)
+        return s
+
     @property
     def depth(self) -> int:
         return self.k.depth
@@ -63,19 +71,30 @@ class CirclePointModN:
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value} outside [0, {self.modulus})")
 
+    @classmethod
+    def _trusted(cls, modulus: int, value: Coordinate) -> "CirclePointModN":
+        """A point from a modulus >= 1 and a Fraction or float value already
+        known to lie in [0, modulus)."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "modulus", modulus)
+        object.__setattr__(c, "value", value)
+        return c
+
 
 def canonicalize(x: Coordinate, k: ProfiniteInt) -> SolenoidPoint:
     """Unique class representative: shift x into [0, 1), compensating in k."""
+    if isinstance(x, int):
+        x = Fraction(x)
     if isinstance(x, Fraction):
         t = x.numerator // x.denominator
     else:
         t = math.floor(x)
         if x - t == 1:
             # binary64: for a tiny negative x, x - floor(x) rounds up to 1.0
-            return SolenoidPoint(0.0, embed_int(k.value + t + 1, k.depth))
+            return SolenoidPoint._trusted(0.0, embed_int(k.value + t + 1, k.depth))
     if t == 0:
-        return SolenoidPoint(x, k)
-    return SolenoidPoint(x - t, embed_int(k.value + t, k.depth))
+        return SolenoidPoint._trusted(x, k)
+    return SolenoidPoint._trusted(x - t, embed_int(k.value + t, k.depth))
 
 
 def zero_point(depth: int = DEFAULT_DEPTH) -> SolenoidPoint:
@@ -103,7 +122,7 @@ def sigma(t: Coordinate, depth: int = DEFAULT_DEPTH) -> SolenoidPoint:
 
 def project(s: SolenoidPoint, n: int) -> CirclePointModN:
     """Projection onto R/nZ; requires n | depth!."""
-    return CirclePointModN(n, (s.x + s.k.residue(n)) % n)
+    return CirclePointModN._trusted(n, (s.x + s.k.residue(n)) % n)
 
 
 def deck(pair: tuple[Coordinate, ProfiniteInt], t: int) -> tuple[Coordinate, ProfiniteInt]:
@@ -117,10 +136,24 @@ def sol_dist(s: SolenoidPoint, t: SolenoidPoint) -> Coordinate:
 
     Sum over m = 1..M of 2^-m times the arc distance between the level-m!
     projections.  Zero exactly when the points agree at the stored depth.
+    Exact leaf coordinates are put over one denominator B, so each arc is
+    an integer mod B*m! and the sum one integer over B*2^M.
     """
     sv, tv = s.k.value, t.k.value
+    M = min(s.depth, t.depth)
+    if isinstance(s.x, Fraction) and isinstance(t.x, Fraction):
+        a, b = s.x.denominator, t.x.denominator
+        B = math.lcm(a, b)
+        # B times the difference of the lifts x + k, reduced at each level
+        diff = s.x.numerator * (B // a) - t.x.numerator * (B // b) + (sv - tv) * B
+        num = 0
+        for m in range(1, M + 1):
+            Bn = B * factorial(m)
+            d = diff % Bn
+            num += min(d, Bn - d) << (M - m)
+        return Fraction(num, B << M)
     total: Coordinate = 0
-    for m in range(1, min(s.depth, t.depth) + 1):
+    for m in range(1, M + 1):
         n = factorial(m)
         # the level-n projections, with project's arithmetic
         d = ((s.x + sv % n) % n - (t.x + tv % n) % n) % n

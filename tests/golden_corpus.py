@@ -15,6 +15,12 @@ ones.  The `density` corpus runs it on `descriptors/lp_tower4.json` and on
 seeded limit-periodic towers of depth 2-5, in every format, at 1, 64 and 600
 samples.
 
+The orbit-verdict corpus runs `classify_orbit` with its trace from seeded
+exact starts on the induced descriptors whose rotation number certifies, and
+`sol_dist` on seeded exact pairs of mixed depth with denominators up to about
+10^30.  The script corpus runs each script under `scripts/` in a fresh
+working directory and keeps its stdout and the files it writes.
+
 Certified outputs must not change under refactors, so the stored files are
 regenerated only by a change that means to alter them:
 
@@ -24,7 +30,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -35,7 +43,10 @@ ROTATION_PATH = GOLDEN_DIR / "rotation_reports.json"
 CLI_PATH = GOLDEN_DIR / "cli_outputs.json"
 SEMICONJ_PATH = GOLDEN_DIR / "semiconj_outputs.json"
 DENSITY_PATH = GOLDEN_DIR / "density_outputs.json"
-DESCRIPTORS = GOLDEN_DIR.parents[1] / "descriptors"
+ORBIT_PATH = GOLDEN_DIR / "orbit_verdicts.json"
+SCRIPTS_PATH = GOLDEN_DIR / "script_outputs.json"
+ROOT = GOLDEN_DIR.parents[1]
+DESCRIPTORS = ROOT / "descriptors"
 
 REPORT_QS = (7, 25, 60)
 X0_Q = 25
@@ -43,6 +54,14 @@ FAREY_ORDER = 60
 CLI_ITERS = ("12", "24")
 DENSITY_SAMPLES = ("1", "64", "600")
 DENSITY_FORMATS = ("csv", "json", "svg")
+ORBIT_STARTS = 3
+SOL_DIST_PAIRS = 200
+SCRIPT_RUNS = (
+    ("rotation_sweep.py", ["30"]),
+    ("orbit_trace.py", []),
+    ("orbit_trace.py", ["1/3"]),
+    ("density_report.py", ["300"]),
+)
 
 
 def dump(obj) -> str:
@@ -254,12 +273,98 @@ def density_golden(seed: int = 0) -> list[dict]:
     return _invoke_rows(jobs)
 
 
+def _verdict_row(v) -> dict:
+    row = {"kind": type(v).__name__}
+    if hasattr(v, "target"):
+        row.update(target=v.target.render(), iterations=v.iterations, distance=str(v.distance))
+    elif hasattr(v, "point"):
+        row["point"] = v.point.render()
+    else:
+        row["reason"] = v.reason
+    if getattr(v, "trace", ()):
+        row["trace"] = [[i, str(d)] for i, d in v.trace]
+    return row
+
+
+def orbit_golden(seed: int = 0) -> list[dict]:
+    """`classify_orbit` from seeded exact starts on the induced corpus, then
+    `sol_dist` on seeded exact pairs of mixed depth.
+
+    A certified p/q with n not dividing p is classified as (np)/(nq), whose
+    return map the degree-n fibers track.
+    """
+    from soldyn import (
+        SolenoidPoint, classify_orbit, embed_int, homeo_from_descriptor,
+        rotation_report, sol_dist,
+    )
+
+    rng = random.Random(f"golden-orbit:{seed}")
+    rows = []
+    for i, desc in enumerate(cli_descriptors(seed)):
+        f = homeo_from_descriptor(desc)
+        rho = rotation_report(f, int(CLI_ITERS[-1])).exact
+        if rho is None:
+            continue
+        n = f.degree
+        p, q = rho.numerator, rho.denominator
+        if p % n:
+            p, q = n * p, n * q
+        for _ in range(ORBIT_STARTS):
+            depth = rng.randint(max(n, 4), 8)
+            den = rng.randint(1, 64)
+            s = SolenoidPoint(
+                Fraction(rng.randrange(den), den),
+                embed_int(rng.randrange(math.factorial(depth)), depth),
+            )
+            v = classify_orbit(f, s, p, q, collect_trace=True)
+            rows.append({
+                "id": i, "p": p, "q": q, "start": s.render(), "verdict": _verdict_row(v),
+            })
+    for _ in range(SOL_DIST_PAIRS):
+        pts = []
+        for _ in range(2):
+            depth = rng.randint(1, 10)
+            den = rng.randint(1, 10 ** rng.randint(1, 30))
+            pts.append(SolenoidPoint(
+                Fraction(rng.randrange(den), den),
+                embed_int(rng.randrange(math.factorial(depth)), depth),
+            ))
+        s, t = pts
+        rows.append({"s": s.render(), "t": t.render(), "sol_dist": str(sol_dist(s, t))})
+    return rows
+
+
+def script_golden() -> list[dict]:
+    """Stdout and written files of each script run in a fresh working directory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    rows = []
+    for script, args in SCRIPT_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            res = subprocess.run(
+                [sys.executable, str(ROOT / "scripts" / script), *args],
+                cwd=tmp, env=env, capture_output=True, text=True, timeout=120,
+            )
+            files = {
+                p.name: p.read_text(encoding="utf-8") for p in sorted(Path(tmp).iterdir())
+            }
+        rows.append({
+            "script": script, "args": args, "exit_code": res.returncode,
+            "stdout": res.stdout, "files": files,
+        })
+    return rows
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     ROTATION_PATH.write_text(dump(rotation_golden()), encoding="utf-8")
     CLI_PATH.write_text(dump(cli_golden()), encoding="utf-8")
     SEMICONJ_PATH.write_text(dump(semiconj_golden()), encoding="utf-8")
     DENSITY_PATH.write_text(dump(density_golden()), encoding="utf-8")
+    ORBIT_PATH.write_text(dump(orbit_golden()), encoding="utf-8")
+    SCRIPTS_PATH.write_text(dump(script_golden()), encoding="utf-8")
     return 0
 
 

@@ -159,6 +159,36 @@ def test_minimal_period_examples():
     assert minimal_period(distinct.displacement()) == 2
 
 
+def test_has_period_matches_translate_reference():
+    # reference: the construction has_period replaced, delta^T - delta as an
+    # exact sup over the merged breakpoint grid
+    def reference(delta, T):
+        return delta.sup_diff(delta.translate(T)) == 0
+
+    rng = random.Random(17)
+    outcomes = set()
+    for i in range(120):
+        P = Fraction(rng.choice([1, 2, 3, 4, 6, Fraction(3, 2), Fraction(5, 3)]))
+        r = rng.choice([1, 2, 3, 6])  # the pattern repeats r times per period
+        xs = sorted(rng.sample(range(12), rng.randint(1, 4)))
+        if i % 4 == 0:  # constant, stored with one or several breakpoints
+            c = Fraction(rng.randint(-9, 9), 8)
+            vals = [c] * len(xs)
+        else:
+            vals = [Fraction(rng.randint(-9, 9), 8) for _ in xs]
+        base = P / r
+        delta = PeriodicPL(P, [(base * (j + Fraction(k, 12)), v)
+                               for j in range(r) for k, v in zip(xs, vals)])
+        candidates = [P / d for d in (1, 2, 3, 4, 6, 12)]  # divisors, some periods
+        candidates += [P * Fraction(2, 5), Fraction(rng.randint(1, 40), rng.randint(1, 12))]
+        candidates += [P * Fraction(rng.randint(7, 20), rng.randint(1, 6)), 2 * P, P + base]
+        for T in candidates:
+            got = delta.has_period(T)
+            assert got == reference(delta, T), (delta, T)
+            outcomes.add((i % 4 == 0, got))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
 def test_minimal_period_divides_degree():
     rng = random.Random(7)
     for degree in (1, 2, 3, 4, 6):

@@ -258,6 +258,31 @@ def test_depth_zero_exits_2_on_every_subcommand(runner, tmp_path):
         assert_usage_error(runner.invoke(main, [sub, "--input", path, "--depth", "0"]))
 
 
+DEG3_HOMEO = {
+    "degree": 3,
+    "offset": 1,
+    "lift": {"degree": 3, "variant": "pl", "breakpoints": [["0", "0"], ["3/2", "2"]]},
+}
+
+
+def test_orbit_depth_too_shallow_for_degree_exits_2(runner, tmp_path):
+    # 3 does not divide 2!: a usage mistake, not a missing orbit target
+    path = write(tmp_path, "d3.json", DEG3_HOMEO)
+    res = runner.invoke(
+        main, ["orbit", "--input", path, "--depth", "2", "--p", "1", "--q-return", "1"]
+    )
+    assert_usage_error(res)
+    assert "--depth" in res.stderr and "not found" not in res.stderr
+
+
+def test_semiconj_depth_too_shallow_for_degree_exits_2(runner, tmp_path):
+    path = write(tmp_path, "d3.json", DEG3_HOMEO)
+    res = runner.invoke(main, ["semiconj", "--input", path, "--depth", "2"])
+    assert_usage_error(res)
+    assert "--depth" in res.stderr
+    assert runner.invoke(main, ["semiconj", "--input", path, "--depth", "3"]).exit_code == 0
+
+
 def test_tol_option_is_gone(runner, tmp_path):
     path = write(tmp_path, "half.json", HALFMAP)
     assert_usage_error(runner.invoke(main, ["rotation", "--input", path, "--tol", "1/2"]))
@@ -443,19 +468,23 @@ def _live_runner_streams() -> int:
 
 def test_in_process_invocations_leave_no_stdout_wrapper_alive(runner, tmp_path):
     # CliRunner installs a fresh sys.stdout per call; a stream cache keyed on
-    # it must not outlive the call, whatever the exit path
+    # it must not outlive the call, whatever the exit path (help included)
     half = write(tmp_path, "half.json", HALFMAP)
     fp = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
     lp = write(tmp_path, "lp.json", LP4)
     jobs = [
-        ["rotation", "--input", half, "--iters", "10"],
-        ["orbit", "--input", fp, "--iters", "0"],
-        ["semiconj", "--input", fp, "--samples", "3"],
-        ["density", "--input", lp, "--samples", "4", "--format", "json"],
-        ["density", "--input", half],
+        (["rotation", "--input", half, "--iters", "10"], 0),
+        (["orbit", "--input", fp, "--iters", "0"], 0),
+        (["semiconj", "--input", fp, "--samples", "3"], 0),
+        (["density", "--input", lp, "--samples", "4", "--format", "json"], 0),
+        (["density", "--input", half], 2),
+        (["--help"], 0),
+        (["density", "--help"], 0),
+        ([], 2),
     ]
     before = _live_runner_streams()
-    for i in range(100):
-        res = runner.invoke(main, jobs[i % len(jobs)])
-        assert res.exit_code == (2 if i % len(jobs) == 4 else 0), res.output
+    for i in range(20 * len(jobs)):
+        args, code = jobs[i % len(jobs)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == code, res.output
     assert _live_runner_streams() <= before

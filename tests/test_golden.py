@@ -31,3 +31,7 @@ def test_semiconj_outputs_match_golden():
 
 def test_density_outputs_match_golden():
     _check(gc.density_golden(), gc.DENSITY_PATH)
+
+
+def test_orbit_verdicts_match_golden():
+    _check(gc.orbit_golden(), gc.ORBIT_PATH)

@@ -20,7 +20,7 @@ from soldyn import (
     sol_neg,
     zero_point,
 )
-from genutil import rand_point, towers, unit_fractions
+from genutil import rand_point, rand_tower, towers, unit_fractions
 
 
 def test_canonicalize_examples():
@@ -194,9 +194,15 @@ def test_sol_dist_matches_projection_reference():
         return Fraction(total) if isinstance(total, int) else total
 
     rng = random.Random(13)
-    for _ in range(60):
+    for i in range(60):
         s, t = rand_point(rng, 6), rand_point(rng, 8)
         assert sol_dist(s, t) == reference(s, t)
+        # mixed depths, denominators up to 10^30, in either order
+        big = [rand_point(rng, rng.randint(1, 10), 10 ** rng.randint(1, 30)) for _ in range(2)]
+        big.append(SolenoidPoint(big[0].x, rand_tower(rng, rng.randint(1, 10))))
+        for a, b in ((big[0], big[1]), (big[1], big[0]), (big[0], big[2]), (big[2], s), (t, t)):
+            got, want = sol_dist(a, b), reference(a, b)
+            assert type(got) is type(want) is Fraction and got == want
         fs = SolenoidPoint(float(s.x) + rng.random() * 1e-3, s.k)
         ft = SolenoidPoint(rng.random(), t.k)
         for a, b in ((fs, ft), (fs, t), (s, ft)):
