@@ -113,7 +113,6 @@ from .solenoid import (
     sol_add,
     sol_dist,
     sol_neg,
-    sol_sub,
     zero_point,
 )
 

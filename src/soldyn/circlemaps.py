@@ -4,6 +4,14 @@ Two representations are provided.  Piecewise-linear lifts carry exact
 rational breakpoint data and support exact composition, inversion and
 iteration; every certification claim in this package is made through them.
 The analytic family is binary64-only and exists for exploration.
+
+A PL lift stores its breakpoints and slopes twice, both derived once when
+the lift is built: as tuples of Fractions (`xs`, `ys`, `slopes`), which the
+public API exposes, and as an integer table of numerators and denominators
+(`plkernel`).  Exact evaluation bisects the table by cross-multiplication
+and builds one Fraction for the value it returns; composition and powers
+run on tables and build Fractions only for the lift they return.  Binary64
+inputs are evaluated on the Fractions, in floating point.
 """
 from __future__ import annotations
 
@@ -11,9 +19,9 @@ import bisect
 import math
 from fractions import Fraction
 
+from . import plkernel
 from .errors import (
     AnalyticExactUnsupported,
-    BreakpointCapExceeded,
     DegreeMismatch,
     EmptyBreakpoints,
     NotMonotone,
@@ -53,10 +61,36 @@ def _slope(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> Fraction:
     )
 
 
-class PLLift:
-    """Strictly increasing piecewise-linear map with F(x + n) = F(x) + n."""
+def _parts(values) -> tuple[list, list]:
+    return [v.numerator for v in values], [v.denominator for v in values]
 
-    __slots__ = ("degree", "xs", "ys", "slopes")
+
+def _fractions(nums, dens) -> tuple:
+    # through a list, so the tuple is allocated at its final size: a tuple
+    # grown from a bare iterator is resized, and when freed it enlarges
+    # CPython's tuple free lists for good
+    return tuple(list(map(Fraction, nums, dens)))
+
+
+def _reduced(values: tuple, nums, dens, j: int, cut: int, n: int):
+    """`values` with their table columns reduced mod n by the (j, cut) of
+    `plkernel.wrap_cut`; the Fractions that do not move are reused."""
+    nums, dens = plkernel.reduce_rotated(nums, dens, j, cut, n)
+    if j:
+        return _fractions(nums, dens), nums, dens
+    k = len(nums) - cut
+    return _fractions(nums[:k], dens[:k]) + values[:cut], nums, dens
+
+
+class PLLift:
+    """Strictly increasing piecewise-linear map with F(x + n) = F(x) + n.
+
+    `xs`, `ys` and `slopes` are tuples of Fractions.  Alongside them each
+    lift keeps their integer table (see `plkernel`), which exact evaluation,
+    composition, powers and the derived lifts read instead of the Fractions.
+    """
+
+    __slots__ = ("degree", "xs", "ys", "slopes", "_table")
 
     def __init__(self, degree: int, breakpoints) -> None:
         degree = int(degree)
@@ -76,28 +110,43 @@ class PLLift:
                 raise NotMonotone(f"values must increase: y({xs[i]}) >= y({xs[i + 1]})")
         if ys[-1] >= ys[0] + degree:
             raise NotMonotone("wrap-around violates strict monotonicity")
-        self._set(degree, xs, ys)
-
-    def _set(self, degree: int, xs: tuple, ys: tuple) -> None:
         slopes = [_slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
         slopes.append(_slope(xs[-1], ys[-1], xs[0] + degree, ys[0] + degree))
+        self._set(degree, xs, ys, tuple(slopes))
+
+    def _set(self, degree: int, xs: tuple, ys: tuple, slopes: tuple, table=None) -> None:
+        """Store valid breakpoint data: sorted `xs` in [0, degree), strictly
+        increasing `ys` with ys[-1] < ys[0] + degree, and their slopes, all
+        Fractions.  The integer table is derived here unless the caller
+        already has it."""
         self.degree = degree
         self.xs = xs
         self.ys = ys
-        self.slopes = tuple(slopes)
+        self.slopes = slopes
+        if table is None:
+            table = (*_parts(xs), *_parts(ys), *_parts(slopes))
+        self._table = table
 
     @classmethod
-    def _trusted(cls, degree: int, xs: tuple, ys: tuple) -> "PLLift":
-        """A lift from breakpoint data already known to be valid.
-
-        `xs` must be sorted in [0, degree) and `ys` strictly increasing with
-        ys[-1] < ys[0] + degree, all Fractions; only the slopes are computed.
-        """
+    def _trusted(cls, degree: int, xs: tuple, ys: tuple, slopes: tuple, table=None) -> "PLLift":
+        """A lift from data already known to be valid (see `_set`), unchecked."""
         lift = cls.__new__(cls)
-        lift._set(degree, xs, ys)
+        lift._set(degree, xs, ys, slopes, table)
         return lift
 
+    @classmethod
+    def _from_table(cls, degree: int, table) -> "PLLift":
+        """The lift of a valid integer table; its Fractions are built here."""
+        xn, xd, yn, yd, sn, sd = table
+        return cls._trusted(
+            degree, _fractions(xn, xd), _fractions(yn, yd), _fractions(sn, sd), table
+        )
+
     def eval(self, x):
+        """F(x): exact for int and Fraction x, binary64 for a float x."""
+        if isinstance(x, (int, Fraction)):
+            num, den = plkernel.eval_pair(self._table, self.degree, x.numerator, x.denominator)
+            return Fraction(num, den)
         n = self.degree
         j = floor_div(x, n)
         x0 = x - j * n if j else x
@@ -118,6 +167,14 @@ class PLLift:
         """Evaluate F^q(x) by repeated application; q < 0 uses the inverse."""
         if q < 0:
             return self.inverse().iterate_eval(x, -q)
+        if q == 0:
+            return x
+        if isinstance(x, (int, Fraction)):
+            table, n = self._table, self.degree
+            a, b = x.numerator, x.denominator
+            for _ in range(q):
+                a, b = plkernel.eval_pair(table, n, a, b)
+            return Fraction(a, b)
         for _ in range(q):
             x = self.eval(x)
         return x
@@ -127,74 +184,57 @@ class PLLift:
 
         The result's breakpoints are other's breakpoints, where self is
         evaluated at other's values, plus the preimages under other of self's
-        breakpoints, where the value is self's breakpoint value shifted by
-        the integer carry and no evaluation is needed.
+        breakpoints (see `plkernel.compose`).
         """
         if not isinstance(other, PLLift):
             raise AnalyticExactUnsupported("exact composition needs PL lifts")
         if self.degree != other.degree:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        n = self.degree
-        pts = {x: self.eval(y) for x, y in zip(other.xs, other.ys)}
-        oxs, oys, oslopes = other.xs, other.ys, other.slopes
-        y0 = oys[0]
-        for u, v in zip(self.xs, self.ys):
-            # u - m*n lies in [y0, y0 + n), the range of other on [xs[0], xs[0] + n)
-            m = floor_div(u - y0, n)
-            w = u - m * n if m else u
-            i = bisect.bisect_right(oys, w) - 1
-            z = oxs[i] + (w - oys[i]) / oslopes[i]
-            if z >= n:
-                z -= n
-                m += 1
-            pts[z] = v - m * n if m else v
-        xs = tuple(sorted(pts))
-        return PLLift._trusted(n, xs, tuple(pts[x] for x in xs))
+        return PLLift._from_table(
+            self.degree, plkernel.compose(self.degree, self._table, other._table)
+        )
 
     def inverse(self) -> "PLLift":
         n = self.degree
-        xs, ys = self.xs, self.ys
+        xn, xd, yn, yd, sn, sd = self._table
         # ys span less than one period, so reducing them mod n rotates the list
-        j = floor_div(ys[0], n)
-        lo, hi = j * n, (j + 1) * n
-        cut = bisect.bisect_left(ys, hi)
-        new_xs = [y - hi for y in ys[cut:]] + [y - lo if j else y for y in ys[:cut]]
-        new_ys = [x - hi for x in xs[cut:]] + [x - lo if j else x for x in xs[:cut]]
-        return PLLift._trusted(n, tuple(new_xs), tuple(new_ys))
+        j, cut = plkernel.wrap_cut(yn, yd, n)
+        xs, ixn, ixd = _reduced(self.ys, yn, yd, j, cut, n)
+        ys, iyn, iyd = _reduced(self.xs, xn, xd, j, cut, n)
+        isn, isd = sd[cut:] + sd[:cut], sn[cut:] + sn[:cut]
+        return PLLift._trusted(n, xs, ys, _fractions(isn, isd), (ixn, ixd, iyn, iyd, isn, isd))
 
     def power(self, q: int, cap: int = BREAKPOINT_CAP) -> "PLLift":
-        """Materialize F^q as a PL lift (exponentiation by squaring)."""
+        """Materialize F^q as a PL lift (exponentiation by squaring on
+        integer tables; only the returned lift gets Fractions)."""
         if q < 0:
             return self.inverse().power(-q, cap)
-        result = identity_lift(self.degree)
-        base = self
-        while q:
-            if q & 1:
-                result = result.compose(base)
-                if len(result.xs) > cap:
-                    raise BreakpointCapExceeded(f"more than {cap} breakpoints")
-            q >>= 1
-            if q:
-                base = base.compose(base)
-                if len(base.xs) > cap:
-                    raise BreakpointCapExceeded(f"more than {cap} breakpoints")
-        return result
+        return PLLift._from_table(self.degree, plkernel.power(self.degree, self._table, q, cap))
 
     def translate(self, c) -> "PLLift":
         """The lift F + c."""
         c = as_rational(c)
-        return PLLift(self.degree, [(x, y + c) for x, y in zip(self.xs, self.ys)])
+        xn, xd, yn, yd, sn, sd = self._table
+        yn, yd = plkernel.shift(yn, yd, c.numerator, c.denominator)
+        return PLLift._trusted(
+            self.degree, self.xs, _fractions(yn, yd), self.slopes, (xn, xd, yn, yd, sn, sd)
+        )
 
     def shift_input(self, r) -> "PLLift":
         """Conjugation by translation: x -> F(x + r) - r."""
         r = as_rational(r)
         n = self.degree
-        pts = []
-        for x, y in zip(self.xs, self.ys):
-            z = x - r
-            j = floor_div(z, n)
-            pts.append((z - j * n, y - r - j * n))
-        return PLLift(n, pts)
+        xn, xd, yn, yd, sn, sd = self._table
+        xn, xd = plkernel.shift(xn, xd, -r.numerator, r.denominator)
+        yn, yd = plkernel.shift(yn, yd, -r.numerator, r.denominator)
+        # the shifted abscissae span less than n, so reducing them mod n rotates the list
+        j, cut = plkernel.wrap_cut(xn, xd, n)
+        xn, xd = plkernel.reduce_rotated(xn, xd, j, cut, n)
+        yn, yd = plkernel.reduce_rotated(yn, yd, j, cut, n)
+        return PLLift._trusted(
+            n, _fractions(xn, xd), _fractions(yn, yd), self.slopes[cut:] + self.slopes[:cut],
+            (xn, xd, yn, yd, sn[cut:] + sn[:cut], sd[cut:] + sd[:cut]),
+        )
 
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Breakpoints where the slope actually changes; rotations anchor at 0.

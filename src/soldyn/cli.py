@@ -256,8 +256,8 @@ def cmd_hull(cfg: ExperimentConfig) -> str:
         obj = InducedHomeo(obj, 0)
     try:
         delta = leaf_displacement(obj)
-        verdict = hull_mod.periodicity_classify(obj)
-        hull_mod.quotient_map(delta)
+        verdict = hull_mod.periodicity_classify(delta)
+        hull_mod._quotient_map(delta, Fraction(verdict.period))
         enc = dynamics.rotation_report(obj, cfg.iters)
     except SoldynError as exc:
         raise click.ClickException(str(exc))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import plkernel
 from .circlemaps import BREAKPOINT_CAP, CircleLift, PLLift
 from .errors import (
     AnalyticExactUnsupported,
@@ -117,20 +118,40 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
     return base + 1 / inner
 
 
-def _leftmost_return(G: PLLift, p: int) -> Optional[Fraction]:
-    """Leftmost zero of G(x) - x - p in [0, degree) for a materialized PL G."""
-    xs, ys = list(G.xs), list(G.ys)
-    if xs[0] != 0:
-        xs.insert(0, Fraction(0))
-        ys.insert(0, G.eval(Fraction(0)))
-    vals = [y - x - p for x, y in zip(xs, ys)]
-    xs.append(xs[0] + G.degree)
-    vals.append(vals[0])
-    for i in range(len(xs) - 1):
-        if vals[i] == 0:
-            return xs[i]
-        if vals[i] * vals[i + 1] < 0:
-            return xs[i] - vals[i] * (xs[i + 1] - xs[i]) / (vals[i + 1] - vals[i])
+def _leftmost_return(n: int, table, p: int) -> Optional[Fraction]:
+    """Leftmost zero of g(x) = G(x) - x - p in [0, n) for the degree-n PL lift
+    G with integer table `table` (see circlemaps).
+
+    The sign of g at a breakpoint is one cross-multiplication, and the zero
+    returned is solved on its piece, x_i + g(x_i) / (1 - s_i), as a single
+    Fraction.
+    """
+    xn, xd, yn, yd, sn, sd = table
+    if xn[0]:
+        # scan from 0, which lies on the wrap piece
+        y0n, y0d = plkernel.eval_pair(table, n, 0, 1)
+        xn, xd, yn, yd = (0, *xn), (1, *xd), (y0n, *yn), (y0d, *yd)
+        sn, sd = (sn[-1], *sn), (sd[-1], *sd)
+    count = len(xn)
+
+    def sign(k):
+        k %= count
+        u, v = yn[k] * xd[k], (xn[k] + p * xd[k]) * yd[k]
+        return (u > v) - (u < v)
+
+    cur = sign(0)
+    for k in range(count):
+        if cur == 0:
+            return Fraction(xn[k], xd[k])
+        nxt = sign(k + 1)
+        if cur * nxt < 0:
+            gn, gd = plkernel.add(yn[k], yd[k], -(xn[k] + p * xd[k]), xd[k])
+            # g / (1 - s) with 1 - s = (sd - sn) / sd, sign moved to the numerator
+            s_n, s_d = sn[k], sd[k]
+            dn, dd = (s_d, s_d - s_n) if s_d > s_n else (-s_d, s_n - s_d)
+            gn, gd = plkernel.mul(gn, gd, dn, dd)
+            return Fraction(*plkernel.add(xn[k], xd[k], gn, gd))
+        cur = nxt
     return None
 
 
@@ -148,26 +169,27 @@ def certify_rational(
         raise ValueError("q must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"{p}/{q} is not reduced")
-    return _leftmost_return(F.power(q, cap), p)
+    return _leftmost_return(F.degree, plkernel.power(F.degree, F._table, q, cap), p)
 
 
 def _orbit_bracket(F: PLLift, x0: Fraction, steps: int, q: int):
     """Walk the orbit of x0 for `steps` >= 1 steps.
 
     Returns (F^q(x0), L, U), where [L, U] is the Farey bracket of tau from
-    v_m = F^m(x0) - x0, m <= steps.  The bracket is kept as integer pairs
-    and updated by cross-multiplication, so a step builds no Fraction beyond
-    the one F.eval returns.
+    v_m = F^m(x0) - x0, m <= steps.  The orbit runs on F's integer table and
+    the bracket is kept as integer pairs, updated by cross-multiplication, so
+    a step builds no Fraction.
     """
-    an, ad = x0.numerator, x0.denominator
+    table, n = F._table, F.degree
+    a, b = an, ad = x0.numerator, x0.denominator
     ln, ld, un, ud = -1, 0, 1, 0  # L = -inf, U = +inf
-    x = xq = x0
+    xq = x0
     for m in range(1, steps + 1):
-        x = F.eval(x)
+        a, b = plkernel.eval_pair(table, n, a, b)
         if m == q:
-            xq = x
-        num = x.numerator * ad - an * x.denominator
-        den = x.denominator * ad
+            xq = Fraction(a, b)
+        num = a * ad - an * b
+        den = b * ad
         fl = num // den
         if fl * ld > ln * m:
             ln, ld = fl, m
@@ -183,7 +205,9 @@ def _certify_bracket(
     """Test the bracket ends that lie in [lo, hi] with denominator <= max_den."""
     for cand in sorted({L, U}, key=lambda c: (c.denominator, c)):
         if cand.denominator <= max_den and lo <= cand <= hi:
-            wit = _leftmost_return(F.power(cand.denominator, cap), cand.numerator)
+            wit = _leftmost_return(
+                F.degree, plkernel.power(F.degree, F._table, cand.denominator, cap), cand.numerator
+            )
             if wit is not None:
                 return cand, wit
     return None
@@ -202,8 +226,8 @@ def rational_certificate(
     brackets the one candidate pair (see the module docstring): cost
     max_den evaluations plus at most two powers.  At degree n >= 2 several
     p/q can have exact returns, so every reduced p/q in the interval is
-    tried by increasing denominator, composing F^q = F o F^(q-1); that cost
-    grows quadratically in max_den.
+    tried by increasing denominator, composing the integer table of
+    F^q = F o F^(q-1); that cost grows quadratically in max_den.
     """
     if not isinstance(F, PLLift):
         raise AnalyticExactUnsupported("certification needs a PL lift")
@@ -212,15 +236,16 @@ def rational_certificate(
             return None
         _, L, U = _orbit_bracket(F, Fraction(0), max_den, max_den)
         return _certify_bracket(F, L, U, lo, hi, max_den, cap)
+    n = F.degree
     G = None
     for den in range(1, max_den + 1):
-        G = F if G is None else F.compose(G)
-        if len(G.xs) > cap:
+        G = F._table if G is None else plkernel.compose(n, F._table, G)
+        if len(G[0]) > cap:
             raise BreakpointCapExceeded(f"more than {cap} breakpoints")
         for num in range(math.ceil(lo * den), math.floor(hi * den) + 1):
             if math.gcd(num, den) != 1:
                 continue
-            wit = _leftmost_return(G, num)
+            wit = _leftmost_return(n, G, num)
             if wit is not None:
                 return Fraction(num, den), wit
     return None

@@ -1,0 +1,212 @@
+"""Integer kernel of the piecewise-linear lifts in `circlemaps`.
+
+A degree-n lift's table is the 6-tuple (xn, xd, yn, yd, sn, sd) of integer
+sequences: numerators and positive denominators of its breakpoint abscissae
+(sorted, in [0, n)), its values (strictly increasing, spanning less than n)
+and its slopes, every pair reduced.  Slope i is that of the piece starting at
+breakpoint i; the last piece wraps to the first breakpoint plus n.
+
+Evaluation, composition and powers run on tables and build no Fraction.
+Sums and products of reduced pairs are reduced in the order `fractions`
+uses: gcd of the denominators first, cancelling across before multiplying.
+No gcd is ever taken of a product of several coordinates, which matters
+once coordinates run to thousands of digits.
+
+This module is internal; `PLLift` is the public face of a table.
+"""
+from __future__ import annotations
+
+from itertools import chain
+from math import gcd
+
+from .errors import BreakpointCapExceeded
+
+IDENTITY = ((0,), (1,), (0,), (1,), (1,), (1,))
+
+
+def add(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """na/da + nb/db as a reduced pair."""
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+def mul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """na/da * nb/db as a reduced pair; divide by a positive nb/db as * db/nb."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, da * db
+
+
+def shift(nums, dens, cn: int, cd: int) -> tuple:
+    """Each nums[i]/dens[i] plus cn/cd, as (numerators, denominators)."""
+    if cd == 1:
+        return [a + cn * b for a, b in zip(nums, dens)], dens
+    out_n, out_d = [], []
+    for a, b in zip(nums, dens):
+        a, b = add(a, b, cn, cd)
+        out_n.append(a)
+        out_d.append(b)
+    return out_n, out_d
+
+
+def wrap_cut(nums, dens, n: int) -> tuple[int, int]:
+    """(j, cut) for increasing values spanning less than n: j = floor(v_0 / n)
+    and cut is the first index whose value reaches (j + 1) n.  Reduced mod n,
+    the values are the rotation that starts at cut."""
+    j = nums[0] // (dens[0] * n)
+    hi = (j + 1) * n
+    cut = 1
+    while cut < len(nums) and nums[cut] < hi * dens[cut]:
+        cut += 1
+    return j, cut
+
+
+def reduce_rotated(nums, dens, j: int, cut: int, n: int) -> tuple:
+    """The values of `wrap_cut`'s (j, cut) reduced mod n, in increasing order."""
+    hi = (j + 1) * n
+    out = [a - hi * b for a, b in zip(nums[cut:], dens[cut:])]
+    out += [a - j * n * b for a, b in zip(nums[:cut], dens[:cut])] if j else nums[:cut]
+    return out, dens[cut:] + dens[:cut]
+
+
+def piece_value(table, i: int, n: int, wn: int, wd: int, carry: int) -> tuple[int, int]:
+    """Value at wn/wd of the piece starting at breakpoint i, plus carry * n.
+
+    i = -1 is the wrap piece, which starts at the last breakpoint minus n.
+    """
+    xn, xd, yn, yd, sn, sd = table
+    x_n, x_d, y_d = xn[i], xd[i], yd[i]
+    if i < 0:
+        x_n -= n * x_d
+        carry -= 1
+    dn, dd = add(wn, wd, -x_n, x_d)
+    dn, dd = mul(dn, dd, sn[i], sd[i])
+    return add(yn[i] + carry * n * y_d, y_d, dn, dd)
+
+
+def eval_pair(table, n: int, a: int, b: int) -> tuple[int, int]:
+    """F(a/b) for a reduced a/b with b > 0: reduce mod n, bisect by
+    cross-multiplication, evaluate the piece."""
+    xn, xd = table[0], table[1]
+    j = a // (b * n)
+    if j:
+        a -= j * n * b
+    lo, hi = 0, len(xn)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if a * xd[mid] < xn[mid] * b:
+            hi = mid
+        else:
+            lo = mid + 1
+    return piece_value(table, lo - 1, n, a, b, j)
+
+
+def compose(n: int, outer, inner) -> tuple:
+    """The table of outer(inner(x)) for two degree-n tables.
+
+    The breakpoints are inner's, valued by evaluating outer at inner's values,
+    and the preimages under inner of outer's breakpoints, valued by outer's
+    breakpoint values less the integer carry.  Reduced mod n, both lists are
+    rotations of sorted lists, so pointer walks replace bisection and one
+    merge replaces sorting.  The slope of each piece is the product of the
+    two slopes it runs on.
+    """
+    axn, axd, ayn, ayd, asn, asd = outer
+    bxn, bxd, byn, byd, bsn, bsd = inner
+    ma, mb = len(axn), len(bxn)
+    # inner's values reduced into [0, n): indices >= cut carry one more n
+    j0, cut = wrap_cut(byn, byd, n)
+    iyn, iyd, isn, isd = ([None] * mb for _ in range(4))
+    i = -1
+    for k in chain(range(cut, mb), range(cut)):
+        j = j0 + 1 if k >= cut else j0
+        wd = byd[k]
+        wn = byn[k] - j * n * wd
+        while i + 1 < ma and axn[i + 1] * wd <= wn * axd[i + 1]:
+            i += 1
+        iyn[k], iyd[k] = piece_value(outer, i, n, wn, wd, j)
+        isn[k], isd[k] = mul(asn[i], asd[i], bsn[k], bsd[k])
+    # outer's breakpoints reduced into [by0, by0 + n): indices >= cut carry one more n
+    y0n, y0d = byn[0], byd[0]
+    m0 = -y0n // (y0d * n)
+    tn = y0n + (m0 + 1) * n * y0d
+    cut = 0
+    while cut < ma and axn[cut] * y0d < tn * axd[cut]:
+        cut += 1
+    # the preimages increase along the walk; those past n wrap to the front
+    pxn, pxd, pyn, pyd, psn, psd = ([None] * ma for _ in range(6))
+    front = ma
+    k = 0
+    for t, i in enumerate(chain(range(cut, ma), range(cut))):
+        m = m0 + 1 if i >= cut else m0
+        wd = axd[i]
+        wn = axn[i] - m * n * wd
+        while k + 1 < mb and byn[k + 1] * wd <= wn * byd[k + 1]:
+            k += 1
+        zn, zd = add(wn, wd, -byn[k], byd[k])
+        zn, zd = mul(zn, zd, bsd[k], bsn[k])
+        zn, zd = add(bxn[k], bxd[k], zn, zd)
+        if zn >= n * zd:
+            zn -= n * zd
+            m += 1
+            front = min(front, t)
+        pxn[t], pxd[t], pyn[t], pyd[t] = zn, zd, ayn[i] - m * n * ayd[i], ayd[i]
+        psn[t], psd[t] = mul(asn[i], asd[i], bsn[k], bsd[k])
+    pxn, pxd, pyn, pyd, psn, psd = (
+        col[front:] + col[:front] for col in (pxn, pxd, pyn, pyd, psn, psd)
+    )
+    # merge: `order` lists preimage p as p and inner breakpoint k as ~k; a
+    # preimage on an inner breakpoint is one point
+    order = []
+    p = 0
+    for k in range(mb):
+        while p < ma:
+            c = pxn[p] * bxd[k] - bxn[k] * pxd[p]
+            if c > 0:
+                break
+            if c < 0:
+                order.append(p)
+            p += 1
+        order.append(~k)
+    order += range(p, ma)
+
+    # columns are lists: CPython 3.11 parks every freed 20-tuple in a free
+    # list it never draws from, so 20-element tuples made per composition
+    # would pile up there
+    def column(pre_col, inner_col):
+        return [pre_col[v] if v >= 0 else inner_col[~v] for v in order]
+
+    return (
+        column(pxn, bxn), column(pxd, bxd), column(pyn, iyn),
+        column(pyd, iyd), column(psn, isn), column(psd, isd),
+    )
+
+
+def power(n: int, table, q: int, cap: int) -> tuple:
+    """The table of F^q for q >= 0 by squaring; the squares and partial
+    products stay tables.  Raises BreakpointCapExceeded past `cap`."""
+    result = IDENTITY
+    while q:
+        if q & 1:
+            result = compose(n, result, table)
+            if len(result[0]) > cap:
+                raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+        q >>= 1
+        if q:
+            table = compose(n, table, table)
+            if len(table[0]) > cap:
+                raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+    return result

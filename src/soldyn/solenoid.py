@@ -109,10 +109,6 @@ def sol_neg(s: SolenoidPoint) -> SolenoidPoint:
     return canonicalize(-s.x, pf_neg(s.k))
 
 
-def sol_sub(s: SolenoidPoint, t: SolenoidPoint) -> SolenoidPoint:
-    return sol_add(s, sol_neg(t))
-
-
 def sigma(t: Coordinate, depth: int = DEFAULT_DEPTH) -> SolenoidPoint:
     """The dense one-parameter subgroup R -> solenoid."""
     if isinstance(t, int):

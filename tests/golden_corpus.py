@@ -19,7 +19,9 @@ The orbit-verdict corpus runs `classify_orbit` with its trace from seeded
 exact starts on the induced descriptors whose rotation number certifies, and
 `sol_dist` on seeded exact pairs of mixed depth with denominators up to about
 10^30.  The script corpus runs each script under `scripts/` in a fresh
-working directory and keeps its stdout and the files it writes.
+working directory and keeps its stdout and the files it writes.  The
+criterion-10 corpus keeps the exact bytes that the six acceptance-criterion
+10 CLI jobs write through `--out`.
 
 Certified outputs must not change under refactors, so the stored files are
 regenerated only by a change that means to alter them:
@@ -45,6 +47,7 @@ SEMICONJ_PATH = GOLDEN_DIR / "semiconj_outputs.json"
 DENSITY_PATH = GOLDEN_DIR / "density_outputs.json"
 ORBIT_PATH = GOLDEN_DIR / "orbit_verdicts.json"
 SCRIPTS_PATH = GOLDEN_DIR / "script_outputs.json"
+CRITERION10_PATH = GOLDEN_DIR / "criterion10_outputs.json"
 ROOT = GOLDEN_DIR.parents[1]
 DESCRIPTORS = ROOT / "descriptors"
 
@@ -61,6 +64,15 @@ SCRIPT_RUNS = (
     ("orbit_trace.py", []),
     ("orbit_trace.py", ["1/3"]),
     ("density_report.py", ["300"]),
+)
+# (subcommand, checked-in descriptor, extra flags) of acceptance criterion 10
+CRITERION10_JOBS = (
+    ("rotation", "halfmap.json", ["--iters", "10"]),
+    ("orbit", "fixedpoint_homeo.json", ["--start", "1/2", "--iters", "40"]),
+    ("semiconj", "rot35_homeo.json", ["--samples", "50", "--seed", "9"]),
+    ("hull", "halfmap.json", ["--iters", "50"]),
+    ("density", "lp_tower4.json", ["--samples", "500"]),
+    ("density", "lp_tower4.json", ["--samples", "500", "--format", "svg"]),
 )
 
 
@@ -357,6 +369,32 @@ def script_golden() -> list[dict]:
     return rows
 
 
+def criterion10_invoke(runner, job, out: Path):
+    """Run one criterion-10 job in process, writing its output to `out`."""
+    from soldyn.cli import main
+
+    cmd, name, flags = job
+    args = [cmd, "--input", str(DESCRIPTORS / name), *flags, "--out", str(out)]
+    return runner.invoke(main, args)
+
+
+def criterion10_golden() -> list[dict]:
+    """Exit code and the exact bytes written by each criterion-10 job."""
+    from click.testing import CliRunner
+
+    runner = CliRunner()
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, job in enumerate(CRITERION10_JOBS):
+            out = Path(tmp) / f"job{i}.out"
+            res = criterion10_invoke(runner, job, out)
+            rows.append({
+                "cmd": job[0], "input": job[1], "flags": job[2],
+                "exit_code": res.exit_code, "output": out.read_bytes().decode("utf-8"),
+            })
+    return rows
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
     ROTATION_PATH.write_text(dump(rotation_golden()), encoding="utf-8")
@@ -365,6 +403,7 @@ def main() -> int:
     DENSITY_PATH.write_text(dump(density_golden()), encoding="utf-8")
     ORBIT_PATH.write_text(dump(orbit_golden()), encoding="utf-8")
     SCRIPTS_PATH.write_text(dump(script_golden()), encoding="utf-8")
+    CRITERION10_PATH.write_text(dump(criterion10_golden()), encoding="utf-8")
     return 0
 
 

@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, isqrt
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -57,7 +56,7 @@ from soldyn import (
     sol_dist,
     translation_enclosure,
 )
-from soldyn.cli import main as cli_main
+import golden_corpus as gc
 from genutil import rand_embedded, rand_induced, rand_point, rand_tower
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
@@ -271,31 +270,18 @@ def test_criterion_9_density_truncation():
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-DESCRIPTORS = Path(__file__).resolve().parent.parent / "descriptors"
-
-
 def test_criterion_10_cli_determinism(tmp_path):
     with criterion(10, "CLI determinism"):
         runner = CliRunner()
-        jobs = [
-            ("rotation", ["--input", str(DESCRIPTORS / "halfmap.json"),
-                          "--iters", "10"]),
-            ("orbit", ["--input", str(DESCRIPTORS / "fixedpoint_homeo.json"),
-                       "--start", "1/2", "--iters", "40"]),
-            ("semiconj", ["--input", str(DESCRIPTORS / "rot35_homeo.json"),
-                          "--samples", "50", "--seed", "9"]),
-            ("hull", ["--input", str(DESCRIPTORS / "halfmap.json"),
-                      "--iters", "50"]),
-            ("density", ["--input", str(DESCRIPTORS / "lp_tower4.json"),
-                         "--samples", "500"]),
-            ("density", ["--input", str(DESCRIPTORS / "lp_tower4.json"),
-                         "--samples", "500", "--format", "svg"]),
-        ]
-        for i, (cmd, args) in enumerate(jobs):
+        golden = json.loads(gc.CRITERION10_PATH.read_text(encoding="utf-8"))
+        assert len(golden) == len(gc.CRITERION10_JOBS)
+        for i, job in enumerate(gc.CRITERION10_JOBS):
+            cmd = job[0]
             outputs = []
             for run in (0, 1):
                 out = tmp_path / f"{cmd}_{i}_{run}.out"
-                res = runner.invoke(cli_main, [cmd, *args, "--out", str(out)])
+                res = gc.criterion10_invoke(runner, job, out)
                 assert res.exit_code == 0, f"{cmd}: {res.output}"
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1], f"{cmd} output not reproducible"
+            assert outputs[0] == golden[i]["output"].encode("utf-8"), f"{cmd} differs from golden"

@@ -1,3 +1,5 @@
+import bisect
+import math
 import random
 from fractions import Fraction
 
@@ -299,3 +301,140 @@ def test_analytic_rejects_non_finite_data():
         map_from_descriptor({"degree": 1, "variant": "analytic", "alpha": "nan"})
     with pytest.raises(TypeError):
         map_from_descriptor([1, 2])
+
+
+class _RefLift:
+    """Fraction breakpoint data of a lift, as the Fraction-only kernel kept it."""
+
+    def __init__(self, degree, xs, ys):
+        def slope(x0, y0, x1, y1):
+            xd0, xd1, yd0, yd1 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
+            return Fraction(
+                (y1.numerator * yd0 - y0.numerator * yd1) * (xd0 * xd1),
+                (x1.numerator * xd0 - x0.numerator * xd1) * (yd0 * yd1),
+            )
+
+        slopes = [slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
+        slopes.append(slope(xs[-1], ys[-1], xs[0] + degree, ys[0] + degree))
+        self.degree, self.xs, self.ys, self.slopes = degree, xs, ys, tuple(slopes)
+
+    @classmethod
+    def of(cls, F):
+        return cls(F.degree, F.xs, F.ys)
+
+    def eval(self, x):
+        n = self.degree
+        j = _ref_floor_div(x, n)
+        x0 = x - j * n if j else x
+        i = bisect.bisect_right(self.xs, x0) - 1
+        if i < 0:
+            x1 = self.xs[-1] - n
+            y1 = self.ys[-1] - n
+            s = self.slopes[-1]
+        else:
+            x1 = self.xs[i]
+            y1 = self.ys[i]
+            s = self.slopes[i]
+        return y1 + (x0 - x1) * s + j * n
+
+    def compose(self, other):
+        n = self.degree
+        pts = {x: self.eval(y) for x, y in zip(other.xs, other.ys)}
+        oxs, oys, oslopes = other.xs, other.ys, other.slopes
+        y0 = oys[0]
+        for u, v in zip(self.xs, self.ys):
+            m = _ref_floor_div(u - y0, n)
+            w = u - m * n if m else u
+            i = bisect.bisect_right(oys, w) - 1
+            z = oxs[i] + (w - oys[i]) / oslopes[i]
+            if z >= n:
+                z -= n
+                m += 1
+            pts[z] = v - m * n if m else v
+        xs = tuple(sorted(pts))
+        return _RefLift(n, xs, tuple(pts[x] for x in xs))
+
+    def inverse(self):
+        n = self.degree
+        xs, ys = self.xs, self.ys
+        j = _ref_floor_div(ys[0], n)
+        lo, hi = j * n, (j + 1) * n
+        cut = bisect.bisect_left(ys, hi)
+        new_xs = [y - hi for y in ys[cut:]] + [y - lo if j else y for y in ys[:cut]]
+        new_ys = [x - hi for x in xs[cut:]] + [x - lo if j else x for x in xs[:cut]]
+        return _RefLift(n, tuple(new_xs), tuple(new_ys))
+
+    def power(self, q):
+        if q < 0:
+            return self.inverse().power(-q)
+        result = _RefLift(self.degree, (Fraction(0),), (Fraction(0),))
+        base = self
+        while q:
+            if q & 1:
+                result = result.compose(base)
+            q >>= 1
+            if q:
+                base = base.compose(base)
+        return result
+
+
+def _ref_floor_div(x, n):
+    if isinstance(x, Fraction):
+        return x.numerator // (x.denominator * n)
+    if isinstance(x, int):
+        return x // n
+    return math.floor(x / n)
+
+
+def _grid_lift(rng, degree, nb, den):
+    """A lift mapping grid points k/den to grid points, so that compositions
+    put breakpoint preimages exactly on breakpoints."""
+    xs = sorted(Fraction(k, den) for k in rng.sample(range(degree * den), nb))
+    offs = sorted(rng.sample(range(degree * den), nb))
+    y0 = Fraction(rng.randint(-3 * den, 3 * den), den)
+    return pl_new(degree, [(x, y0 + Fraction(o, den)) for x, o in zip(xs, offs)])
+
+
+def _assert_same_lift(got, ref):
+    assert (got.xs, got.ys, got.slopes) == (ref.xs, ref.ys, ref.slopes)
+    for vals in (got.xs, got.ys, got.slopes):
+        assert type(vals) is tuple
+        assert all(type(v) is Fraction for v in vals)
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(606)
+    lifts = []
+    for degree in range(1, 7):
+        for nb in (1, 2, 3, 5, 8, 13, 40):
+            den = max(8, -(-nb // degree) + 1)
+            F = rand_pl_lift(rng, degree, nb, den)
+            lifts.append(F.translate(Fraction(rng.randint(-9, 9), 4)))
+            lifts.append(_grid_lift(rng, degree, nb, den))
+    for F in lifts:
+        n, nb = F.degree, len(F.xs)
+        R = _RefLift.of(F)
+        G = rng.choice([L for L in lifts if L.degree == n])
+        for A, B in ((F, G), (G, F), (F, F), (F, F.inverse())):
+            _assert_same_lift(A.compose(B), _RefLift.of(A).compose(_RefLift.of(B)))
+        qs = [-3, -2, -1, 0, 1, 2, 3, 5]
+        if nb <= 3:
+            qs += [16, 33, 64]
+        elif nb <= 8:
+            qs += [12]
+        for q in qs:
+            _assert_same_lift(F.power(q), R.power(q))
+        xs = [rng.randint(-5 * n, 5 * n) for _ in range(6)]
+        xs += [Fraction(rng.randint(-40 * n, 40 * n), rng.randint(1, 24)) for _ in range(12)]
+        big = 10 ** rng.randint(30, 40)
+        xs += [
+            Fraction(rng.randint(-3 * n * big, 3 * n * big), big + rng.randint(0, 99))
+            for _ in range(6)
+        ]
+        xs += list(F.xs) + [x + n for x in F.xs] + [x - 2 * n for x in F.xs]
+        for x in xs:
+            got = F.eval(x)
+            assert type(got) is Fraction and got == R.eval(x)
+        for x in (0.0, -1.5, 0.1, 2.75, n + 0.3, -7.25 * n, 1e-12, float(F.xs[-1])):
+            got = F.eval(x)
+            assert type(got) is float and got.hex() == R.eval(x).hex()

@@ -162,6 +162,23 @@ def test_hull_report(runner, tmp_path):
     assert rep["g_rotation"]["exact"] == "1/2"
 
 
+def test_hull_decides_the_minimal_period_once(runner, tmp_path, monkeypatch):
+    calls = []
+    minimal_period = soldyn.circlemaps.minimal_period
+
+    def counting(delta, candidates=None):
+        calls.append(delta)
+        return minimal_period(delta, candidates)
+
+    for mod in (soldyn.circlemaps, soldyn.induced, soldyn.hull):
+        monkeypatch.setattr(mod, "minimal_period", counting)
+    for name, desc in (("half", HALFMAP), ("fixed", FIXEDPOINT_HOMEO), ("rot", ROT35_HOMEO)):
+        calls.clear()
+        res = runner.invoke(main, ["hull", "--input", write(tmp_path, f"{name}.json", desc)])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
+
+
 def test_hull_lp_report(runner, tmp_path):
     path = write(tmp_path, "lp.json", LP4)
     res = runner.invoke(main, ["hull", "--input", path])
