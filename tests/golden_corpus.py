@@ -18,7 +18,12 @@ samples.
 The orbit-verdict corpus runs `classify_orbit` with its trace from seeded
 exact starts on the induced descriptors whose rotation number certifies, and
 `sol_dist` on seeded exact pairs of mixed depth with denominators up to about
-10^30.  The script corpus runs each script under `scripts/` in a fresh
+10^30.  The read-path corpus pins `apply`, `project` at every divisor of
+the degree, the `K_map` and quotient-map parameters, `hull_dist` and the
+`check_semiconjugacy` reports on seeded induced maps of degree 1-6 (genuine
+and embedded, offsets -2..2, plus one analytic map), over exact points with
+denominators up to 10^30 and binary64 points; values are written with `repr`,
+so the type of every coordinate is pinned too.  The script corpus runs each script under `scripts/` in a fresh
 working directory and keeps its stdout and the files it writes.  The
 criterion-10 corpus keeps the exact bytes that the six acceptance-criterion
 10 CLI jobs write through `--out`.
@@ -48,6 +53,7 @@ DENSITY_PATH = GOLDEN_DIR / "density_outputs.json"
 ORBIT_PATH = GOLDEN_DIR / "orbit_verdicts.json"
 SCRIPTS_PATH = GOLDEN_DIR / "script_outputs.json"
 CRITERION10_PATH = GOLDEN_DIR / "criterion10_outputs.json"
+READ_PATH_PATH = GOLDEN_DIR / "read_path_outputs.json"
 ROOT = GOLDEN_DIR.parents[1]
 DESCRIPTORS = ROOT / "descriptors"
 
@@ -59,6 +65,8 @@ DENSITY_SAMPLES = ("1", "64", "600")
 DENSITY_FORMATS = ("csv", "json", "svg")
 ORBIT_STARTS = 3
 SOL_DIST_PAIRS = 200
+READ_EXACT_POINTS = 4
+READ_FLOAT_POINTS = 2
 SCRIPT_RUNS = (
     ("rotation_sweep.py", ["30"]),
     ("orbit_trace.py", []),
@@ -346,6 +354,76 @@ def orbit_golden(seed: int = 0) -> list[dict]:
     return rows
 
 
+def read_path_maps(seed: int = 0) -> list:
+    """Induced maps of degree 1-6 for every offset in -2..2: a genuine
+    degree-n lift, a degree-1 lift embedded at degree n (n > 1), and one
+    analytic map of degree 2."""
+    from genutil import rand_pl_lift
+
+    from soldyn import analytic_new, embed_degree, induce
+
+    rng = random.Random(f"golden-read-path:{seed}")
+    out = []
+    for n in range(1, 7):
+        for offset in range(-2, 3):
+            out.append(induce(rand_pl_lift(rng, n, rng.randint(1, 3) * n, 8), offset))
+            if n > 1:
+                out.append(embed_degree(induce(rand_pl_lift(rng, 1, rng.randint(1, 4), 12), offset), n))
+    out.append(induce(analytic_new(0.3, [(0.05, 2.0)], 2), -1))
+    return out
+
+
+def read_path_golden(seed: int = 0) -> list[dict]:
+    """The read path on the solenoid, per map: images, projections, K
+    parameters, quotient-map parameters, hull distances and semi-conjugacy
+    reports, each value written with `repr`."""
+    from soldyn import (
+        PLLift, SolenoidPoint, apply, check_semiconjugacy, divisors, embed_int, g_apply,
+        hull_dist, hull_of, K_map, leaf_displacement, project, quotient_map,
+    )
+
+    rng = random.Random(f"golden-read-points:{seed}")
+    rows = []
+    for i, f in enumerate(read_path_maps(seed)):
+        n = f.degree
+        lo = next(m for m in range(1, 11) if math.factorial(m) % n == 0)
+        pts = []
+        for j in range(READ_EXACT_POINTS + READ_FLOAT_POINTS):
+            depth = rng.randint(lo, 10)
+            if j < READ_EXACT_POINTS:
+                den = rng.randint(1, 10 ** rng.randint(1, 30))
+                x = Fraction(rng.randrange(den), den)
+            else:
+                x = rng.random()
+            pts.append(SolenoidPoint(x, embed_int(rng.randrange(math.factorial(depth)), depth)))
+        imgs = [apply(f, s) for s in pts]
+        row = {
+            "id": i, "map": repr(f.base), "offset": f.offset,
+            "points": [[repr(s.x), s.k.value, s.depth] for s in pts],
+            "images": [[repr(t.x), t.k.value, t.depth] for t in imgs],
+            "projections": [
+                [repr(project(t, d).value) for d in divisors(n)] for t in pts + imgs
+            ],
+        }
+        if isinstance(f.base, PLLift):
+            hull = hull_of(leaf_displacement(f))
+            gm = quotient_map(leaf_displacement(f))
+            ks = [K_map(s, hull) for s in pts]
+            lhs = [K_map(t, hull) for t in imgs]
+            rhs = [g_apply(gm, k) for k in ks]
+            row.update(
+                period=repr(hull.period),
+                K=[repr(k.param) for k in ks + lhs],
+                g=[repr(k.param) for k in rhs],
+                hull_dist=[repr(hull_dist(a, b)) for a, b in zip(ks, ks[1:] + lhs)]
+                + [repr(hull_dist(a, b)) for a, b in zip(lhs, rhs)],
+                semiconj_exact=check_semiconjugacy(f, pts[:READ_EXACT_POINTS]).to_report(),
+                semiconj_all=check_semiconjugacy(f, pts).to_report(),
+            )
+        rows.append(row)
+    return rows
+
+
 def script_golden() -> list[dict]:
     """Stdout and written files of each script run in a fresh working directory."""
     env = dict(os.environ)
@@ -404,6 +482,7 @@ def main() -> int:
     ORBIT_PATH.write_text(dump(orbit_golden()), encoding="utf-8")
     SCRIPTS_PATH.write_text(dump(script_golden()), encoding="utf-8")
     CRITERION10_PATH.write_text(dump(criterion10_golden()), encoding="utf-8")
+    READ_PATH_PATH.write_text(dump(read_path_golden()), encoding="utf-8")
     return 0
 
 

@@ -35,3 +35,7 @@ def test_density_outputs_match_golden():
 
 def test_orbit_verdicts_match_golden():
     _check(gc.orbit_golden(), gc.ORBIT_PATH)
+
+
+def test_read_path_outputs_match_golden():
+    _check(gc.read_path_golden(), gc.READ_PATH_PATH)
