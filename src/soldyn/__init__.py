@@ -99,8 +99,6 @@ from .profinite import (
     pf_add,
     pf_dist,
     pf_neg,
-    pf_sub,
-    residue,
 )
 from .solenoid import (
     CirclePointModN,

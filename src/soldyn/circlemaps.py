@@ -268,9 +268,11 @@ class PLLift:
         return f"PLLift(degree={self.degree}, [{pts}])"
 
     def displacement(self) -> "PeriodicPL":
-        return PeriodicPL(
-            self.degree, [(x, y - x) for x, y in zip(self.xs, self.ys)]
-        )
+        """x -> F(x) - x, from the table: values y - x and slopes s - 1."""
+        xn, xd, yn, yd, sn, sd = self._table
+        vs = [Fraction(*plkernel.add(a, b, -c, d)) for a, b, c, d in zip(yn, yd, xn, xd)]
+        slopes = _fractions([a - b for a, b in zip(sn, sd)], sd)
+        return PeriodicPL._trusted(Fraction(self.degree), self.xs, tuple(vs), slopes)
 
     def to_descriptor(self) -> dict:
         return {
@@ -377,6 +379,14 @@ class PeriodicPL:
         self.vs = vs
         self.slopes = tuple(slopes)
 
+    @classmethod
+    def _trusted(cls, period: Fraction, xs: tuple, vs: tuple, slopes: tuple) -> "PeriodicPL":
+        """A function from data already known to be valid, unchecked: sorted
+        distinct `xs` in [0, period), their values and slopes, all Fractions."""
+        d = cls.__new__(cls)
+        d.period, d.xs, d.vs, d.slopes = period, xs, vs, slopes
+        return d
+
     def eval(self, x):
         T = self.period
         j = floor_div(x, T)
@@ -411,7 +421,8 @@ class PeriodicPL:
 
     def add_const(self, c) -> "PeriodicPL":
         c = as_rational(c)
-        return PeriodicPL(self.period, [(x, v + c) for x, v in zip(self.xs, self.vs)])
+        vn, vd = plkernel.shift(*_parts(self.vs), c.numerator, c.denominator)
+        return PeriodicPL._trusted(self.period, self.xs, _fractions(vn, vd), self.slopes)
 
     def scale(self, c) -> "PeriodicPL":
         c = as_rational(c)

@@ -231,6 +231,8 @@ def cmd_semiconj(cfg: ExperimentConfig) -> str:
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
     _require_depth(obj, cfg.depth, "--depth")
+    if cfg.samples < 1:
+        raise click.UsageError("--samples must be >= 1 for semiconj")
     rng = random.Random(cfg.seed)
     pts = [_random_exact_point(rng, cfg.depth) for _ in range(cfg.samples)]
     try:

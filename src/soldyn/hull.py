@@ -4,6 +4,10 @@ For a periodic displacement with minimal period T the map t -> delta^t is a
 homeomorphism R/TZ -> hull, so hull points are stored parametrically as a
 residue t mod T; nothing is approximated.  Limit-periodic displacements are
 handled only through their certified finite truncations.
+
+On exact points the semi-conjugacy check runs on integer pairs: `K_map`
+takes the parameter from `project`, and `hull_dist` compares parameters by
+integer cross-products; each builds one Fraction per returned value.
 """
 from __future__ import annotations
 
@@ -75,10 +79,15 @@ def hull_inv(a: HullPoint) -> HullPoint:
 
 
 def hull_dist(a: HullPoint, b: HullPoint) -> Fraction:
-    """Arc distance of the parameters on R/TZ."""
+    """Arc distance of the parameters on R/TZ.  Scaled by B = b1 b2 Q for
+    parameters p1/b1, p2/b2 and T = P/Q, it is min(d, M - d) for the integers
+    M = T B and d = B (p1/b1 - p2/b2) mod M."""
     h = _same_hull(a, b)
-    d = (a.param - b.param) % h.period
-    return min(d, h.period - d)
+    x, y, T = a.param, b.param, h.period
+    B = x.denominator * y.denominator * T.denominator
+    M = T.numerator * x.denominator * y.denominator
+    d = (x.numerator * y.denominator - y.numerator * x.denominator) * T.denominator % M
+    return Fraction(min(d, M - d), B)
 
 
 def hull_func_dist(a: HullPoint, b: HullPoint) -> Fraction:
@@ -95,8 +104,8 @@ def K_map(s: SolenoidPoint, hull: Hull) -> HullPoint:
     """
     if hull.period.denominator != 1:
         raise ValueError("K_map needs an integer hull period")
-    cp = project(s, hull.period.numerator)
-    return HullPoint(hull, Fraction(cp.value))
+    v = project(s, hull.period.numerator).value
+    return HullPoint(hull, v if isinstance(v, Fraction) else Fraction(v))
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,8 @@ class QuotientMap:
     lift: PLLift
 
     def param_apply(self, t) -> Fraction:
-        return Fraction(self.lift.eval(t)) % self.period
+        v = self.lift.eval(t)
+        return (v if isinstance(v, Fraction) else Fraction(v)) % self.period
 
 
 def quotient_map(delta: PeriodicPL, candidates=None) -> QuotientMap:

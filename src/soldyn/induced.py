@@ -10,6 +10,9 @@ which is the equivariance-consistent reading of the induced-lift normal
 form: it satisfies F_{k-t}(x + t) = F_k(x) + t exactly and covers the
 circle map u -> F0(u) + offset (mod d) at every level d that the
 displacement's minimal period divides.
+
+`apply` maps an exact point under a PL base on integer pairs, one Fraction
+per image; binary64 points and analytic bases take the float path.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import plkernel
 from .circlemaps import (
     AnalyticLift,
     CircleLift,
@@ -35,7 +39,7 @@ from .errors import (
     NotInducedAtLevel,
     NotMultiple,
 )
-from .profinite import ProfiniteInt
+from .profinite import ProfiniteInt, embed_int
 from .solenoid import CirclePointModN, SolenoidPoint, canonicalize
 
 
@@ -107,10 +111,24 @@ def cover_eval(f: InducedHomeo, x, k: ProfiniteInt):
 
 
 def apply(f: InducedHomeo, s: SolenoidPoint) -> SolenoidPoint:
-    """Apply the homeomorphism: act leafwise, fiber unchanged, recanonicalize."""
+    """Apply the homeomorphism: act leafwise, fiber unchanged, recanonicalize.
+
+    An exact x = a/b on a PL base: F0 at (a + r b)/b on the lift's table, then
+    offset - r and the carry into k on integers; one Fraction is built."""
     n = f.degree
-    r = s.k.residue(n)
-    return canonicalize(f.base.eval(s.x + r) - r + f.offset, s.k)
+    k = s.k
+    r = k.residue(n)
+    x = s.x
+    if isinstance(x, Fraction) and isinstance(f.base, PLLift):
+        b = x.denominator
+        num, den = plkernel.eval_pair(f.base._table, n, x.numerator + r * b, b)
+        num += (f.offset - r) * den
+        t = num // den
+        if t:
+            num -= t * den
+            k = embed_int(k.value + t, k.depth)
+        return SolenoidPoint._trusted(Fraction(num, den), k)
+    return canonicalize(f.base.eval(x + r) - r + f.offset, k)
 
 
 def apply_iter(f: InducedHomeo, s: SolenoidPoint, q: int) -> SolenoidPoint:

@@ -111,14 +111,6 @@ def pf_neg(a: ProfiniteInt) -> ProfiniteInt:
     return ProfiniteInt(-a.value % _fact(a.depth), a.depth)
 
 
-def pf_sub(a: ProfiniteInt, b: ProfiniteInt) -> ProfiniteInt:
-    return pf_add(a, pf_neg(b))
-
-
-def residue(a: ProfiniteInt, n: int) -> int:
-    return a.residue(n)
-
-
 def pf_dist(a: ProfiniteInt, b: ProfiniteInt) -> Fraction:
     """Indicator metric sum_m 2^-m [r_m(a) != r_m(b)]; an ultrametric on towers."""
     diff = a.value - b.value

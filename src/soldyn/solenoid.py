@@ -4,7 +4,8 @@ Points are classes of (x, k) in R x Zhat under the deck action
 t.(x, k) = (x + t, k - t); every class has a unique representative with
 leaf coordinate in [0, 1).  The leaf coordinate is an exact rational by
 default; binary64 is accepted for analytic-map experiments and propagates
-through all operations.
+through all operations.  An exact x = a/b is evaluated on the integer pair
+(a, b): `project` and `sol_dist` build one Fraction per returned value.
 """
 from __future__ import annotations
 
@@ -117,8 +118,14 @@ def sigma(t: Coordinate, depth: int = DEFAULT_DEPTH) -> SolenoidPoint:
 
 
 def project(s: SolenoidPoint, n: int) -> CirclePointModN:
-    """Projection onto R/nZ; requires n | depth!."""
-    return CirclePointModN._trusted(n, (s.x + s.k.residue(n)) % n)
+    """Projection onto R/nZ; requires n | depth!.  An exact x = a/b maps to
+    ((a + r b) mod n b) / b on integers, one Fraction."""
+    r = s.k.residue(n)
+    x = s.x
+    if isinstance(x, Fraction):
+        b = x.denominator
+        return CirclePointModN._trusted(n, Fraction((x.numerator + r * b) % (n * b), b))
+    return CirclePointModN._trusted(n, (x + r) % n)
 
 
 def deck(pair: tuple[Coordinate, ProfiniteInt], t: int) -> tuple[Coordinate, ProfiniteInt]:

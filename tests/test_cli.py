@@ -300,6 +300,24 @@ def test_semiconj_depth_too_shallow_for_degree_exits_2(runner, tmp_path):
     assert runner.invoke(main, ["semiconj", "--input", path, "--depth", "3"]).exit_code == 0
 
 
+def _semiconj_samples(runner, tmp_path, n):
+    path = write(tmp_path, "half.json", HALFMAP)
+    return runner.invoke(main, ["semiconj", "--input", path, "--samples", str(n)])
+
+
+def test_semiconj_zero_samples_exits_2(runner, tmp_path):
+    res = _semiconj_samples(runner, tmp_path, 0)
+    assert_usage_error(res)
+    assert "--samples" in res.stderr
+
+
+def test_semiconj_negative_samples_exits_2(runner, tmp_path):
+    res = _semiconj_samples(runner, tmp_path, -3)
+    assert_usage_error(res)
+    assert "--samples" in res.stderr
+    assert _semiconj_samples(runner, tmp_path, 1).exit_code == 0
+
+
 def test_tol_option_is_gone(runner, tmp_path):
     path = write(tmp_path, "half.json", HALFMAP)
     assert_usage_error(runner.invoke(main, ["rotation", "--input", path, "--tol", "1/2"]))

@@ -1,16 +1,22 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from soldyn import (
     DepthExceeded,
+    Hull,
+    HullPoint,
+    K_map,
     NotDivisorChain,
     NotHomeomorphism,
     NotInducedAtLevel,
     NotMultiple,
     PeriodicPL,
+    PLLift,
     SolenoidPoint,
+    analytic_new,
     apply,
     apply_iter,
     canonicalize,
@@ -23,6 +29,8 @@ from soldyn import (
     embed_degree,
     embed_int,
     homeo_from_descriptor,
+    hull_dist,
+    hull_of,
     identity_homeo,
     identity_lift,
     induce,
@@ -32,7 +40,6 @@ from soldyn import (
     lp_from_descriptor,
     lp_truncate,
     minimal_period,
-    pf_sub,
     pl_new,
     project,
     rotation_lift,
@@ -115,7 +122,7 @@ def test_equivariance_on_cover():
             x = Fraction(rng.randint(-300, 300), 16)
             k = embed_int(rng.randrange(40320), 8)
             t = rng.randint(-25, 25)
-            k_shift = pf_sub(k, embed_int(t, 8))
+            k_shift = k - embed_int(t, 8)
             assert cover_eval(f, x + t, k_shift) == cover_eval(f, x, k) + t
 
 
@@ -323,3 +330,94 @@ def test_circle_map_breakpoints_match_direct_construction():
             assert (lift.degree, lift.xs, lift.ys) == (
                 d, tuple(p[0] for p in pts), tuple(p[1] for p in pts)
             )
+
+
+# The Fraction read path that the integer kernel replaced, kept as a reference.
+
+
+def _ref_apply(f, s):
+    n = f.degree
+    r = s.k.residue(n)
+    return canonicalize(f.base.eval(s.x + r) - r + f.offset, s.k)
+
+
+def _ref_project(s, n):
+    return (s.x + s.k.residue(n)) % n
+
+
+def _ref_hull_dist(a, b):
+    T = a.hull.period
+    d = (a.param - b.param) % T
+    return min(d, T - d)
+
+
+def _ref_displacement(F):
+    return PeriodicPL(F.degree, [(x, y - x) for x, y in zip(F.xs, F.ys)])
+
+
+def _ref_add_const(delta, c):
+    return PeriodicPL(delta.period, [(x, v + c) for x, v in zip(delta.xs, delta.vs)])
+
+
+def _same(u, v):
+    """Equal values of the same type; a float agrees to the last bit."""
+    return type(u) is type(v) and u == v and repr(u) == repr(v)
+
+
+def _same_pl(d, e):
+    return _same(d.period, e.period) and all(
+        len(a) == len(b) and all(map(_same, a, b))
+        for a, b in ((d.xs, e.xs), (d.vs, e.vs), (d.slopes, e.slopes))
+    )
+
+
+def test_integer_read_path_matches_fraction_reference():
+    rng = random.Random(20)
+    maps = []
+    for n in range(1, 7):
+        for offset in range(-2, 3):
+            maps.append(induce(rand_pl_lift(rng, n, rng.randint(1, 3) * n, 8), offset))
+            if n > 1:
+                maps.append(embed_degree(induce(rand_pl_lift(rng, 1, 3, 12), offset), n))
+    maps.append(induce(analytic_new(0.3, [(0.05, 2.0)], 2), -2))
+    carries = 0
+    for f in maps:
+        n = f.degree
+        pl = isinstance(f.base, PLLift)
+        inv = f.base.inverse() if pl else None
+        for depth in range(1, 11):
+            top = factorial(depth)
+            if top % n:
+                continue
+            pts = []
+            for _ in range(4):
+                k = embed_int(rng.randrange(top), depth)
+                den = rng.randint(1, 10 ** rng.randint(1, 30))
+                pts.append(SolenoidPoint(Fraction(rng.randrange(den), den), k))
+                pts.append(SolenoidPoint(rng.random(), k))
+                if pl:
+                    # a start whose image is the integer m on the cover
+                    r, m = k.residue(n), rng.randint(-3, 3)
+                    u = inv.eval(Fraction(m + r - f.offset))
+                    pts.append(canonicalize(u - r, k))
+            for s in pts:
+                new, ref = apply(f, s), _ref_apply(f, s)
+                assert _same(new.x, ref.x) and new.k == ref.k, (f, s)
+                carries += pl and isinstance(s.x, Fraction) and new.x == 0 and new.k != s.k
+                for m in {n, *(d for d in (1, 2, 6, 24, 120) if top % d == 0)}:
+                    for t in (s, new):
+                        c = project(t, m)
+                        assert c.modulus == m and _same(c.value, _ref_project(t, m)), (t, m)
+        if pl:
+            delta = f.base.displacement()
+            assert _same_pl(delta, _ref_displacement(f.base))
+            for c in (f.offset, Fraction(rng.randint(-9, 9), rng.randint(1, 7))):
+                assert _same_pl(delta.add_const(c), _ref_add_const(delta, c))
+            for hull in (hull_of(delta), Hull(delta, Fraction(rng.randint(1, 9), rng.randint(1, 4)))):
+                params = [Fraction(rng.randrange(10**6), 10**6) * hull.period for _ in range(6)]
+                if hull.period.denominator == 1:
+                    params += [K_map(s, hull).param for s in pts]
+                hps = [HullPoint(hull, t) for t in params + [hull.period - params[0]]]
+                for a, b in zip(hps, hps[1:] + hps[:2]):
+                    assert _same(hull_dist(a, b), _ref_hull_dist(a, b)), (a.param, b.param)
+    assert carries > 100

@@ -150,7 +150,7 @@ def test_group_inverse(x, k):
 
 
 def test_density_of_base_leaf_at_truncation():
-    # constructive witness: t = x + residue(k, m!) hits the same level-m! class
+    # constructive witness: t = x + k.residue(m!) hits the same level-m! class
     rng = random.Random(12)
     for _ in range(40):
         s = rand_point(rng)
