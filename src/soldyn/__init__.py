@@ -57,7 +57,6 @@ from .hull import (
     Periodic,
     QuotientMap,
     SemiconjugacyReport,
-    Unknown,
     check_semiconjugacy,
     g_apply,
     hull_dist,

@@ -5,13 +5,14 @@ rational breakpoint data and support exact composition, inversion and
 iteration; every certification claim in this package is made through them.
 The analytic family is binary64-only and exists for exploration.
 
-A PL lift stores its breakpoints and slopes twice, both derived once when
-the lift is built: as tuples of Fractions (`xs`, `ys`, `slopes`), which the
-public API exposes, and as an integer table of numerators and denominators
-(`plkernel`).  Exact evaluation bisects the table by cross-multiplication
-and builds one Fraction for the value it returns; composition and powers
-run on tables and build Fractions only for the lift they return.  Binary64
-inputs are evaluated on the Fractions, in floating point.
+A PL lift is its degree and one integer table of the numerators and
+denominators of its breakpoints, values and slopes (`plkernel`), checked
+once when the lift is built from breakpoints.  Exact evaluation bisects the
+table by cross-multiplication and builds one Fraction for the value it
+returns; composition, powers, inverses and translates build only tables.
+A binary64 input is located on the table exactly and evaluated in floating
+point, each coordinate rounded once.  `xs`, `ys` and `slopes` build
+Fractions from the table on each read.
 """
 from __future__ import annotations
 
@@ -61,6 +62,14 @@ def _slope(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> Fraction:
     )
 
 
+def _slopes(xs, ys, period, rise) -> list:
+    """Slope of the piece starting at each breakpoint; the last piece runs to
+    xs[0] + period, where the value is ys[0] + rise."""
+    slopes = [_slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
+    slopes.append(_slope(xs[-1], ys[-1], xs[0] + period, ys[0] + rise))
+    return slopes
+
+
 def _parts(values) -> tuple[list, list]:
     return [v.numerator for v in values], [v.denominator for v in values]
 
@@ -72,25 +81,15 @@ def _fractions(nums, dens) -> tuple:
     return tuple(list(map(Fraction, nums, dens)))
 
 
-def _reduced(values: tuple, nums, dens, j: int, cut: int, n: int):
-    """`values` with their table columns reduced mod n by the (j, cut) of
-    `plkernel.wrap_cut`; the Fractions that do not move are reused."""
-    nums, dens = plkernel.reduce_rotated(nums, dens, j, cut, n)
-    if j:
-        return _fractions(nums, dens), nums, dens
-    k = len(nums) - cut
-    return _fractions(nums[:k], dens[:k]) + values[:cut], nums, dens
-
-
 class PLLift:
     """Strictly increasing piecewise-linear map with F(x + n) = F(x) + n.
 
-    `xs`, `ys` and `slopes` are tuples of Fractions.  Alongside them each
-    lift keeps their integer table (see `plkernel`), which exact evaluation,
-    composition, powers and the derived lifts read instead of the Fractions.
+    A lift is its degree and its integer table (see `plkernel`).  `xs`, `ys`
+    and `slopes` are read-only views that build a fresh tuple of Fractions
+    from the table on every read.
     """
 
-    __slots__ = ("degree", "xs", "ys", "slopes", "_table")
+    __slots__ = ("degree", "_table")
 
     def __init__(self, degree: int, breakpoints) -> None:
         degree = int(degree)
@@ -110,37 +109,28 @@ class PLLift:
                 raise NotMonotone(f"values must increase: y({xs[i]}) >= y({xs[i + 1]})")
         if ys[-1] >= ys[0] + degree:
             raise NotMonotone("wrap-around violates strict monotonicity")
-        slopes = [_slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
-        slopes.append(_slope(xs[-1], ys[-1], xs[0] + degree, ys[0] + degree))
-        self._set(degree, xs, ys, tuple(slopes))
-
-    def _set(self, degree: int, xs: tuple, ys: tuple, slopes: tuple, table=None) -> None:
-        """Store valid breakpoint data: sorted `xs` in [0, degree), strictly
-        increasing `ys` with ys[-1] < ys[0] + degree, and their slopes, all
-        Fractions.  The integer table is derived here unless the caller
-        already has it."""
         self.degree = degree
-        self.xs = xs
-        self.ys = ys
-        self.slopes = slopes
-        if table is None:
-            table = (*_parts(xs), *_parts(ys), *_parts(slopes))
-        self._table = table
-
-    @classmethod
-    def _trusted(cls, degree: int, xs: tuple, ys: tuple, slopes: tuple, table=None) -> "PLLift":
-        """A lift from data already known to be valid (see `_set`), unchecked."""
-        lift = cls.__new__(cls)
-        lift._set(degree, xs, ys, slopes, table)
-        return lift
+        self._table = (*_parts(xs), *_parts(ys), *_parts(_slopes(xs, ys, degree, degree)))
 
     @classmethod
     def _from_table(cls, degree: int, table) -> "PLLift":
-        """The lift of a valid integer table; its Fractions are built here."""
-        xn, xd, yn, yd, sn, sd = table
-        return cls._trusted(
-            degree, _fractions(xn, xd), _fractions(yn, yd), _fractions(sn, sd), table
-        )
+        """The lift of a valid degree-`degree` integer table, unchecked."""
+        lift = cls.__new__(cls)
+        lift.degree = degree
+        lift._table = table
+        return lift
+
+    @property
+    def xs(self) -> tuple:
+        return _fractions(self._table[0], self._table[1])
+
+    @property
+    def ys(self) -> tuple:
+        return _fractions(self._table[2], self._table[3])
+
+    @property
+    def slopes(self) -> tuple:
+        return _fractions(self._table[4], self._table[5])
 
     def eval(self, x):
         """F(x): exact for int and Fraction x, binary64 for a float x."""
@@ -150,16 +140,17 @@ class PLLift:
         n = self.degree
         j = floor_div(x, n)
         x0 = x - j * n if j else x
-        i = bisect.bisect_right(self.xs, x0) - 1
+        xn, xd, yn, yd, sn, sd = self._table
+        # the piece is located exactly; each coordinate is rounded once, as
+        # float(Fraction) rounds it
+        i = plkernel.locate(xn, xd, *x0.as_integer_ratio()) - 1
         if i < 0:
-            x1 = self.xs[-1] - n
-            y1 = self.ys[-1] - n
-            s = self.slopes[-1]
+            x1 = (xn[-1] - n * xd[-1]) / xd[-1]
+            y1 = (yn[-1] - n * yd[-1]) / yd[-1]
         else:
-            x1 = self.xs[i]
-            y1 = self.ys[i]
-            s = self.slopes[i]
-        return y1 + (x0 - x1) * s + j * n
+            x1 = xn[i] / xd[i]
+            y1 = yn[i] / yd[i]
+        return y1 + (x0 - x1) * (sn[i] / sd[i]) + j * n
 
     __call__ = eval
 
@@ -199,14 +190,15 @@ class PLLift:
         xn, xd, yn, yd, sn, sd = self._table
         # ys span less than one period, so reducing them mod n rotates the list
         j, cut = plkernel.wrap_cut(yn, yd, n)
-        xs, ixn, ixd = _reduced(self.ys, yn, yd, j, cut, n)
-        ys, iyn, iyd = _reduced(self.xs, xn, xd, j, cut, n)
-        isn, isd = sd[cut:] + sd[:cut], sn[cut:] + sn[:cut]
-        return PLLift._trusted(n, xs, ys, _fractions(isn, isd), (ixn, ixd, iyn, iyd, isn, isd))
+        return PLLift._from_table(n, (
+            *plkernel.reduce_rotated(yn, yd, j, cut, n),
+            *plkernel.reduce_rotated(xn, xd, j, cut, n),
+            sd[cut:] + sd[:cut], sn[cut:] + sn[:cut],
+        ))
 
     def power(self, q: int, cap: int = BREAKPOINT_CAP) -> "PLLift":
         """Materialize F^q as a PL lift (exponentiation by squaring on
-        integer tables; only the returned lift gets Fractions)."""
+        integer tables)."""
         if q < 0:
             return self.inverse().power(-q, cap)
         return PLLift._from_table(self.degree, plkernel.power(self.degree, self._table, q, cap))
@@ -216,9 +208,7 @@ class PLLift:
         c = as_rational(c)
         xn, xd, yn, yd, sn, sd = self._table
         yn, yd = plkernel.shift(yn, yd, c.numerator, c.denominator)
-        return PLLift._trusted(
-            self.degree, self.xs, _fractions(yn, yd), self.slopes, (xn, xd, yn, yd, sn, sd)
-        )
+        return PLLift._from_table(self.degree, (xn, xd, yn, yd, sn, sd))
 
     def shift_input(self, r) -> "PLLift":
         """Conjugation by translation: x -> F(x + r) - r."""
@@ -231,10 +221,7 @@ class PLLift:
         j, cut = plkernel.wrap_cut(xn, xd, n)
         xn, xd = plkernel.reduce_rotated(xn, xd, j, cut, n)
         yn, yd = plkernel.reduce_rotated(yn, yd, j, cut, n)
-        return PLLift._trusted(
-            n, _fractions(xn, xd), _fractions(yn, yd), self.slopes[cut:] + self.slopes[:cut],
-            (xn, xd, yn, yd, sn[cut:] + sn[:cut], sd[cut:] + sd[:cut]),
-        )
+        return PLLift._from_table(n, (xn, xd, yn, yd, sn[cut:] + sn[:cut], sd[cut:] + sd[:cut]))
 
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Breakpoints where the slope actually changes; rotations anchor at 0.
@@ -242,11 +229,13 @@ class PLLift:
         Two PL lifts describe the same function iff their degrees and
         canonical breakpoint tuples agree.
         """
-        m = len(self.xs)
-        keep = []
-        for i in range(m):
-            if self.slopes[i - 1] != self.slopes[i]:
-                keep.append((self.xs[i], self.ys[i]))
+        xn, xd, yn, yd, sn, sd = self._table
+        # slopes are reduced pairs, so equal slopes have equal pairs
+        keep = [
+            (Fraction(xn[i], xd[i]), Fraction(yn[i], yd[i]))
+            for i in range(len(xn))
+            if sn[i - 1] != sn[i] or sd[i - 1] != sd[i]
+        ]
         if not keep:
             z = Fraction(0)
             return ((z, self.eval(z)),)
@@ -370,14 +359,10 @@ class PeriodicPL:
         for i in range(len(xs) - 1):
             if xs[i] == xs[i + 1]:
                 raise ValueError(f"duplicate breakpoint at x={xs[i]}")
-        slopes = []
-        for i in range(len(xs) - 1):
-            slopes.append((vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i]))
-        slopes.append((vs[0] - vs[-1]) / (xs[0] + period - xs[-1]))
         self.period = period
         self.xs = xs
         self.vs = vs
-        self.slopes = tuple(slopes)
+        self.slopes = tuple(_slopes(xs, vs, period, 0))
 
     @classmethod
     def _trusted(cls, period: Fraction, xs: tuple, vs: tuple, slopes: tuple) -> "PeriodicPL":
@@ -413,11 +398,15 @@ class PeriodicPL:
         """The translate delta^t(x) = delta(x + t)."""
         t = as_rational(t)
         T = self.period
-        pts = []
-        for x, v in zip(self.xs, self.vs):
-            z = (x - t) % T
-            pts.append((z, v))
-        return PeriodicPL(T, pts)
+        zs = [x - t for x in self.xs]
+        # the zs span less than T, so reducing them mod T rotates the list
+        j = floor_div(zs[0], T)
+        lo, hi = j * T, (j + 1) * T
+        cut = bisect.bisect_left(zs, hi)
+        xs = tuple([z - hi for z in zs[cut:]] + [z - lo for z in zs[:cut]])
+        return PeriodicPL._trusted(
+            T, xs, self.vs[cut:] + self.vs[:cut], self.slopes[cut:] + self.slopes[:cut]
+        )
 
     def add_const(self, c) -> "PeriodicPL":
         c = as_rational(c)
@@ -426,7 +415,8 @@ class PeriodicPL:
 
     def scale(self, c) -> "PeriodicPL":
         c = as_rational(c)
-        return PeriodicPL(self.period, [(x, v * c) for x, v in zip(self.xs, self.vs)])
+        vs, slopes = tuple([v * c for v in self.vs]), tuple([s * c for s in self.slopes])
+        return PeriodicPL._trusted(self.period, self.xs, vs, slopes)
 
     def grid(self, T) -> set:
         """Breakpoint abscissae repeated over [0, T); T a multiple of the period."""
@@ -444,7 +434,9 @@ class PeriodicPL:
     def add(self, other: "PeriodicPL") -> "PeriodicPL":
         """Pointwise sum; periods must be equal or one a multiple of the other."""
         T, grid = self._common_grid(other)
-        return PeriodicPL(T, [(x, self.eval(x) + other.eval(x)) for x in sorted(grid)])
+        xs = sorted(grid)
+        vs = [self.eval(x) + other.eval(x) for x in xs]
+        return PeriodicPL._trusted(T, tuple(xs), tuple(vs), tuple(_slopes(xs, vs, T, 0)))
 
     def sup_diff(self, other: "PeriodicPL") -> Fraction:
         """Exact sup |self - other| over a common period."""

@@ -15,7 +15,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -34,21 +33,6 @@ from .induced import (
 )
 from .profinite import DEFAULT_DEPTH, embed_int
 from .solenoid import SolenoidPoint, parse_point, sigma, sol_add, sol_dist
-
-@dataclass
-class ExperimentConfig:
-    """Resolved knobs for one experiment run; seed fixed => identical bytes."""
-
-    input_path: str | None = None
-    depth: int = DEFAULT_DEPTH
-    iters: int = 100
-    samples: int = 100
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    start: str | None = None
-    p: int | None = None
-    q: int | None = None
 
 
 def _load_json(path: str) -> dict:
@@ -144,35 +128,30 @@ def _random_exact_point(rng: random.Random, depth: int) -> SolenoidPoint:
     return SolenoidPoint(x, k)
 
 
-def _parse_start(cfg: ExperimentConfig) -> SolenoidPoint:
-    if cfg.start is None:
-        return sigma(Fraction(0), cfg.depth)
-    text = cfg.start.strip()
+def _parse_start(start: str | None, depth: int) -> SolenoidPoint:
+    if start is None:
+        return sigma(Fraction(0), depth)
+    text = start.strip()
     try:
         if text.startswith("x="):
             return parse_point(text)
-        return sigma(Fraction(text), cfg.depth)
+        return sigma(Fraction(text), depth)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"invalid --start {cfg.start!r}: {exc}")
+        raise click.UsageError(f"invalid --start {start!r}: {exc}")
 
 
-def _certified_pq(f: InducedHomeo, cfg: ExperimentConfig) -> tuple[int, int]:
+def _certified_pq(f: InducedHomeo, iters: int, p: int | None, q: int | None) -> tuple[int, int]:
     """Given p/q flags use them; otherwise certify from the enclosure."""
-    if cfg.p is not None and cfg.q is not None:
-        return cfg.p, cfg.q
+    if p is not None:
+        return p, q
     if not isinstance(f.base, PLLift):
         raise click.ClickException("cannot certify p/q for an analytic map")
-    enc = dynamics.rotation_report(f, cfg.iters)
+    enc = dynamics.rotation_report(f, iters)
     if enc.exact is None:
         raise click.ClickException(
-            f"no rational rotation number certified within q = {cfg.iters}"
+            f"no rational rotation number certified within q = {iters}"
         )
     return enc.exact.numerator, enc.exact.denominator
-
-
-def _require_iters(cfg: ExperimentConfig) -> None:
-    if cfg.iters < 1:
-        raise click.UsageError("--iters must be >= 1")
 
 
 def _require_depth(f: InducedHomeo, depth: int, source: str) -> None:
@@ -184,31 +163,34 @@ def _require_depth(f: InducedHomeo, depth: int, source: str) -> None:
         )
 
 
-def cmd_rotation(cfg: ExperimentConfig) -> str:
-    _require_iters(cfg)
-    obj = _load_input(cfg.input_path)
+def cmd_rotation(input_path: str, iters: int) -> str:
+    obj = _load_input(input_path)
     if isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("rotation expects a map or homeo descriptor")
     try:
-        enc = dynamics.rotation_report(obj, cfg.iters)
+        enc = dynamics.rotation_report(obj, iters)
     except SoldynError as exc:
         raise click.ClickException(str(exc))
     return _json_text(enc.to_report())
 
 
-def cmd_orbit(cfg: ExperimentConfig) -> str:
-    obj = _load_input(cfg.input_path)
+def cmd_orbit(
+    input_path: str, depth: int, iters: int, start: str | None, p: int | None, q: int | None
+) -> str:
+    if (p is None) != (q is None):
+        raise click.UsageError("--p and --q-return must be given together")
+    obj = _load_input(input_path)
     if isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("orbit expects a map or homeo descriptor")
     f = obj if isinstance(obj, InducedHomeo) else InducedHomeo(obj, 0)
-    s = _parse_start(cfg)
+    s = _parse_start(start, depth)
     depth = s.k.depth  # a literal start point carries its own tower depth
     _require_depth(f, depth, "--depth, or the tower of a literal --start")
     header = ["iter", "x"] + [f"r{m}" for m in range(1, depth + 1)] + ["dist_to_target"]
-    if cfg.iters < 1:
+    if iters == 0:
         click.echo("inconclusive: iteration budget is 0", file=sys.stderr)
         return _csv_text(header, [])
-    p, q = _certified_pq(f, cfg)
+    p, q = _certified_pq(f, iters, p, q)
     try:
         target = dynamics.fiber_target(f, s, p, q)
     except SoldynError as exc:
@@ -216,7 +198,7 @@ def cmd_orbit(cfg: ExperimentConfig) -> str:
     rows = []
     cur = s
     step = Fraction(p, q)
-    for i in range(cfg.iters):
+    for i in range(iters):
         ref = sol_add(target, sigma(i * step, depth))
         d = sol_dist(cur, ref)
         rows.append([str(i), str(cur.x)] + [str(r) for r in cur.k.residues] + [str(d)])
@@ -224,17 +206,17 @@ def cmd_orbit(cfg: ExperimentConfig) -> str:
     return _csv_text(header, rows)
 
 
-def cmd_semiconj(cfg: ExperimentConfig) -> str:
-    obj = _load_input(cfg.input_path)
+def cmd_semiconj(input_path: str, depth: int, samples: int, seed: int) -> str:
+    obj = _load_input(input_path)
     if isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("semiconj expects a map or homeo descriptor")
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
-    _require_depth(obj, cfg.depth, "--depth")
-    if cfg.samples < 1:
+    _require_depth(obj, depth, "--depth")
+    if samples < 1:
         raise click.UsageError("--samples must be >= 1 for semiconj")
-    rng = random.Random(cfg.seed)
-    pts = [_random_exact_point(rng, cfg.depth) for _ in range(cfg.samples)]
+    rng = random.Random(seed)
+    pts = [_random_exact_point(rng, depth) for _ in range(samples)]
     try:
         report = hull_mod.check_semiconjugacy(obj, pts)
     except SoldynError as exc:
@@ -242,8 +224,8 @@ def cmd_semiconj(cfg: ExperimentConfig) -> str:
     return _json_text(report.to_report())
 
 
-def cmd_hull(cfg: ExperimentConfig) -> str:
-    obj = _load_input(cfg.input_path)
+def cmd_hull(input_path: str, iters: int) -> str:
+    obj = _load_input(input_path)
     if isinstance(obj, LimitPeriodicHomeo):
         verdict = hull_mod.periodicity_classify(obj)
         return _json_text(
@@ -253,14 +235,13 @@ def cmd_hull(cfg: ExperimentConfig) -> str:
                 "bounds": [str(b) for b in verdict.bounds],
             }
         )
-    _require_iters(cfg)
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
     try:
         delta = leaf_displacement(obj)
         verdict = hull_mod.periodicity_classify(delta)
         hull_mod._quotient_map(delta, Fraction(verdict.period))
-        enc = dynamics.rotation_report(obj, cfg.iters)
+        enc = dynamics.rotation_report(obj, iters)
     except SoldynError as exc:
         raise click.ClickException(str(exc))
     return _json_text(
@@ -273,12 +254,12 @@ def cmd_hull(cfg: ExperimentConfig) -> str:
     )
 
 
-def cmd_density(cfg: ExperimentConfig) -> str:
-    obj = _load_input(cfg.input_path)
+def cmd_density(input_path: str, samples: int, fmt: str) -> str:
+    obj = _load_input(input_path)
     if not isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("density expects a limit-periodic descriptor")
     h = obj
-    N = max(cfg.samples, 1)
+    N = max(samples, 1)
     top = h.tower[-1]
     levels = list(range(1, h.levels + 1))
     bounds = [h.tail_from(j) for j in levels]
@@ -287,7 +268,7 @@ def cmd_density(cfg: ExperimentConfig) -> str:
         [str(j), str(T), str(b), str(g)]
         for j, T, b, g in zip(levels, h.tower, bounds, gaps)
     ]
-    if cfg.fmt == "svg":
+    if fmt == "svg":
         return _svg_chart(
             "certified bound vs measured gap",
             [float(j) for j in levels],
@@ -296,7 +277,7 @@ def cmd_density(cfg: ExperimentConfig) -> str:
                 ("measured gap", [float(g) for g in gaps]),
             ],
         )
-    if cfg.fmt == "json":
+    if fmt == "json":
         return _json_text(
             {
                 "levels": levels,
@@ -307,32 +288,20 @@ def cmd_density(cfg: ExperimentConfig) -> str:
     return _csv_text(["level", "period", "certified_bound", "measured_sup_gap"], rows)
 
 
-def _common_options(fn):
-    fn = click.option("--input", "input_path", required=True,
+_input = click.option("--input", "input_path", required=True,
                       type=click.Path(exists=True, dir_okay=False),
-                      help="JSON descriptor path.")(fn)
-    fn = click.option("--depth", default=DEFAULT_DEPTH, show_default=True,
+                      help="JSON descriptor path.")
+_depth = click.option("--depth", default=DEFAULT_DEPTH, show_default=True,
                       type=click.IntRange(min=1),
-                      help="Profinite truncation depth M.")(fn)
-    fn = click.option("--iters", "-q", "iters", default=100, show_default=True,
-                      help="Iteration budget q.")(fn)
-    fn = click.option("--samples", default=100, show_default=True,
-                      help="Sample count (points / grid size).")(fn)
-    fn = click.option("--seed", default=0, show_default=True,
-                      help="RNG seed; fixed seed gives byte-identical output.")(fn)
-    fn = click.option("--out", default=None, type=click.Path(dir_okay=False),
-                      help="Output path (default: stdout).")(fn)
-    fn = click.option("--format", "fmt", default=None,
-                      type=click.Choice(["csv", "json", "svg"]),
-                      help="Output format (default depends on subcommand).")(fn)
-    return fn
-
-
-def _make_config(default_fmt: str, allowed=None, **kw) -> ExperimentConfig:
-    fmt = kw.pop("fmt") or default_fmt
-    if allowed is not None and fmt not in allowed:
-        raise click.UsageError(f"unsupported format {fmt!r}; choose from {allowed}")
-    return ExperimentConfig(fmt=fmt, **kw)
+                      help="Profinite truncation depth M.")
+_iters = click.option("--iters", "-q", "iters", default=100, show_default=True,
+                      type=click.IntRange(min=1), help="Iteration budget q.")
+_samples = click.option("--samples", default=100, show_default=True,
+                        help="Sample count (points / grid size).")
+_seed = click.option("--seed", default=0, show_default=True,
+                     help="RNG seed; fixed seed gives byte-identical output.")
+_out = click.option("--out", default=None, type=click.Path(dir_okay=False),
+                    help="Output path (default: stdout).")
 
 
 def _show_help(ctx: click.Context, param, value: bool) -> None:
@@ -372,53 +341,65 @@ def main():
 
 
 @main.command()
-@_common_options
-def rotation(**kw):
+@_input
+@_iters
+@_out
+def rotation(input_path, iters, out):
     """Rotation-number enclosure with exact certification when possible."""
-    cfg = _make_config("json", allowed=("json",), **kw)
-    _emit(cmd_rotation(cfg), cfg.out)
+    _emit(cmd_rotation(input_path, iters), out)
 
 
 @main.command()
-@_common_options
+@_input
+@_depth
+@click.option("--iters", "-q", "iters", default=100, show_default=True,
+              type=click.IntRange(min=0), help="Iteration budget q; 0 prints the header only.")
 @click.option("--start", default=None,
               help='Start point: rational t (for sigma(t)) or literal "x=p/q; k=(...)", '
                    'whose residue tower sets the depth.')
-@click.option("--p", "p", default=None, type=int, help="Return numerator p.")
+@click.option("--p", "p", default=None, type=int,
+              help="Return numerator p; give it together with --q-return.")
 @click.option("--q-return", "q_return", default=None, type=click.IntRange(min=1),
-              help="Return denominator q.")
-def orbit(start, p, q_return, **kw):
+              help="Return denominator q; give it together with --p.")
+@_out
+def orbit(input_path, depth, iters, start, p, q_return, out):
     """Orbit trace CSV with distance to the certified fiber-periodic target."""
-    cfg = _make_config("csv", allowed=("csv",), start=start, p=p, q=q_return, **kw)
-    _emit(cmd_orbit(cfg), cfg.out)
+    _emit(cmd_orbit(input_path, depth, iters, start, p, q_return), out)
 
 
 @main.command()
-@_common_options
-def semiconj(**kw):
+@_input
+@_depth
+@_samples
+@_seed
+@_out
+def semiconj(input_path, depth, samples, seed, out):
     """Check K o f = g o K exactly on random exact sample points."""
-    cfg = _make_config("json", allowed=("json",), **kw)
-    _emit(cmd_semiconj(cfg), cfg.out)
+    _emit(cmd_semiconj(input_path, depth, samples, seed), out)
 
 
 @main.command(name="hull")
-@_common_options
-def hull_cmd(**kw):
+@_input
+@_iters
+@_out
+def hull_cmd(input_path, iters, out):
     """Hull summary: minimal period, sup norm, quotient rotation enclosure."""
-    cfg = _make_config("json", allowed=("json",), **kw)
-    _emit(cmd_hull(cfg), cfg.out)
+    _emit(cmd_hull(input_path, iters), out)
 
 
 @main.command()
-@_common_options
-def density(**kw):
+@_input
+@_samples
+@click.option("--format", "fmt", default="csv", show_default=True,
+              type=click.Choice(["csv", "json", "svg"]), help="Output format.")
+@_out
+def density(input_path, samples, fmt, out):
     """Per-level certified bound vs sampled gap for a limit-periodic tower.
 
     measured_sup_gap is the max of |h - truncation| over the --samples grid
     of the top period: a lower bound on the sup, not the sup itself.
     """
-    cfg = _make_config("csv", allowed=("csv", "json", "svg"), **kw)
-    _emit(cmd_density(cfg), cfg.out)
+    _emit(cmd_density(input_path, samples, fmt), out)
 
 
 if __name__ == "__main__":

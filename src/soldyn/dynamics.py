@@ -18,8 +18,10 @@ p does not pin tau, so there every denominator is tried in order.  Analytic
 maps get float enclosures only.
 
 fiber_target and classify_orbit find the limit of a non-periodic orbit the
-same way: the nearest fixed point of the leafwise return map F_k^q - p in
-the direction the orbit moves.
+same way: the nearest fixed point of the leafwise return map G - p, with
+G = F_k^q, in the direction the orbit moves, found from the start taken
+exactly.  The scan that finds a certificate's witness finds it too, run on
+the conjugate G(x + x0) - x0 of the start x0 (see `_nearest_return`).
 """
 from __future__ import annotations
 
@@ -118,13 +120,17 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
     return base + 1 / inner
 
 
-def _leftmost_return(n: int, table, p: int) -> Optional[Fraction]:
-    """Leftmost zero of g(x) = G(x) - x - p in [0, n) for the degree-n PL lift
-    G with integer table `table` (see circlemaps).
+def _leftmost_return(n: int, table, p: int, rightmost: bool = False) -> Optional[Fraction]:
+    """Leftmost (or rightmost) zero of g(x) = G(x) - x - p in [0, n) for the
+    degree-n PL lift G with integer table `table` (see circlemaps); None if
+    g has constant sign.
 
-    The sign of g at a breakpoint is one cross-multiplication, and the zero
-    returned is solved on its piece, x_i + g(x_i) / (1 - s_i), as a single
-    Fraction.
+    The pieces are scanned from the left (or from the right).  A piece
+    yields either its left breakpoint, where g is 0, or the zero inside it
+    where g changes sign, never both; a zero at its right end is the next
+    piece's.  The sign of g at a breakpoint is one cross-multiplication, and
+    a zero inside a piece is solved there, x_i + g(x_i) / (1 - s_i), as a
+    single Fraction.
     """
     xn, xd, yn, yd, sn, sd = table
     if xn[0]:
@@ -139,11 +145,16 @@ def _leftmost_return(n: int, table, p: int) -> Optional[Fraction]:
         u, v = yn[k] * xd[k], (xn[k] + p * xd[k]) * yd[k]
         return (u > v) - (u < v)
 
-    cur = sign(0)
-    for k in range(count):
+    # `shared` is g's sign at the breakpoint this piece shares with the piece
+    # scanned before it; from either side the first one is breakpoint 0, as
+    # sign(count) is sign(0)
+    shared = sign(0)
+    for k in reversed(range(count)) if rightmost else range(count):
+        new = sign(k) if rightmost else sign(k + 1)
+        cur, nxt = (new, shared) if rightmost else (shared, new)
+        shared = new
         if cur == 0:
             return Fraction(xn[k], xd[k])
-        nxt = sign(k + 1)
         if cur * nxt < 0:
             gn, gd = plkernel.add(yn[k], yd[k], -(xn[k] + p * xd[k]), xd[k])
             # g / (1 - s) with 1 - s = (sd - sn) / sd, sign moved to the numerator
@@ -151,7 +162,6 @@ def _leftmost_return(n: int, table, p: int) -> Optional[Fraction]:
             dn, dd = (s_d, s_d - s_n) if s_d > s_n else (-s_d, s_n - s_d)
             gn, gd = plkernel.mul(gn, gd, dn, dd)
             return Fraction(*plkernel.add(xn[k], xd[k], gn, gd))
-        cur = nxt
     return None
 
 
@@ -353,47 +363,25 @@ def find_fiber_periodic(
     return s
 
 
-def _nearest_zero(G: PLLift, p: int, x0, upward: bool):
-    """Nearest zero of g(x) = G(x) - x - p strictly beyond x0 in the given
-    direction, within one period; None if g has constant sign.
-
-    The monotone return orbit converges exactly to this point, so segment
-    scanning keeps the candidate nearest to x0 (flat zero segments take the
-    near endpoint)."""
+def _nearest_return(G: PLLift, p: int, x0: Fraction) -> Optional[Fraction]:
+    """The fixed point of G - p that the orbit of x0 converges to: the zero of
+    g(x) = G(x) - x - p nearest to x0, at or above it when g(x0) >= 0 and
+    below it when g(x0) < 0; None if g has constant sign.  The zeros of g in
+    [x0, x0 + n) are x0 + u for the zeros u in [0, n) of the conjugate
+    G(x + x0) - x0, so the scan of the conjugate from the left (or from the
+    right, then less n) finds it.
+    """
     n = G.degree
-    lo, hi = (x0, x0 + n) if upward else (x0 - n, x0)
-    pts = {lo, hi}
-    for x in G.xs:
-        j0 = math.floor((lo - x) / n)
-        for j in (j0, j0 + 1, j0 + 2):
-            z = x + j * n
-            if lo <= z <= hi:
-                pts.add(z)
-    pts = sorted(pts)
-    vals = [G.eval(z) - z - p for z in pts]
-    indices = range(len(pts) - 1)
-    if not upward:
-        indices = reversed(indices)
-    for i in indices:
-        a, b, va, vb = pts[i], pts[i + 1], vals[i], vals[i + 1]
-        if va * vb > 0:
-            continue
-        near, far = (a, b) if upward else (b, a)
-        v_near, v_far = (va, vb) if upward else (vb, va)
-        if v_near == 0:
-            z = near
-        elif v_far == 0:
-            z = far
-        else:
-            z = a - va * (b - a) / (vb - va)
-        if (z > x0) if upward else (z < x0):
-            return z
-    return None
+    g0 = G.eval(x0) - x0 - p
+    u = _leftmost_return(n, G.shift_input(x0)._table, p, rightmost=g0 < 0)
+    if u is None:
+        return None
+    return x0 + u - n if g0 < 0 else x0 + u
 
 
 def _return_fixed_point(f: InducedHomeo, s: SolenoidPoint, p: int, q: int):
     """(G, x_inf): the return lift G = F_k^q at the fiber of s and the fixed
-    point x_inf of G - p that the orbit of s.x converges to.
+    point x_inf of G - p that the orbit of s.x, taken exactly, converges to.
 
     Raises AnalyticExactUnsupported for an analytic base and NoSuchOrbit
     when the return map is untracked or has no fixed point.
@@ -406,8 +394,7 @@ def _return_fixed_point(f: InducedHomeo, s: SolenoidPoint, p: int, q: int):
         # with the fiber lift, i.e. n | p (always true at degree 1).
         raise NoSuchOrbit(f"return map untracked for degree {n} with p = {p}")
     G = f.fiber_lift(s.k).power(q)
-    g0 = G.eval(s.x) - s.x - p
-    x_inf = _nearest_zero(G, p, s.x, upward=g0 > 0)
+    x_inf = _nearest_return(G, p, Fraction(s.x))
     if x_inf is None:
         raise NoSuchOrbit("return map has no fixed point; rho(f) != p/q")
     return G, x_inf

@@ -210,40 +210,21 @@ class LimitPeriodicCertified:
     bounds: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str = ""
+PeriodicityVerdict = Union[Periodic, LimitPeriodicCertified]
 
 
-PeriodicityVerdict = Union[Periodic, LimitPeriodicCertified, Unknown]
-
-
-def periodicity_classify(
-    source, candidates=None, tol=Fraction(1, 10**9)
-) -> PeriodicityVerdict:
+def periodicity_classify(source, candidates=None) -> PeriodicityVerdict:
     """Classify a displacement source as periodic / certified limit periodic.
 
-    Exact PL sources get their exact minimal period; limit-periodic objects
-    echo their certificate; raw (x, value) samples are matched against the
-    candidate periods within `tol` and report Unknown when nothing fits.
+    Induced maps and exact PL displacements get their exact minimal period;
+    limit-periodic objects echo their certificate.
     """
     if isinstance(source, LimitPeriodicHomeo):
         bounds = tuple(source.tail_from(j) for j in range(1, source.levels + 1))
         return LimitPeriodicCertified(source.tower, bounds)
     if isinstance(source, InducedHomeo):
         source = leaf_displacement(source)
-    if isinstance(source, PeriodicPL):
-        return Periodic(minimal_period(source, candidates))
-    if candidates is None:
-        return Unknown("raw samples need explicit candidate periods")
-    pts = [(Fraction(x), v) for x, v in source]
-    for T in sorted(candidates, key=Fraction):
-        groups: dict[Fraction, list] = {}
-        for x, v in pts:
-            groups.setdefault(Fraction(x) % T, []).append(v)
-        if all(max(vs) - min(vs) <= tol for vs in groups.values()):
-            return Periodic(T)
-    return Unknown("no candidate period fits the samples")
+    return Periodic(minimal_period(source, candidates))
 
 
 def lp_hull_level(h: LimitPeriodicHomeo, level: int) -> tuple[Hull, Fraction]:

@@ -161,12 +161,17 @@ def embed_degree(f: InducedHomeo, m: int) -> InducedHomeo:
         return f
     if not isinstance(f.base, PLLift):
         raise AnalyticExactUnsupported("degree embedding needs a PL base")
-    pts = []
-    for j in range(m // n):
-        off = j * n
-        for x, y in zip(f.base.xs, f.base.ys):
-            pts.append((x + off, y + off))
-    return InducedHomeo(PLLift(m, pts), f.offset)
+    # the lift repeated m/n times: copy j of each breakpoint is moved by j n
+    xn, xd, yn, yd, sn, sd = f.base._table
+    k = m // n
+
+    def copies(nums, dens):
+        return [a + j * n * b for j in range(k) for a, b in zip(nums, dens)]
+
+    table = (
+        copies(xn, xd), list(xd) * k, copies(yn, yd), list(yd) * k, list(sn) * k, list(sd) * k
+    )
+    return InducedHomeo(PLLift._from_table(m, table), f.offset)
 
 
 def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":

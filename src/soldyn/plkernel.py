@@ -97,13 +97,9 @@ def piece_value(table, i: int, n: int, wn: int, wd: int, carry: int) -> tuple[in
     return add(yn[i] + carry * n * y_d, y_d, dn, dd)
 
 
-def eval_pair(table, n: int, a: int, b: int) -> tuple[int, int]:
-    """F(a/b) for a reduced a/b with b > 0: reduce mod n, bisect by
-    cross-multiplication, evaluate the piece."""
-    xn, xd = table[0], table[1]
-    j = a // (b * n)
-    if j:
-        a -= j * n * b
+def locate(xn, xd, a: int, b: int) -> int:
+    """The number of abscissae xn[i]/xd[i] at most a/b, for b > 0: bisection
+    by cross-multiplication."""
     lo, hi = 0, len(xn)
     while lo < hi:
         mid = (lo + hi) >> 1
@@ -111,7 +107,16 @@ def eval_pair(table, n: int, a: int, b: int) -> tuple[int, int]:
             hi = mid
         else:
             lo = mid + 1
-    return piece_value(table, lo - 1, n, a, b, j)
+    return lo
+
+
+def eval_pair(table, n: int, a: int, b: int) -> tuple[int, int]:
+    """F(a/b) for a reduced a/b with b > 0: reduce mod n, locate the piece,
+    evaluate it."""
+    j = a // (b * n)
+    if j:
+        a -= j * n * b
+    return piece_value(table, locate(table[0], table[1], a, b) - 1, n, a, b, j)
 
 
 def compose(n: int, outer, inner) -> tuple:

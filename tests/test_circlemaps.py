@@ -211,6 +211,37 @@ def test_periodic_pl_algebra():
     assert tri.has_period(2) and not tri.has_period(1)
 
 
+def _same_periodic(d, e):
+    for a, b in ((d.xs, e.xs), (d.vs, e.vs), (d.slopes, e.slopes)):
+        assert type(a) is tuple and a == b
+        assert all(type(v) is Fraction for v in a)
+    assert d.period == e.period
+
+
+def test_periodic_translate_scale_add_match_checked_constructor():
+    # translate rotates at the wrap index, scale and add build unchecked;
+    # the references sort and check every breakpoint again
+    rng = random.Random(909)
+    for _ in range(300):
+        T = Fraction(*rng.choice([(1, 1), (2, 1), (3, 2), (5, 3), (4, 1)]))
+        den = 6 * T.denominator
+        cells = int(T * den)
+        picks = rng.sample(range(cells), rng.randint(1, min(cells, 6)))
+        xs = sorted(Fraction(k, den) for k in picks)
+        d = PeriodicPL(T, [(x, Fraction(rng.randint(-9, 9), 16)) for x in xs])
+        t = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12]))
+        ref = PeriodicPL(T, [((x - t) % T, v) for x, v in zip(d.xs, d.vs)])
+        _same_periodic(d.translate(t), ref)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        _same_periodic(d.scale(c), PeriodicPL(T, [(x, v * c) for x, v in zip(d.xs, d.vs)]))
+        e = d.translate(t).scale(c)
+        big = PeriodicPL(2 * T, [(x * 2, v) for x, v in zip(d.xs, d.vs)])
+        for a, b in ((d, e), (d, big), (big, d)):
+            P, grid = a._common_grid(b)
+            ref = PeriodicPL(P, [(x, a.eval(x) + b.eval(x)) for x in sorted(grid)])
+            _same_periodic(a.add(b), ref)
+
+
 def test_analytic_lift():
     F = analytic_new(0.3, [(0.05, 1.0)])
     x = 0.7
@@ -403,6 +434,9 @@ def _assert_same_lift(got, ref):
 
 
 def test_integer_kernel_matches_fraction_reference():
+    # a lift is its integer table; the xs, ys and slopes views, exact eval,
+    # compose, power and the binary64 eval are checked against the Fraction
+    # data and code the table replaced
     rng = random.Random(606)
     lifts = []
     for degree in range(1, 7):
@@ -414,6 +448,7 @@ def test_integer_kernel_matches_fraction_reference():
     for F in lifts:
         n, nb = F.degree, len(F.xs)
         R = _RefLift.of(F)
+        _assert_same_lift(F, R)
         G = rng.choice([L for L in lifts if L.degree == n])
         for A, B in ((F, G), (G, F), (F, F), (F, F.inverse())):
             _assert_same_lift(A.compose(B), _RefLift.of(A).compose(_RefLift.of(B)))
@@ -435,6 +470,10 @@ def test_integer_kernel_matches_fraction_reference():
         for x in xs:
             got = F.eval(x)
             assert type(got) is Fraction and got == R.eval(x)
-        for x in (0.0, -1.5, 0.1, 2.75, n + 0.3, -7.25 * n, 1e-12, float(F.xs[-1])):
+        floats = [0.0, -1.5, 0.1, 2.75, n + 0.3, -7.25 * n, 1e-12, -1e-17, n - 2**-52, 1e15]
+        for x in F.xs:
+            f = float(x)
+            floats += [f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)]
+        for x in floats:
             got = F.eval(x)
             assert type(got) is float and got.hex() == R.eval(x).hex()

@@ -267,12 +267,41 @@ def test_iters_zero_exits_2_for_rotation_and_hull(runner, tmp_path):
         assert_usage_error(runner.invoke(main, [sub, "--input", path, "--iters", "0"]))
 
 
-def test_depth_zero_exits_2_on_every_subcommand(runner, tmp_path):
+def test_depth_zero_exits_2_on_orbit_and_semiconj(runner, tmp_path):
+    half = write(tmp_path, "half.json", HALFMAP)
+    for sub in ("orbit", "semiconj"):
+        res = runner.invoke(main, [sub, "--input", half, "--depth", "0"])
+        assert_usage_error(res)
+        assert "'--depth'" in res.stderr and "0 is not in the range" in res.stderr
+
+
+# each subcommand declares only the flags it reads
+FLAGS = {
+    "rotation": {"--input", "--iters", "--out"},
+    "orbit": {"--input", "--depth", "--iters", "--start", "--p", "--q-return", "--out"},
+    "semiconj": {"--input", "--depth", "--samples", "--seed", "--out"},
+    "hull": {"--input", "--iters", "--out"},
+    "density": {"--input", "--samples", "--format", "--out"},
+}
+FLAG_VALUE = {"--depth": "8", "--iters": "10", "--samples": "5", "--seed": "1", "--format": "json"}
+
+
+def test_subcommands_declare_only_the_flags_they_read():
+    assert sum(map(len, FLAGS.values())) == 22
+    for sub, flags in FLAGS.items():
+        params = main.commands[sub].params
+        assert {opt for p in params for opt in p.opts if opt.startswith("--")} == flags, sub
+
+
+def test_removed_flag_exits_2(runner, tmp_path):
     half = write(tmp_path, "half.json", HALFMAP)
     lp = write(tmp_path, "lp.json", LP4)
-    for sub in SUBCOMMANDS:
+    for sub, flags in FLAGS.items():
         path = lp if sub == "density" else half
-        assert_usage_error(runner.invoke(main, [sub, "--input", path, "--depth", "0"]))
+        for flag in set(FLAG_VALUE) - flags:
+            res = runner.invoke(main, [sub, "--input", path, flag, FLAG_VALUE[flag]])
+            assert_usage_error(res)
+            assert "No such option" in res.stderr and flag in res.stderr
 
 
 DEG3_HOMEO = {
@@ -417,6 +446,27 @@ def test_malformed_descriptors_exit_2_without_traceback(tmp_path, desc, sub):
     path = write(tmp_path, "fuzz.json", desc)
     res = CliRunner().invoke(main, [sub, "--input", path])
     assert_usage_error(res)
+
+
+def test_orbit_p_without_q_return_exits_2(runner, tmp_path):
+    path = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
+    res = runner.invoke(main, ["orbit", "--input", path, "--p", "5", "--iters", "3"])
+    assert_usage_error(res)
+    assert "--p" in res.stderr and "--q-return" in res.stderr
+
+
+def test_orbit_q_return_without_p_exits_2(runner, tmp_path):
+    path = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
+    res = runner.invoke(main, ["orbit", "--input", path, "--q-return", "7", "--iters", "3"])
+    assert_usage_error(res)
+    assert "--p" in res.stderr and "--q-return" in res.stderr
+
+
+def test_orbit_negative_iters_exits_2(runner, tmp_path):
+    path = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
+    res = runner.invoke(main, ["orbit", "--input", path, "--iters", "-1"])
+    assert_usage_error(res)
+    assert "--iters" in res.stderr and "budget" not in res.stderr
 
 
 def test_q_return_zero_exits_2(runner, tmp_path):

@@ -38,7 +38,8 @@ from soldyn import (
     translation_enclosure,
     translation_homeo,
 )
-from soldyn import plkernel
+from soldyn import SolenoidPoint, plkernel
+from soldyn import dynamics as dyn
 from genutil import rand_induced, rand_pl_lift, rand_point
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
@@ -269,6 +270,93 @@ def test_fiber_target_downhill():
     assert t == sigma(0)
     v = classify_orbit(f, s, 0, 1, max_iters=10_000)
     assert isinstance(v, AsymptoticToFiber) and v.target == sigma(0)
+
+
+def test_classify_orbit_binary64_start_has_exact_target():
+    # the return map's fixed point is found from the start taken exactly, so
+    # a float start gets the exact target 1/4 (an interior zero of F - id)
+    f = induce(pl_new(1, [(0, Fraction(1, 8)), (Fraction(1, 2), Fraction(3, 8))]), 0)
+    for x0, iterations in ((0.2, 16), (0.7, 22)):
+        v = classify_orbit(f, SolenoidPoint(x0, embed_int(0)), 0, 1)
+        assert isinstance(v, AsymptoticToFiber)
+        assert v.target == sigma(Fraction(1, 4)) and type(v.target.x) is Fraction
+        assert v.iterations == iterations and v.distance < Fraction(1, 10**6)
+
+
+def _window_nearest_zero(G, p, x0, upward):
+    """The window scan that the table scan replaced: g = G - id - p at every
+    breakpoint of the period beyond x0, the nearest zero strictly beyond x0
+    in the given direction (the near end of a flat zero piece), or None."""
+    n = G.degree
+    lo, hi = (x0, x0 + n) if upward else (x0 - n, x0)
+    pts = {lo, hi}
+    for x in G.xs:
+        j0 = math.floor((lo - x) / n)
+        for j in (j0, j0 + 1, j0 + 2):
+            z = x + j * n
+            if lo <= z <= hi:
+                pts.add(z)
+    pts = sorted(pts)
+    vals = [G.eval(z) - z - p for z in pts]
+    indices = range(len(pts) - 1)
+    if not upward:
+        indices = reversed(indices)
+    for i in indices:
+        a, b, va, vb = pts[i], pts[i + 1], vals[i], vals[i + 1]
+        if va * vb > 0:
+            continue
+        near, far = (a, b) if upward else (b, a)
+        v_near, v_far = (va, vb) if upward else (vb, va)
+        if v_near == 0:
+            z = near
+        elif v_far == 0:
+            z = far
+        else:
+            z = a - va * (b - a) / (vb - va)
+        if (z > x0) if upward else (z < x0):
+            return z
+    return None
+
+
+def _return_zero_lift(rng, n, p):
+    """G(x) = x + p + e at breakpoints on a 1/den grid, |e| < 1/(2 den): e = 0
+    puts a zero of G - id - p on a breakpoint, two in a row a flat zero
+    piece; e of one sign everywhere leaves no zero."""
+    den = rng.choice([2, 3, 4])
+    picks = rng.sample(range(n * den), rng.randint(1, n * den))
+    xs = sorted(Fraction(k, den) for k in picks)
+    signs = rng.choice([(-2, -1, 0, 0, 1, 2), (-1, 0, 0, 0, 1), (-2, -1, 1, 2), (1, 2)])
+    es = [Fraction(rng.choice(signs), 5 * den) for _ in xs]
+    return pl_new(n, [(x, x + p + e) for x, e in zip(xs, es)])
+
+
+def test_return_zero_scan_matches_window_reference():
+    rng = random.Random(4242)
+    seen = {"up": 0, "down": 0, "none": 0, "at_breakpoint": 0, "flat": 0}
+    for i in range(240):
+        n, p = 1 + i % 4, rng.randint(-2, 2)
+        G = _return_zero_lift(rng, n, p)
+        xs, ys, slopes = G.xs, G.ys, G.slopes
+        zero_bps = [x for x, y in zip(xs, ys) if y == x + p]
+        seen["at_breakpoint"] += bool(zero_bps)
+        seen["flat"] += any(s == 1 and y == x + p for x, y, s in zip(xs, ys, slopes))
+        starts = [Fraction(rng.randint(-3 * n * 12, 3 * n * 12), rng.randint(1, 12))
+                  for _ in range(12)]
+        starts += [x + j * n for x in xs for j in (-1, 0, 1)]
+        starts += [x + e for x in zero_bps for e in (Fraction(1, 97), Fraction(-1, 97))]
+        for x0 in starts:
+            g0 = G.eval(x0) - x0 - p
+            if g0 == 0:
+                continue
+            ref = _window_nearest_zero(G, p, x0, upward=g0 > 0)
+            got = dyn._nearest_return(G, p, x0)
+            assert got == ref, (G, p, x0)
+            if got is None:
+                seen["none"] += 1
+            else:
+                assert type(got) is Fraction
+                seen["up" if got > x0 else "down"] += 1
+    assert all(seen.values()), seen
 
 
 def test_rho_of_induced_examples():

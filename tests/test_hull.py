@@ -11,7 +11,6 @@ from soldyn import (
     Periodic,
     PeriodicPL,
     QuotientMap,
-    Unknown,
     apply,
     check_semiconjugacy,
     g_apply,
@@ -210,17 +209,6 @@ def test_periodicity_classify_cases():
     assert isinstance(v, LimitPeriodicCertified)
     assert v.tower == (1, 2, 6)
     assert v.bounds[-1] == 0
-
-    # raw samples of a 2-periodic function match candidate 2
-    pts = [(Fraction(i, 4), SAW2.eval(Fraction(i, 4))) for i in range(32)]
-    v2 = periodicity_classify(pts, candidates=[1, 2, 4])
-    assert v2 == Periodic(2)
-
-    # white noise matches nothing
-    rng = random.Random(9)
-    noise = [(Fraction(i, 4), rng.random()) for i in range(32)]
-    assert isinstance(periodicity_classify(noise, candidates=[1, 2, 4]), Unknown)
-    assert isinstance(periodicity_classify(noise), Unknown)
 
 
 def test_induced_hull_is_circle_never_higher_torus():
