@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 from soldyn import PeriodicPL, lp_build
-from soldyn.cli import _csv_text, _svg_chart
+from soldyn.cli import density_table, density_text
 
 TOWER = (1, 2, 6, 24)
 
@@ -24,22 +24,13 @@ def build():
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     h = build()
-    gaps = h.sampled_gaps(Fraction(i * TOWER[-1], n) for i in range(n))
-    rows, bounds = [], []
-    for j, gap in enumerate(gaps, start=1):
-        bound = h.tail_from(j)
-        rows.append([str(j), str(TOWER[j - 1]), str(bound), str(gap)])
-        bounds.append(float(bound))
+    table = density_table(h, n)
+    for j, bound, gap in zip(*table):
         print(f"level {j}: period {TOWER[j-1]:>2}  certified {str(bound):>8}  "
               f"measured {float(gap):.6f}")
-    with open("density.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(["level", "period", "certified_bound", "measured_sup_gap"], rows))
-    with open("density.svg", "w", encoding="utf-8", newline="") as fh:
-        fh.write(_svg_chart(
-            "certified bound vs measured gap",
-            [float(j) for j in range(1, h.levels + 1)],
-            [("certified bound", bounds), ("measured gap", [float(g) for g in gaps])],
-        ))
+    for fmt in ("csv", "svg"):
+        with open(f"density.{fmt}", "w", encoding="utf-8", newline="") as fh:
+            fh.write(density_text(h, *table, fmt))
     print("wrote density.csv, density.svg")
 
 

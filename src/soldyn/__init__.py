@@ -50,6 +50,7 @@ from .errors import (
     SoldynError,
 )
 from .hull import (
+    CircleMapModN,
     Hull,
     HullPoint,
     K_map,
@@ -58,6 +59,7 @@ from .hull import (
     QuotientMap,
     SemiconjugacyReport,
     check_semiconjugacy,
+    circle_map,
     g_apply,
     hull_dist,
     hull_func_dist,
@@ -70,12 +72,10 @@ from .hull import (
     quotient_map,
 )
 from .induced import (
-    CircleMapModN,
     InducedHomeo,
     LimitPeriodicHomeo,
     apply,
     apply_iter,
-    circle_map,
     compose_induced,
     cover_eval,
     displacement_at,

@@ -520,38 +520,32 @@ def rotation_lift(alpha, degree: int = 1) -> PLLift:
     return PLLift(degree, [(0, as_rational(alpha))])
 
 
-def displacement_lift(delta: PeriodicPL, period: int, offset=0) -> PLLift:
-    """The degree-`period` lift of x -> x + delta(x) + offset.
+def displacement_lift(delta: PeriodicPL, period: int) -> PLLift:
+    """The degree-`period` lift of x -> x + delta(x); `PLLift` raises
+    `NotMonotone` if it is not strictly increasing.
 
     `period` must be an integer period of delta.  The breakpoints are
     delta's canonical ones reduced mod `period`, plus 0.
     """
     xs = sorted({x % period for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
-    return PLLift(period, [(x, x + delta.eval(x) + offset) for x in xs])
+    return PLLift(period, [(x, x + delta.eval(x)) for x in xs])
 
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def minimal_period(delta: PeriodicPL, candidates=None):
-    """Smallest candidate period T with delta(x + T) = delta(x), decided exactly.
+def minimal_period(delta: PeriodicPL) -> int:
+    """The first divisor T of delta's integer stored period that
+    `PeriodicPL.has_period` accepts; the stored period always does.
 
-    Each candidate goes through `PeriodicPL.has_period`, which compares the
-    canonical breakpoints shifted by T with the unshifted ones.  By default
-    candidates are the divisors of the (integer) stored period;
-    displacements of degree-n lifts always admit T = n, so the search cannot
-    fail.  Non-divisor rational periods are out of scope here.
+    `hull.hull_of` is the one caller: the hull owns the period.
+    Non-divisor rational periods are out of scope here.
     """
-    if candidates is None:
-        P = delta.period
-        if P.denominator != 1:
-            raise ValueError("default candidates need an integer period")
-        candidates = divisors(P.numerator)
-    for T in sorted(candidates, key=Fraction):
-        if delta.has_period(T):
-            return T
-    raise ValueError("no candidate period fits (stored period always should)")
+    P = delta.period
+    if P.denominator != 1:
+        raise ValueError("minimal period needs an integer stored period")
+    return next(T for T in divisors(P.numerator) if delta.has_period(T))
 
 
 def map_from_descriptor(d: dict) -> CircleLift:

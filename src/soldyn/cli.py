@@ -167,11 +167,7 @@ def cmd_rotation(input_path: str, iters: int) -> str:
     obj = _load_input(input_path)
     if isinstance(obj, LimitPeriodicHomeo):
         raise click.UsageError("rotation expects a map or homeo descriptor")
-    try:
-        enc = dynamics.rotation_report(obj, iters)
-    except SoldynError as exc:
-        raise click.ClickException(str(exc))
-    return _json_text(enc.to_report())
+    return _json_text(dynamics.rotation_report(obj, iters).to_report())
 
 
 def cmd_orbit(
@@ -191,10 +187,7 @@ def cmd_orbit(
         click.echo("inconclusive: iteration budget is 0", file=sys.stderr)
         return _csv_text(header, [])
     p, q = _certified_pq(f, iters, p, q)
-    try:
-        target = dynamics.fiber_target(f, s, p, q)
-    except SoldynError as exc:
-        raise click.ClickException(f"orbit target not found: {exc}")
+    target = dynamics.fiber_target(f, s, p, q)
     rows = []
     cur = s
     step = Fraction(p, q)
@@ -213,15 +206,9 @@ def cmd_semiconj(input_path: str, depth: int, samples: int, seed: int) -> str:
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
     _require_depth(obj, depth, "--depth")
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1 for semiconj")
     rng = random.Random(seed)
     pts = [_random_exact_point(rng, depth) for _ in range(samples)]
-    try:
-        report = hull_mod.check_semiconjugacy(obj, pts)
-    except SoldynError as exc:
-        raise click.ClickException(str(exc))
-    return _json_text(report.to_report())
+    return _json_text(hull_mod.check_semiconjugacy(obj, pts).to_report())
 
 
 def cmd_hull(input_path: str, iters: int) -> str:
@@ -237,37 +224,30 @@ def cmd_hull(input_path: str, iters: int) -> str:
         )
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
-    try:
-        delta = leaf_displacement(obj)
-        verdict = hull_mod.periodicity_classify(delta)
-        hull_mod._quotient_map(delta, Fraction(verdict.period))
-        enc = dynamics.rotation_report(obj, iters)
-    except SoldynError as exc:
-        raise click.ClickException(str(exc))
+    hull = hull_mod.hull_of(leaf_displacement(obj))
+    hull.quotient()  # id + delta must be a homeomorphism of the hull
+    enc = dynamics.rotation_report(obj, iters)
     return _json_text(
         {
             "classification": "periodic",
-            "period": str(verdict.period),
-            "displacement_sup": str(delta.sup_norm()),
+            "period": str(hull.period),
+            "displacement_sup": str(hull.delta.sup_norm()),
             "g_rotation": enc.to_report(),
         }
     )
 
 
-def cmd_density(input_path: str, samples: int, fmt: str) -> str:
-    obj = _load_input(input_path)
-    if not isinstance(obj, LimitPeriodicHomeo):
-        raise click.UsageError("density expects a limit-periodic descriptor")
-    h = obj
-    N = max(samples, 1)
+def density_table(h: LimitPeriodicHomeo, samples: int) -> tuple[list, list, list]:
+    """Levels, certified bounds and gaps sampled on `samples` points of the top period."""
     top = h.tower[-1]
     levels = list(range(1, h.levels + 1))
     bounds = [h.tail_from(j) for j in levels]
-    gaps = h.sampled_gaps(Fraction(i * top, N) for i in range(N))
-    rows = [
-        [str(j), str(T), str(b), str(g)]
-        for j, T, b, g in zip(levels, h.tower, bounds, gaps)
-    ]
+    gaps = h.sampled_gaps(Fraction(i * top, samples) for i in range(samples))
+    return levels, bounds, gaps
+
+
+def density_text(h: LimitPeriodicHomeo, levels: list, bounds: list, gaps: list, fmt: str) -> str:
+    """The density table as csv, json or svg text."""
     if fmt == "svg":
         return _svg_chart(
             "certified bound vs measured gap",
@@ -285,7 +265,18 @@ def cmd_density(input_path: str, samples: int, fmt: str) -> str:
                 "gaps": [str(g) for g in gaps],
             }
         )
+    rows = [
+        [str(j), str(T), str(b), str(g)]
+        for j, T, b, g in zip(levels, h.tower, bounds, gaps)
+    ]
     return _csv_text(["level", "period", "certified_bound", "measured_sup_gap"], rows)
+
+
+def cmd_density(input_path: str, samples: int, fmt: str) -> str:
+    h = _load_input(input_path)
+    if not isinstance(h, LimitPeriodicHomeo):
+        raise click.UsageError("density expects a limit-periodic descriptor")
+    return density_text(h, *density_table(h, samples), fmt)
 
 
 _input = click.option("--input", "input_path", required=True,
@@ -297,6 +288,7 @@ _depth = click.option("--depth", default=DEFAULT_DEPTH, show_default=True,
 _iters = click.option("--iters", "-q", "iters", default=100, show_default=True,
                       type=click.IntRange(min=1), help="Iteration budget q.")
 _samples = click.option("--samples", default=100, show_default=True,
+                        type=click.IntRange(min=1),
                         help="Sample count (points / grid size).")
 _seed = click.option("--seed", default=0, show_default=True,
                      help="RNG seed; fixed seed gives byte-identical output.")
@@ -321,7 +313,12 @@ class _HelpThroughSysStdout:
 
 
 class _Command(_HelpThroughSysStdout, click.Command):
-    pass
+    def invoke(self, ctx: click.Context):
+        # a library error is a mathematical failure: exit 1, never a traceback
+        try:
+            return super().invoke(ctx)
+        except SoldynError as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 class _Group(_HelpThroughSysStdout, click.Group):

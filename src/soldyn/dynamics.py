@@ -68,15 +68,6 @@ class RotationEnclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def shift(self, c: int) -> "RotationEnclosure":
-        return RotationEnclosure(
-            self.lo + c,
-            self.hi + c,
-            self.iters,
-            None if self.exact is None else self.exact + c,
-            self.witness,
-        )
-
     def to_report(self) -> dict:
         return {
             "lo": str(self.lo),

@@ -5,6 +5,10 @@ homeomorphism R/TZ -> hull, so hull points are stored parametrically as a
 residue t mod T; nothing is approximated.  Limit-periodic displacements are
 handled only through their certified finite truncations.
 
+The hull owns the period: `hull_of` decides T once and `Hull.quotient`
+builds the quotient map g.  An induced map covers a circle map at level d
+exactly when T divides d; `circle_map` reads it off g at level d.
+
 On exact points the semi-conjugacy check runs on integer pairs: `K_map`
 takes the parameter from `project`, and `hull_dist` compares parameters by
 integer cross-products; each builds one Fraction per returned value.
@@ -16,15 +20,16 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .circlemaps import PeriodicPL, PLLift, displacement_lift, minimal_period
-from .errors import MixedHulls, NotIncreasing, NotMonotone
+from .errors import MixedHulls, NotIncreasing, NotInducedAtLevel, NotMonotone
 from .induced import (
     InducedHomeo,
     LimitPeriodicHomeo,
     apply,
+    embed_degree,
     leaf_displacement,
     lp_truncate,
 )
-from .solenoid import SolenoidPoint, project
+from .solenoid import CirclePointModN, SolenoidPoint, project
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,17 @@ class Hull:
     def neutral(self) -> "HullPoint":
         return HullPoint(self, Fraction(0))
 
+    def quotient(self) -> "QuotientMap":
+        """The quotient map t -> t + delta(t) mod T of this hull."""
+        T = self.period
+        if T.denominator != 1:
+            raise ValueError("quotient map needs an integer minimal period")
+        try:
+            lift = displacement_lift(self.delta, T.numerator)
+        except NotMonotone as exc:
+            raise NotIncreasing(f"id + delta is not strictly increasing: {exc}") from exc
+        return QuotientMap(T, lift)
+
 
 @dataclass(frozen=True)
 class HullPoint:
@@ -53,10 +69,9 @@ class HullPoint:
         return self.hull.delta.eval(x + self.param)
 
 
-def hull_of(delta: PeriodicPL, candidates=None) -> Hull:
+def hull_of(delta: PeriodicPL) -> Hull:
     """Hull of a periodic PL displacement at its exact minimal period."""
-    T = Fraction(minimal_period(delta, candidates))
-    return Hull(delta, T)
+    return Hull(delta, Fraction(minimal_period(delta)))
 
 
 def _same_hull(a: HullPoint, b: HullPoint) -> Hull:
@@ -124,19 +139,36 @@ class QuotientMap:
         return (v if isinstance(v, Fraction) else Fraction(v)) % self.period
 
 
-def quotient_map(delta: PeriodicPL, candidates=None) -> QuotientMap:
-    return _quotient_map(delta, Fraction(minimal_period(delta, candidates)))
+def quotient_map(delta: PeriodicPL) -> QuotientMap:
+    return hull_of(delta).quotient()
 
 
-def _quotient_map(delta: PeriodicPL, T: Fraction) -> QuotientMap:
-    """The quotient map of delta, whose minimal period T is already known."""
-    if T.denominator != 1:
-        raise ValueError("quotient map needs an integer minimal period")
-    try:
-        lift = displacement_lift(delta, T.numerator)
-    except NotMonotone as exc:
-        raise NotIncreasing(f"id + delta is not strictly increasing: {exc}") from exc
-    return QuotientMap(T, lift)
+def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":
+    """The circle homeomorphism of R/dZ covered by f through the projection.
+
+    Exists exactly when the displacement's minimal period T divides d (for
+    d = degree this is automatic), and is then the hull's quotient map read
+    at level d.  Raises NotInducedAtLevel otherwise: a degree-n map with
+    genuinely n-periodic displacement does not descend to coarser levels.
+    """
+    if d < 1:
+        raise ValueError("level must be a positive integer")
+    gm = hull_of(leaf_displacement(f)).quotient()
+    if d % gm.period:
+        raise NotInducedAtLevel(f"no covered map at level {d}; period {gm.period}")
+    return CircleMapModN(d, embed_degree(InducedHomeo(gm.lift), d).base)
+
+
+@dataclass(frozen=True)
+class CircleMapModN:
+    """An orientation-preserving circle homeomorphism of R/nZ with PL lift."""
+
+    modulus: int
+    lift: PLLift
+
+    def __call__(self, u):
+        val = u.value if isinstance(u, CirclePointModN) else u
+        return CirclePointModN(self.modulus, self.lift.eval(val) % self.modulus)
 
 
 def g_apply(gm: QuotientMap, hp: HullPoint) -> HullPoint:
@@ -184,9 +216,8 @@ def check_semiconjugacy(
     right side uses the hull parameter lift.  A custom `quotient` may be
     injected to confirm the check detects corrupted dynamics.
     """
-    delta = leaf_displacement(f)
-    hull = hull_of(delta)
-    gm = quotient if quotient is not None else _quotient_map(delta, hull.period)
+    hull = hull_of(leaf_displacement(f))
+    gm = quotient if quotient is not None else hull.quotient()
     worst = Fraction(0)
     count = 0
     for s in samples:
@@ -213,7 +244,7 @@ class LimitPeriodicCertified:
 PeriodicityVerdict = Union[Periodic, LimitPeriodicCertified]
 
 
-def periodicity_classify(source, candidates=None) -> PeriodicityVerdict:
+def periodicity_classify(source) -> PeriodicityVerdict:
     """Classify a displacement source as periodic / certified limit periodic.
 
     Induced maps and exact PL displacements get their exact minimal period;
@@ -224,7 +255,7 @@ def periodicity_classify(source, candidates=None) -> PeriodicityVerdict:
         return LimitPeriodicCertified(source.tower, bounds)
     if isinstance(source, InducedHomeo):
         source = leaf_displacement(source)
-    return Periodic(minimal_period(source, candidates))
+    return Periodic(minimal_period(source))
 
 
 def lp_hull_level(h: LimitPeriodicHomeo, level: int) -> tuple[Hull, Fraction]:

@@ -9,7 +9,8 @@ covering coordinates by
 which is the equivariance-consistent reading of the induced-lift normal
 form: it satisfies F_{k-t}(x + t) = F_k(x) + t exactly and covers the
 circle map u -> F0(u) + offset (mod d) at every level d that the
-displacement's minimal period divides.
+displacement's minimal period divides.  Those covered maps are built by
+the hull (`hull.circle_map`), which owns the period.
 
 `apply` maps an exact point under a PL base on integer pairs, one Fraction
 per image; binary64 points and analytic bases take the float path.
@@ -29,18 +30,16 @@ from .circlemaps import (
     displacement_lift,
     identity_lift,
     map_from_descriptor,
-    minimal_period,
     rotation_lift,
 )
 from .errors import (
     AnalyticExactUnsupported,
     NotDivisorChain,
     NotHomeomorphism,
-    NotInducedAtLevel,
     NotMultiple,
 )
 from .profinite import ProfiniteInt, embed_int
-from .solenoid import CirclePointModN, SolenoidPoint, canonicalize
+from .solenoid import SolenoidPoint, canonicalize
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,6 @@ class InducedHomeo:
             "offset": self.offset,
             "lift": self.base.to_descriptor(),
         }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InducedHomeo):
-            return NotImplemented
-        return self.offset == other.offset and self.base == other.base
-
-    def __hash__(self):
-        return hash((self.offset, self.base))
 
 
 def induce(base: CircleLift, offset: int = 0) -> InducedHomeo:
@@ -172,38 +163,6 @@ def embed_degree(f: InducedHomeo, m: int) -> InducedHomeo:
         copies(xn, xd), list(xd) * k, copies(yn, yd), list(yd) * k, list(sn) * k, list(sd) * k
     )
     return InducedHomeo(PLLift._from_table(m, table), f.offset)
-
-
-def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":
-    """The circle homeomorphism of R/dZ covered by f through the projection.
-
-    Exists exactly when the displacement's minimal period divides d (for
-    d = degree this is automatic).  Raises NotInducedAtLevel otherwise: a
-    degree-n map with genuinely n-periodic displacement does not descend to
-    coarser levels.
-    """
-    if d < 1:
-        raise ValueError("level must be a positive integer")
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("circle maps are exact-PL only")
-    delta = f.base.displacement()
-    T = minimal_period(delta)
-    if d % T != 0:
-        raise NotInducedAtLevel(f"no covered map at level {d}; period {T}")
-    level_T = InducedHomeo(displacement_lift(delta, T, f.offset))
-    return CircleMapModN(d, embed_degree(level_T, d).base)
-
-
-@dataclass(frozen=True)
-class CircleMapModN:
-    """An orientation-preserving circle homeomorphism of R/nZ with PL lift."""
-
-    modulus: int
-    lift: PLLift
-
-    def __call__(self, u):
-        val = u.value if isinstance(u, CirclePointModN) else u
-        return CirclePointModN(self.modulus, self.lift.eval(val) % self.modulus)
 
 
 def _normalize(base: PLLift, offset: int) -> InducedHomeo:
@@ -348,9 +307,7 @@ def lp_truncate(h: LimitPeriodicHomeo, level: int) -> tuple[InducedHomeo, Fracti
     S = h.summands[0]
     for d in h.summands[1:level]:
         S = S.add(d)
-    T = h.tower[level - 1]
-    lift = PLLift(T, [(x, x + S.eval(x)) for x in sorted(S.grid(T))])
-    return InducedHomeo(lift, 0), h.tail_from(level)
+    return InducedHomeo(displacement_lift(S, h.tower[level - 1])), h.tail_from(level)
 
 
 def lp_from_descriptor(d: dict) -> LimitPeriodicHomeo:

@@ -166,11 +166,11 @@ def test_hull_decides_the_minimal_period_once(runner, tmp_path, monkeypatch):
     calls = []
     minimal_period = soldyn.circlemaps.minimal_period
 
-    def counting(delta, candidates=None):
+    def counting(delta):
         calls.append(delta)
-        return minimal_period(delta, candidates)
+        return minimal_period(delta)
 
-    for mod in (soldyn.circlemaps, soldyn.induced, soldyn.hull):
+    for mod in (soldyn.circlemaps, soldyn.hull):
         monkeypatch.setattr(mod, "minimal_period", counting)
     for name, desc in (("half", HALFMAP), ("fixed", FIXEDPOINT_HOMEO), ("rot", ROT35_HOMEO)):
         calls.clear()
@@ -345,6 +345,47 @@ def test_semiconj_negative_samples_exits_2(runner, tmp_path):
     assert_usage_error(res)
     assert "--samples" in res.stderr
     assert _semiconj_samples(runner, tmp_path, 1).exit_code == 0
+
+
+def _density_samples(runner, tmp_path, n):
+    path = write(tmp_path, "lp.json", LP4)
+    return runner.invoke(main, ["density", "--input", path, "--samples", str(n)])
+
+
+def test_density_zero_samples_exits_2(runner, tmp_path):
+    res = _density_samples(runner, tmp_path, 0)
+    assert_usage_error(res)
+    assert "--samples" in res.stderr
+
+
+def test_density_negative_samples_exits_2(runner, tmp_path):
+    res = _density_samples(runner, tmp_path, -5)
+    assert_usage_error(res)
+    assert "--samples" in res.stderr
+    assert _density_samples(runner, tmp_path, 1).exit_code == 0
+
+
+def _injected_fault(*args, **kwargs):
+    raise soldyn.BreakpointCapExceeded("injected fault")
+
+
+# one library call per subcommand, and an input that reaches it
+LIBRARY_CALL = {
+    "rotation": (soldyn.dynamics, "rotation_report", HALFMAP),
+    "orbit": (soldyn.dynamics, "rotation_report", FIXEDPOINT_HOMEO),
+    "semiconj": (soldyn.hull, "check_semiconjugacy", FIXEDPOINT_HOMEO),
+    "hull": (soldyn.Hull, "quotient", HALFMAP),
+    "density": (soldyn.LimitPeriodicHomeo, "sampled_gaps", LP4),
+}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_library_error_exits_1_on_every_subcommand(runner, tmp_path, monkeypatch, sub):
+    owner, name, desc = LIBRARY_CALL[sub]
+    monkeypatch.setattr(owner, name, _injected_fault)
+    res = runner.invoke(main, [sub, "--input", write(tmp_path, "in.json", desc)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert "injected fault" in res.stderr
 
 
 def test_tol_option_is_gone(runner, tmp_path):

@@ -1,7 +1,11 @@
-"""Every soldyn name the benchmark scripts use must resolve on the package."""
+"""The public surface: every soldyn name the benchmark scripts use resolves on
+the package, and the period builders take no knobs."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+import soldyn
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -48,3 +52,15 @@ def test_traced_layers_and_boundaries_exist():
         mod = importlib.import_module(f"soldyn.{layer}")
         for attr in consts["EXTRA"].get(layer, {}):
             assert callable(getattr(mod, attr)), f"soldyn.{layer}.{attr}"
+
+
+def test_period_builders_take_no_knobs():
+    # the hull decides the period; no caller picks candidate periods or offsets
+    arity = {"minimal_period": 1, "hull_of": 1, "quotient_map": 1, "periodicity_classify": 1}
+    for name, n in arity.items():
+        assert len(inspect.signature(getattr(soldyn, name)).parameters) == n, name
+    assert len(inspect.signature(soldyn.circlemaps.displacement_lift).parameters) == 2
+
+
+def test_covered_circle_maps_live_in_hull():
+    assert soldyn.circle_map.__module__ == soldyn.CircleMapModN.__module__ == "soldyn.hull"
