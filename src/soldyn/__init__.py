@@ -67,6 +67,7 @@ from .hull import (
     hull_mul,
     hull_of,
     isotopy_eval,
+    leaf_quotient,
     lp_hull_level,
     periodicity_classify,
     quotient_map,

@@ -256,6 +256,30 @@ class PLLift:
         pts = ", ".join(f"({x}, {y})" for x, y in zip(self.xs, self.ys))
         return f"PLLift(degree={self.degree}, [{pts}])"
 
+    def descend(self, T: int) -> "PLLift | None":
+        """F as a degree-T lift if T divides the degree and F(x + T) = F(x) + T,
+        else None: the inverse of `induced.embed_degree`.  F is fixed by its
+        slope changes, so T is a period iff their integer pairs, shifted by
+        (T, T) or past n by (T - n, T - n), are the same set.  The result
+        keeps those in [0, T), plus (0, F(0)); a rotation has none."""
+        n = self.degree
+        if T < 1 or n % T:
+            return None
+        xn, xd, yn, yd, sn, sd = self._table
+        keep = [i for i in range(len(xn)) if sn[i - 1] != sn[i] or sd[i - 1] != sd[i]]
+        pts = {(xn[i], xd[i], yn[i], yd[i]) for i in keep}
+        for a, b, c, d in pts:
+            s = T if a + T * b < n * b else T - n
+            if (a + s * b, b, c + s * d, d) not in pts:
+                return None
+        cut = [i for i in keep if xn[i] < T * xd[i]]
+        cols = [[col[i] for i in cut] for col in self._table]
+        if not cut or xn[cut[0]]:
+            zero = (0, 1, *plkernel.eval_pair(self._table, n, 0, 1), sn[-1], sd[-1])
+            for col, v in zip(cols, zero):
+                col.insert(0, v)
+        return PLLift._from_table(T, tuple(cols))
+
     def displacement(self) -> "PeriodicPL":
         """x -> F(x) - x, from the table: values y - x and slopes s - 1."""
         xn, xd, yn, yd, sn, sd = self._table
@@ -408,11 +432,6 @@ class PeriodicPL:
             T, xs, self.vs[cut:] + self.vs[:cut], self.slopes[cut:] + self.slopes[:cut]
         )
 
-    def add_const(self, c) -> "PeriodicPL":
-        c = as_rational(c)
-        vn, vd = plkernel.shift(*_parts(self.vs), c.numerator, c.denominator)
-        return PeriodicPL._trusted(self.period, self.xs, _fractions(vn, vd), self.slopes)
-
     def scale(self, c) -> "PeriodicPL":
         c = as_rational(c)
         vs, slopes = tuple([v * c for v in self.vs]), tuple([s * c for s in self.slopes])
@@ -532,15 +551,17 @@ def displacement_lift(delta: PeriodicPL, period: int) -> PLLift:
 
 
 def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n in ascending order, by trial division up to sqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def minimal_period(delta: PeriodicPL) -> int:
     """The first divisor T of delta's integer stored period that
     `PeriodicPL.has_period` accepts; the stored period always does.
 
-    `hull.hull_of` is the one caller: the hull owns the period.
-    Non-divisor rational periods are out of scope here.
+    It serves a bare `PeriodicPL` (`hull.hull_of`); induced maps use their
+    leaf lift (`hull.leaf_quotient`).  Non-divisor rational periods are out of scope.
     """
     P = delta.period
     if P.denominator != 1:

@@ -28,7 +28,6 @@ from .induced import (
     LimitPeriodicHomeo,
     apply,
     homeo_from_descriptor,
-    leaf_displacement,
     lp_from_descriptor,
 )
 from .profinite import DEFAULT_DEPTH, embed_int
@@ -224,14 +223,13 @@ def cmd_hull(input_path: str, iters: int) -> str:
         )
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
-    hull = hull_mod.hull_of(leaf_displacement(obj))
-    hull.quotient()  # id + delta must be a homeomorphism of the hull
+    g = hull_mod.leaf_quotient(obj)
     enc = dynamics.rotation_report(obj, iters)
     return _json_text(
         {
             "classification": "periodic",
-            "period": str(hull.period),
-            "displacement_sup": str(hull.delta.sup_norm()),
+            "period": str(g.period),
+            "displacement_sup": str(g.lift.displacement().sup_norm()),
             "g_rotation": enc.to_report(),
         }
     )

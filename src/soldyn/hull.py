@@ -5,9 +5,9 @@ homeomorphism R/TZ -> hull, so hull points are stored parametrically as a
 residue t mod T; nothing is approximated.  Limit-periodic displacements are
 handled only through their certified finite truncations.
 
-The hull owns the period: `hull_of` decides T once and `Hull.quotient`
-builds the quotient map g.  An induced map covers a circle map at level d
-exactly when T divides d; `circle_map` reads it off g at level d.
+An induced map's leaf lift F is id + delta: `leaf_quotient` decides T and
+cuts F's integer table to the quotient map g, which `circle_map` reads at any
+level d that T divides.  `hull_of` and `quotient_map` serve a bare delta.
 
 On exact points the semi-conjugacy check runs on integer pairs: `K_map`
 takes the parameter from `project`, and `hull_dist` compares parameters by
@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .circlemaps import PeriodicPL, PLLift, displacement_lift, minimal_period
-from .errors import MixedHulls, NotIncreasing, NotInducedAtLevel, NotMonotone
+from .circlemaps import PeriodicPL, PLLift, displacement_lift, divisors, minimal_period
+from .errors import (
+    AnalyticExactUnsupported, MixedHulls, NotIncreasing, NotInducedAtLevel, NotMonotone
+)
 from .induced import (
     InducedHomeo,
     LimitPeriodicHomeo,
     apply,
     embed_degree,
-    leaf_displacement,
     lp_truncate,
 )
 from .solenoid import CirclePointModN, SolenoidPoint, project
@@ -45,17 +46,6 @@ class Hull:
     @property
     def neutral(self) -> "HullPoint":
         return HullPoint(self, Fraction(0))
-
-    def quotient(self) -> "QuotientMap":
-        """The quotient map t -> t + delta(t) mod T of this hull."""
-        T = self.period
-        if T.denominator != 1:
-            raise ValueError("quotient map needs an integer minimal period")
-        try:
-            lift = displacement_lift(self.delta, T.numerator)
-        except NotMonotone as exc:
-            raise NotIncreasing(f"id + delta is not strictly increasing: {exc}") from exc
-        return QuotientMap(T, lift)
 
 
 @dataclass(frozen=True)
@@ -140,7 +130,21 @@ class QuotientMap:
 
 
 def quotient_map(delta: PeriodicPL) -> QuotientMap:
-    return hull_of(delta).quotient()
+    T = hull_of(delta).period
+    try:
+        lift = displacement_lift(delta, T.numerator)
+    except NotMonotone as exc:
+        raise NotIncreasing(f"id + delta is not strictly increasing: {exc}") from exc
+    return QuotientMap(T, lift)
+
+
+def leaf_quotient(f: InducedHomeo) -> QuotientMap:
+    """g: the leaf lift F cut by `PLLift.descend` at the first divisor T of
+    the degree where it cuts, the minimal period of delta = F - id."""
+    F = f.leaf_lift()
+    if not isinstance(F, PLLift):
+        raise AnalyticExactUnsupported("the quotient map needs a PL base")
+    return next(QuotientMap(Fraction(T), g) for T in divisors(f.degree) if (g := F.descend(T)))
 
 
 def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":
@@ -153,7 +157,7 @@ def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":
     """
     if d < 1:
         raise ValueError("level must be a positive integer")
-    gm = hull_of(leaf_displacement(f)).quotient()
+    gm = leaf_quotient(f)
     if d % gm.period:
         raise NotInducedAtLevel(f"no covered map at level {d}; period {gm.period}")
     return CircleMapModN(d, embed_degree(InducedHomeo(gm.lift), d).base)
@@ -211,13 +215,14 @@ def check_semiconjugacy(
 ) -> SemiconjugacyReport:
     """Verify K(f(s)) = g(K(s)) over the sample points.
 
-    Both sides run in exact rational arithmetic, through genuinely different
-    code paths: the left side applies the solenoid map and projects, the
-    right side uses the hull parameter lift.  A custom `quotient` may be
-    injected to confirm the check detects corrupted dynamics.
+    Both sides are exact, on T and g from `leaf_quotient`.  The left side
+    applies f at the fiber residue and projects; the right side runs the cut
+    g, which differs from the apply path unless T really is a period.  A
+    custom `quotient` may be injected to confirm corruption is detected.
     """
-    hull = hull_of(leaf_displacement(f))
-    gm = quotient if quotient is not None else hull.quotient()
+    g = leaf_quotient(f)
+    hull = Hull(g.lift.displacement(), g.period)
+    gm = quotient if quotient is not None else g
     worst = Fraction(0)
     count = 0
     for s in samples:
@@ -254,12 +259,12 @@ def periodicity_classify(source) -> PeriodicityVerdict:
         bounds = tuple(source.tail_from(j) for j in range(1, source.levels + 1))
         return LimitPeriodicCertified(source.tower, bounds)
     if isinstance(source, InducedHomeo):
-        source = leaf_displacement(source)
+        return Periodic(leaf_quotient(source).period.numerator)
     return Periodic(minimal_period(source))
 
 
 def lp_hull_level(h: LimitPeriodicHomeo, level: int) -> tuple[Hull, Fraction]:
     """Level-j circle hull of a limit-periodic family with its error bound."""
     trunc, bound = lp_truncate(h, level)
-    delta = leaf_displacement(trunc)
-    return hull_of(delta), bound
+    g = leaf_quotient(trunc)
+    return Hull(g.lift.displacement(), g.period), bound

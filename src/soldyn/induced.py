@@ -9,8 +9,8 @@ covering coordinates by
 which is the equivariance-consistent reading of the induced-lift normal
 form: it satisfies F_{k-t}(x + t) = F_k(x) + t exactly and covers the
 circle map u -> F0(u) + offset (mod d) at every level d that the
-displacement's minimal period divides.  Those covered maps are built by
-the hull (`hull.circle_map`), which owns the period.
+displacement's minimal period T divides.  `hull.leaf_quotient` decides T on
+the table of the leaf lift F0 + offset = id + delta and cuts it to g there.
 
 `apply` maps an exact point under a PL base on integer pairs, one Fraction
 per image; binary64 points and analytic bases take the float path.
@@ -136,11 +136,10 @@ def displacement_at(f: InducedHomeo, k: ProfiniteInt) -> PeriodicPL:
 
 
 def leaf_displacement(f: InducedHomeo) -> PeriodicPL:
-    """Displacement at the zero fiber (any depth): delta0 + offset."""
+    """Displacement at the zero fiber (any depth): leaf lift minus id."""
     if not isinstance(f.base, PLLift):
         raise AnalyticExactUnsupported("exact displacement needs a PL base")
-    delta0 = f.base.displacement()
-    return delta0.add_const(f.offset) if f.offset else delta0
+    return f.leaf_lift().displacement()
 
 
 def embed_degree(f: InducedHomeo, m: int) -> InducedHomeo:

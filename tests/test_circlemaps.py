@@ -14,6 +14,7 @@ from soldyn import (
     NotMonotone,
     PeriodicPL,
     analytic_new,
+    divisors,
     identity_lift,
     induce,
     invert_induced,
@@ -142,8 +143,7 @@ def test_displacement_of_translated_lift():
     F = rand_pl_lift(rng)
     for m in (-2, 1, 3):
         shifted = rotation_lift(m).compose(F).displacement()
-        base = F.displacement()
-        assert shifted.sup_diff(base.add_const(m)) == 0
+        assert shifted.sup_diff(F.translate(m).displacement()) == 0
 
 
 def test_minimal_period_examples():
@@ -197,6 +197,11 @@ def test_minimal_period_divides_degree():
         F = rand_pl_lift(rng, degree=degree)
         T = minimal_period(F.displacement())
         assert degree % T == 0
+
+
+def test_divisors_match_naive_scan():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_periodic_pl_algebra():

@@ -163,20 +163,31 @@ def test_hull_report(runner, tmp_path):
 
 
 def test_hull_decides_the_minimal_period_once(runner, tmp_path, monkeypatch):
+    # the leaf lift's table decides the period; the Fraction route is not run
     calls = []
-    minimal_period = soldyn.circlemaps.minimal_period
 
-    def counting(delta):
-        calls.append(delta)
-        return minimal_period(delta)
+    def counting(name, fn):
+        def wrapper(arg):
+            calls.append(name)
+            return fn(arg)
+        return wrapper
 
     for mod in (soldyn.circlemaps, soldyn.hull):
-        monkeypatch.setattr(mod, "minimal_period", counting)
+        monkeypatch.setattr(mod, "minimal_period", counting("minimal_period", mod.minimal_period))
+    quotient = counting("leaf_quotient", soldyn.hull.leaf_quotient)
+    monkeypatch.setattr(soldyn.hull, "leaf_quotient", quotient)
     for name, desc in (("half", HALFMAP), ("fixed", FIXEDPOINT_HOMEO), ("rot", ROT35_HOMEO)):
         calls.clear()
         res = runner.invoke(main, ["hull", "--input", write(tmp_path, f"{name}.json", desc)])
         assert res.exit_code == 0, res.output
-        assert len(calls) == 1
+        assert calls == ["leaf_quotient"]
+
+
+def test_hull_on_analytic_base_exits_1(runner):
+    path = str(Path(__file__).resolve().parents[1] / "descriptors" / "golden_analytic.json")
+    res = runner.invoke(main, ["hull", "--input", path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert "Traceback" not in res.output
 
 
 def test_hull_lp_report(runner, tmp_path):
@@ -374,7 +385,7 @@ LIBRARY_CALL = {
     "rotation": (soldyn.dynamics, "rotation_report", HALFMAP),
     "orbit": (soldyn.dynamics, "rotation_report", FIXEDPOINT_HOMEO),
     "semiconj": (soldyn.hull, "check_semiconjugacy", FIXEDPOINT_HOMEO),
-    "hull": (soldyn.Hull, "quotient", HALFMAP),
+    "hull": (soldyn.hull, "leaf_quotient", HALFMAP),
     "density": (soldyn.LimitPeriodicHomeo, "sampled_gaps", LP4),
 }
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from soldyn import (
+    AnalyticExactUnsupported,
     K_map,
     LimitPeriodicCertified,
     MixedHulls,
@@ -11,8 +12,12 @@ from soldyn import (
     Periodic,
     PeriodicPL,
     QuotientMap,
+    analytic_new,
     apply,
     check_semiconjugacy,
+    circle_map,
+    divisors,
+    embed_degree,
     g_apply,
     hull_dist,
     hull_func_dist,
@@ -22,8 +27,10 @@ from soldyn import (
     induce,
     isotopy_eval,
     leaf_displacement,
+    leaf_quotient,
     lp_build,
     lp_hull_level,
+    minimal_period,
     periodicity_classify,
     pl_new,
     project,
@@ -252,3 +259,43 @@ def test_semiconjugacy_is_commuting_diagram_at_period():
         lhs = K_map(apply(f, s), h).param
         rhs = g_apply(gm, K_map(s, h)).param
         assert lhs == rhs
+
+
+def test_leaf_quotient_matches_displacement_reference():
+    # reference: the period decided on the Fraction displacement and g built
+    # from it by displacement_lift; descend is checked on every candidate T
+    rng = random.Random(12)
+    periods = set()
+    for n in (1, 2, 3, 4, 6, 12):
+        maps = [rand_induced(rng, n) for _ in range(4)]
+        maps += [embed_degree(rand_induced(rng, d), n) for d in divisors(n)]
+        rot = rotation_lift(Fraction(rng.randrange(64), 16), n)
+        maps += [induce(rot, c) for c in range(-2, 3)]
+        maps += [induce(rand_induced(rng, n).base, c) for c in range(-2, 3)]
+        for f in maps:
+            delta = leaf_displacement(f)
+            T = minimal_period(delta)
+            ref = quotient_map(delta).lift
+            g = leaf_quotient(f)
+            assert g.period == T, f
+            assert (g.lift.degree, g.lift.xs, g.lift.ys, g.lift.slopes) == (
+                ref.degree, ref.xs, ref.ys, ref.slopes
+            ), f
+            F = f.leaf_lift()
+            assert F.descend(0) is None and F.descend(-n) is None
+            for t in range(1, 2 * n + 1):
+                if n % t or not delta.has_period(t):
+                    assert F.descend(t) is None, (f, t)
+            assert embed_degree(induce(g.lift), n).base.descend(T) == g.lift
+            periods.add((n, T))
+    assert {(n, n) for n in (2, 3, 4, 6, 12)} <= periods and (12, 4) in periods
+
+
+def test_analytic_maps_have_no_exact_quotient():
+    f = induce(analytic_new(0.3, [(0.05, 2.0)], 2), -1)
+    with pytest.raises(AnalyticExactUnsupported):
+        circle_map(f, 2)
+    with pytest.raises(AnalyticExactUnsupported):
+        periodicity_classify(f)
+    with pytest.raises(AnalyticExactUnsupported):
+        check_semiconjugacy(f, [rand_point(random.Random(13))])

@@ -56,10 +56,14 @@ def test_traced_layers_and_boundaries_exist():
 
 def test_period_builders_take_no_knobs():
     # the hull decides the period; no caller picks candidate periods or offsets
-    arity = {"minimal_period": 1, "hull_of": 1, "quotient_map": 1, "periodicity_classify": 1}
+    arity = {
+        "minimal_period": 1, "hull_of": 1, "quotient_map": 1, "periodicity_classify": 1,
+        "leaf_quotient": 1,
+    }
     for name, n in arity.items():
         assert len(inspect.signature(getattr(soldyn, name)).parameters) == n, name
     assert len(inspect.signature(soldyn.circlemaps.displacement_lift).parameters) == 2
+    assert list(inspect.signature(soldyn.PLLift.descend).parameters) == ["self", "T"]
 
 
 def test_covered_circle_maps_live_in_hull():
