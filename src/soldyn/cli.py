@@ -235,24 +235,21 @@ def cmd_hull(input_path: str, iters: int) -> str:
     )
 
 
-def density_table(h: LimitPeriodicHomeo, samples: int) -> tuple[list, list, list]:
-    """Levels, certified bounds and gaps sampled on `samples` points of the top period."""
-    top = h.tower[-1]
+def density_table(h: LimitPeriodicHomeo) -> tuple[list, list, list]:
+    """Levels, certified bounds and exact sup gaps of the truncations."""
     levels = list(range(1, h.levels + 1))
-    bounds = [h.tail_from(j) for j in levels]
-    gaps = h.sampled_gaps(Fraction(i * top, samples) for i in range(samples))
-    return levels, bounds, gaps
+    return levels, [h.tail_from(j) for j in levels], h.sup_gaps()
 
 
 def density_text(h: LimitPeriodicHomeo, levels: list, bounds: list, gaps: list, fmt: str) -> str:
     """The density table as csv, json or svg text."""
     if fmt == "svg":
         return _svg_chart(
-            "certified bound vs measured gap",
+            "certified bound vs exact sup gap",
             [float(j) for j in levels],
             [
                 ("certified bound", [float(b) for b in bounds]),
-                ("measured gap", [float(g) for g in gaps]),
+                ("sup gap", [float(g) for g in gaps]),
             ],
         )
     if fmt == "json":
@@ -267,14 +264,14 @@ def density_text(h: LimitPeriodicHomeo, levels: list, bounds: list, gaps: list, 
         [str(j), str(T), str(b), str(g)]
         for j, T, b, g in zip(levels, h.tower, bounds, gaps)
     ]
-    return _csv_text(["level", "period", "certified_bound", "measured_sup_gap"], rows)
+    return _csv_text(["level", "period", "certified_bound", "sup_gap"], rows)
 
 
-def cmd_density(input_path: str, samples: int, fmt: str) -> str:
+def cmd_density(input_path: str, fmt: str) -> str:
     h = _load_input(input_path)
     if not isinstance(h, LimitPeriodicHomeo):
         raise click.UsageError("density expects a limit-periodic descriptor")
-    return density_text(h, *density_table(h, samples), fmt)
+    return density_text(h, *density_table(h), fmt)
 
 
 _input = click.option("--input", "input_path", required=True,
@@ -287,7 +284,7 @@ _iters = click.option("--iters", "-q", "iters", default=100, show_default=True,
                       type=click.IntRange(min=1), help="Iteration budget q.")
 _samples = click.option("--samples", default=100, show_default=True,
                         type=click.IntRange(min=1),
-                        help="Sample count (points / grid size).")
+                        help="Number of sample points.")
 _seed = click.option("--seed", default=0, show_default=True,
                      help="RNG seed; fixed seed gives byte-identical output.")
 _out = click.option("--out", default=None, type=click.Path(dir_okay=False),
@@ -384,17 +381,18 @@ def hull_cmd(input_path, iters, out):
 
 @main.command()
 @_input
-@_samples
+@click.option("--samples", default=100, show_default=True, type=click.IntRange(min=1),
+              help="Accepted and ignored: the gaps are exact.")
 @click.option("--format", "fmt", default="csv", show_default=True,
               type=click.Choice(["csv", "json", "svg"]), help="Output format.")
 @_out
 def density(input_path, samples, fmt, out):
-    """Per-level certified bound vs sampled gap for a limit-periodic tower.
+    """Per-level certified bound vs exact sup gap for a limit-periodic tower.
 
-    measured_sup_gap is the max of |h - truncation| over the --samples grid
-    of the top period: a lower bound on the sup, not the sup itself.
+    sup_gap is the exact sup of |h - truncation|, from the finite tail of
+    summands; --samples is accepted and ignored.
     """
-    _emit(cmd_density(input_path, samples, fmt), out)
+    _emit(cmd_density(input_path, fmt), out)
 
 
 if __name__ == "__main__":

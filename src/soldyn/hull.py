@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .circlemaps import PeriodicPL, PLLift, displacement_lift, divisors, minimal_period
+from .circlemaps import PeriodicPL, PLLift, displacement_lift, minimal_period
 from .errors import (
     AnalyticExactUnsupported, MixedHulls, NotIncreasing, NotInducedAtLevel, NotMonotone
 )
@@ -139,12 +139,20 @@ def quotient_map(delta: PeriodicPL) -> QuotientMap:
 
 
 def leaf_quotient(f: InducedHomeo) -> QuotientMap:
-    """g: the leaf lift F cut by `PLLift.descend` at the first divisor T of
-    the degree where it cuts, the minimal period of delta = F - id."""
+    """g: the leaf lift F cut by `PLLift.descend` at the minimal period T of
+    delta = F - id.  A period T < n carries the first slope change x_0 onto a
+    later one below n, so T is 1 (no slope change), n or an integer x_i - x_0."""
     F = f.leaf_lift()
     if not isinstance(F, PLLift):
         raise AnalyticExactUnsupported("the quotient map needs a PL base")
-    return next(QuotientMap(Fraction(T), g) for T in divisors(f.degree) if (g := F.descend(T)))
+    n, (xn, xd, _, _, sn, sd) = f.degree, F._table
+    cuts = [i for i in range(len(xn)) if sn[i - 1] != sn[i] or sd[i - 1] != sd[i]]
+    periods = {n if cuts else 1}
+    for i in cuts[1:]:  # T = x_i - x_0 when that is an integer
+        T, r = divmod(xn[i] * xd[cuts[0]] - xn[cuts[0]] * xd[i], xd[i] * xd[cuts[0]])
+        if not r and n % T == 0:
+            periods.add(T)
+    return next(QuotientMap(Fraction(T), g) for T in sorted(periods) if (g := F.descend(T)))
 
 
 def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":

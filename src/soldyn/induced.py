@@ -205,8 +205,8 @@ class LimitPeriodicHomeo:
 
     Represents h = id + sum_j delta_j with periods T_1 | T_2 | ... | T_m,
     plus a declared bound on whatever infinite tail the finite data
-    truncates.  Every downstream check consumes only finite levels, so
-    (finite data + bound) is the whole interface.
+    truncates.  Checks read only finite levels: `tail_from(j)` bounds
+    sup |h - h_j| with that bound added, `sup_gaps()` is the exact sup.
     """
 
     tower: tuple[int, ...]
@@ -231,22 +231,15 @@ class LimitPeriodicHomeo:
             (d.sup_norm() for d in self.summands[level:]), start=self.tail_bound
         )
 
-    def sampled_gaps(self, grid) -> list[Fraction]:
-        """max |h - truncation at level j| over the points of `grid`, for
-        j = 1..levels: a lower bound on the sup that `tail_from(j)` bounds.
-
-        h minus its level-j truncation is the tail sum_{i>j} delta_i, so one
-        running suffix sum over summands m, m-1, ..., 2 gives every level;
-        summand 1 is never evaluated and level m's gap is 0.
-        """
-        grid = list(grid)
-        tail = [Fraction(0)] * len(grid)
-        gaps = [Fraction(0)]
+    def sup_gaps(self) -> list[Fraction]:
+        """Exact sup |h - truncation at level j|, j = 1..levels: the sup norm of
+        the finite tail sum_{i>j} delta_i, from one running suffix sum over
+        summands m, ..., 2.  Level m's gap is 0."""
+        gaps, tail = [Fraction(0)], None
         for d in reversed(self.summands[1:]):
-            tail = [t + d.eval(x) for t, x in zip(tail, grid)]
-            gaps.append(max(map(abs, tail), default=Fraction(0)))
-        gaps.reverse()
-        return gaps
+            tail = d if tail is None else d.add(tail)
+            gaps.append(tail.sup_norm())
+        return gaps[::-1]
 
     def to_descriptor(self) -> dict:
         return {

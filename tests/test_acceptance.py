@@ -266,6 +266,9 @@ def test_criterion_9_density_truncation():
             assert gap <= bound
             gaps.append(gap)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        exact = h.sup_gaps()
+        assert all(s <= e <= h.tail_from(j) for j, s, e in zip(range(1, 5), gaps, exact))
+        assert all(a > b for a, b in zip(exact, exact[1:]))
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -30,7 +30,15 @@ def test_semiconj_outputs_match_golden():
 
 
 def test_density_outputs_match_golden():
-    _check(gc.density_golden(), gc.DENSITY_PATH)
+    rows = gc.density_golden()
+    _check(rows, gc.DENSITY_PATH)
+    # the gaps are exact, so the sample count changes no byte
+    by_job = {}
+    for row in rows:
+        fmt = row["args"][row["args"].index("--format") + 1]
+        by_job.setdefault((row["id"], fmt), set()).add(row["stdout"])
+    assert len(by_job) == len(rows) // len(gc.DENSITY_SAMPLES)
+    assert all(len(outs) == 1 for outs in by_job.values())
 
 
 def test_orbit_verdicts_match_golden():

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +294,38 @@ def test_leaf_quotient_matches_displacement_reference():
             assert embed_degree(induce(g.lift), n).base.descend(T) == g.lift
             periods.add((n, T))
     assert {(n, n) for n in (2, 3, 4, 6, 12)} <= periods and (12, 4) in periods
+
+
+def test_leaf_quotient_never_factors_the_degree(tmp_path):
+    # degree 10^30: trial division up to sqrt(n) would not finish, so the
+    # periods 1, n/2 and n must come from the leaf lift's slope changes
+    n, half = 10**30, 10**30 // 2
+    bumps = {
+        1: [(0, Fraction(1, 2))],
+        half: [(0, 0), (Fraction(1, 2), 1), (half, half), (half + Fraction(1, 2), half + 1)],
+        n: [(0, 0), (Fraction(1, 2), 1)],
+    }
+    maps = {T: induce(pl_new(n, bps), 1) for T, bps in bumps.items()}
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for T, f in maps.items():
+        path = tmp_path / f"deg30_{len(bumps[T])}.json"
+        path.write_text(json.dumps(f.to_descriptor()), encoding="utf-8")
+        res = subprocess.run(
+            [sys.executable, "-m", "soldyn", "semiconj", "--input", str(path),
+             "--depth", "125", "--samples", "5"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        rep = json.loads(res.stdout)
+        assert rep["period"] == str(T) and rep["exact"] is True, rep
+    # in process only after the subprocesses proved it terminates
+    for T, f in maps.items():
+        g, F = leaf_quotient(f), f.leaf_lift()
+        assert g.period == T and g.lift.degree == T
+        for x in (0, Fraction(1, 3), Fraction(1, 2), half - 1, half + Fraction(1, 4), n - 1):
+            assert g.lift.eval(x) == F.eval(x), (T, x)
 
 
 def test_analytic_maps_have_no_exact_quotient():

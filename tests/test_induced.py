@@ -270,24 +270,26 @@ def test_lp_build_rejects_negative_tail_bound():
     assert lp_build((1,), [tri(1, "1/4")], tail_bound=0).tail_from(1) == 0
 
 
-def test_sampled_gaps_match_truncation_reference():
-    # reference: the full h minus the lift of its level-j truncation, per point
+def test_sup_gaps_match_truncation_reference():
+    # reference: the full h minus the lift of its level-j truncation, maxed
+    # over every breakpoint of the summands that a tail can hold
     rng = random.Random(41)
     chains = ((1,), (1, 3), (1, 2, 6), (2, 4, 12, 24), (1, 2, 4, 12, 24))
     for i in range(20):
         h = rand_lp(rng, chains[i % len(chains)], zero_tail=i % 3 == 0)
         top = h.tower[-1]
+        union = sorted(set().union(*(d.grid(top) for d in h.summands[1:])))
+        gaps = h.sup_gaps()
+        assert len(gaps) == h.levels
         n = rng.choice((1, 7, 50))
         grid = [Fraction(k * top, n) + Fraction(rng.randrange(8), 97) for k in range(n)]
-        expected = []
-        for j in range(1, h.levels + 1):
-            trunc, _ = lp_truncate(h, j)
-            expected.append(max(abs(h.eval(x) - trunc.base.eval(x)) for x in grid))
-        gaps = h.sampled_gaps(grid)
-        assert gaps == expected
+        for j, gap in enumerate(gaps, start=1):
+            trunc = lp_truncate(h, j)[0].base
+            diffs = [abs(h.eval(x) - trunc.eval(x)) for x in union]
+            assert gap == max(diffs, default=Fraction(0))
+            assert max(abs(h.eval(x) - trunc.eval(x)) for x in grid) <= gap <= h.tail_from(j)
         assert all(type(g) is Fraction for g in gaps)
         assert gaps[-1] == 0
-        assert all(g <= h.tail_from(j) for j, g in enumerate(gaps, start=1))
 
 
 def test_lp_descriptor_roundtrip():
