@@ -314,6 +314,15 @@ class _Command(_HelpThroughSysStdout, click.Command):
             return super().invoke(ctx)
         except SoldynError as exc:
             raise click.ClickException(str(exc)) from exc
+        except ValueError as exc:
+            # str() of an integer past the interpreter's digit limit, met
+            # when a result is formatted
+            if "integer string conversion" not in str(exc):
+                raise
+            raise click.ClickException(
+                f"a number in the result has more than {sys.get_int_max_str_digits()} "
+                "digits, too many to print"
+            ) from exc
 
 
 class _Group(_HelpThroughSysStdout, click.Group):

@@ -9,9 +9,10 @@ An induced map's leaf lift F is id + delta: `leaf_quotient` decides T and
 cuts F's integer table to the quotient map g, which `circle_map` reads at any
 level d that T divides.  `hull_of` and `quotient_map` serve a bare delta.
 
-On exact points the semi-conjugacy check runs on integer pairs: `K_map`
-takes the parameter from `project`, and `hull_dist` compares parameters by
-integer cross-products; each builds one Fraction per returned value.
+`check_semiconjugacy` runs an exact sample on integer pairs: both sides are
+read off the lifts' tables and compared mod T by one cross-multiplication,
+so a call builds one Fraction, its worst error, and no point objects.
+`K_map` and `hull_dist` are the same steps on single points.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import plkernel
 from .circlemaps import PeriodicPL, PLLift, displacement_lift, minimal_period
 from .errors import (
     AnalyticExactUnsupported, MixedHulls, NotIncreasing, NotInducedAtLevel, NotMonotone
@@ -227,20 +229,44 @@ def check_semiconjugacy(
     applies f at the fiber residue and projects; the right side runs the cut
     g, which differs from the apply path unless T really is a period.  A
     custom `quotient` may be injected to confirm corruption is detected.
+
+    An exact sample x = a/b, k runs on integer pairs.  With r = k mod n the
+    left side is F0((a + r b)/b) + offset - r + k, where k - r is a multiple
+    of n, hence of T; the right side is g((a + r b)/b mod T).  Neither side
+    is reduced mod T: the error, `hull_dist`'s min(d, M - d) / B with
+    d = B (lhs - rhs) mod M and M = T B, does that.  The worst error is kept
+    as an integer pair, so a call builds one Fraction.  A binary64 sample
+    goes through `apply`, `project` and `param_apply`.
     """
     g = leaf_quotient(f)
-    hull = Hull(g.lift.displacement(), g.period)
     gm = quotient if quotient is not None else g
-    worst = Fraction(0)
+    T = g.period.numerator
+    if gm.period != T:
+        raise MixedHulls(f"quotient map of period {gm.period}, hull of period {T}")
+    n, table, offset = f.degree, f.base._table, f.offset
+    g_table, g_degree = gm.lift._table, gm.lift.degree
+    worst_n, worst_d = 0, 1
     count = 0
     for s in samples:
         count += 1
-        lhs = K_map(apply(f, s), hull)
-        rhs = g_apply(gm, K_map(s, hull))
-        err = hull_dist(lhs, rhs)
-        if err > worst:
-            worst = err
-    return SemiconjugacyReport(worst, worst == 0, count, hull.period)
+        r = s.k.residue(n)  # raises DepthExceeded unless n | depth!
+        x = s.x
+        if isinstance(x, Fraction):
+            a, b = x.numerator, x.denominator
+            ln, ld = plkernel.eval_pair(table, n, a + r * b, b)
+            ln += offset * ld
+            rn, rd = plkernel.eval_pair(g_table, g_degree, (a + r * b) % (T * b), b)
+        else:
+            lhs = Fraction(project(apply(f, s), T).value)
+            rhs = gm.param_apply(Fraction(project(s, T).value))
+            ln, ld, rn, rd = lhs.numerator, lhs.denominator, rhs.numerator, rhs.denominator
+        B = ld * rd
+        M = T * B
+        d = (ln * rd - rn * ld) % M
+        err = min(d, M - d)
+        if err * worst_d > worst_n * B:
+            worst_n, worst_d = err, B
+    return SemiconjugacyReport(Fraction(worst_n, worst_d), worst_n == 0, count, g.period)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -498,6 +501,26 @@ def test_malformed_descriptors_exit_2_without_traceback(tmp_path, desc, sub):
     path = write(tmp_path, "fuzz.json", desc)
     res = CliRunner().invoke(main, [sub, "--input", path])
     assert_usage_error(res)
+
+
+def test_result_past_the_digit_limit_exits_1_without_traceback(tmp_path):
+    # parses fine, but the enclosure and the sup norm hold 10^5000, whose
+    # str() passes the interpreter's 4300-digit limit
+    path = tmp_path / "tiny.json"
+    path.write_text(
+        '{"degree": 1, "variant": "pl", "breakpoints": [["0","1e-5000"]]}', encoding="utf-8"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for args in (["rotation", "--iters", "7"], ["hull", "--iters", "5"]):
+        res = subprocess.run(
+            [sys.executable, "-m", "soldyn", *args, "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 1 and res.stdout == "", (args, res.stderr)
+        assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1, res.stderr
+        assert "digits" in res.stderr
 
 
 def test_orbit_p_without_q_return_exits_2(runner, tmp_path):

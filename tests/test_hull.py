@@ -10,6 +10,7 @@ import pytest
 
 from soldyn import (
     AnalyticExactUnsupported,
+    DepthExceeded,
     K_map,
     LimitPeriodicCertified,
     MixedHulls,
@@ -17,12 +18,14 @@ from soldyn import (
     Periodic,
     PeriodicPL,
     QuotientMap,
+    SolenoidPoint,
     analytic_new,
     apply,
     check_semiconjugacy,
     circle_map,
     divisors,
     embed_degree,
+    embed_int,
     g_apply,
     hull_dist,
     hull_func_dist,
@@ -44,9 +47,17 @@ from soldyn import (
     sigma,
     sol_add,
 )
-from genutil import rand_embedded, rand_induced, rand_point
+from genutil import rand_embedded, rand_induced, rand_pl_lift, rand_point, rand_tower
 
 SAW2 = PeriodicPL(2, [(0, 0), (1, Fraction(1, 4))])  # minimal period 2
+
+
+def _env_with_src() -> dict:
+    """The environment for a subprocess that imports soldyn from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_hull_translate_and_eval():
@@ -206,6 +217,79 @@ def test_semiconjugacy_report_serialization():
     }
 
 
+def test_semiconjugacy_error_matches_hull_dist_reference():
+    # reference: each sample's error through K_map, g_apply and hull_dist on
+    # the hull of the Fraction displacement; the report's max_error is their max
+    rng = random.Random(14)
+    maps = []
+    for n in (1, 2, 3, 4, 5, 6):
+        genuine, embedded = rand_pl_lift(rng, n), rand_pl_lift(rng, 1)
+        for c in range(-2, 3):
+            maps += [induce(genuine, c), embed_degree(induce(embedded, c), n)]
+    quotients = [leaf_quotient(f) for f in maps]
+    nonzero = 0
+    for i, (f, g) in enumerate(zip(maps, quotients)):
+        hull = hull_of(leaf_displacement(f))
+        other = next(q for q in quotients[i + 1:] + quotients[:i] if q.period == g.period)
+        shifted = QuotientMap(g.period, g.lift.translate(Fraction(1, 7)))
+        pts = [rand_point(rng, den_max=10**6) for _ in range(8)]
+        pts += [SolenoidPoint(rng.random(), rand_tower(rng)) for _ in range(8)]
+        for q in (g, shifted, other):
+            ref = max(
+                hull_dist(K_map(apply(f, s), hull), g_apply(q, K_map(s, hull))) for s in pts
+            )
+            rep = check_semiconjugacy(f, pts, quotient=q)
+            assert (rep.max_error, rep.exact) == (ref, ref == 0), (f, q)
+            assert (rep.samples, rep.period) == (len(pts), hull.period)
+            nonzero += ref > 0
+    assert nonzero >= len(maps)
+
+
+def test_semiconjugacy_checks_depth_and_quotient_period():
+    # a degree-5 rotation: T = 1 divides 3!, but the degree does not
+    f = induce(pl_new(5, [(0, Fraction(1, 4)), (Fraction(5, 2), Fraction(11, 4))]))
+    assert leaf_quotient(f).period == 1
+    for x in (Fraction(1, 3), 0.25):
+        with pytest.raises(DepthExceeded):
+            check_semiconjugacy(f, [SolenoidPoint(x, embed_int(7, 3))])
+    assert check_semiconjugacy(f, [SolenoidPoint(Fraction(1, 3), embed_int(7, 5))]).exact
+    # an injected quotient of another period is refused before any sample
+    g = induce(rotation_lift(Fraction(1, 3)))
+    for pts in ([], [rand_point(random.Random(15))]):
+        with pytest.raises(MixedHulls):
+            check_semiconjugacy(g, pts, quotient=quotient_map(SAW2))
+
+
+def test_semiconjugacy_checks_survive_optimized_mode():
+    code = """
+import random
+import sys
+from fractions import Fraction
+from soldyn import *
+f = induce(pl_new(1, [(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))]))
+gm = quotient_map(leaf_displacement(f))
+bad = QuotientMap(gm.period, gm.lift.translate(Fraction(1, 7)))
+rng = random.Random(6)
+pts = [SolenoidPoint(Fraction(rng.randrange(9), 9), embed_int(rng.randrange(720), 6))
+       for _ in range(30)]
+rep = check_semiconjugacy(f, pts, quotient=bad)
+detected = rep.exact is False and rep.max_error >= Fraction(1, 7)
+f5 = induce(pl_new(5, [(0, Fraction(1, 4)), (Fraction(5, 2), Fraction(11, 4))]))
+try:
+    check_semiconjugacy(f5, [SolenoidPoint(Fraction(1, 3), embed_int(7, 3))])
+    depth = "accepted"
+except DepthExceeded:
+    depth = "DepthExceeded"
+print(detected, depth, sys.flags.optimize)
+"""
+    env = _env_with_src()
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True", "DepthExceeded", "1"]
+
+
 def tri(T, amp):
     return PeriodicPL(T, [(0, 0), (Fraction(T, 2), Fraction(amp))])
 
@@ -306,9 +390,7 @@ def test_leaf_quotient_never_factors_the_degree(tmp_path):
         n: [(0, 0), (Fraction(1, 2), 1)],
     }
     maps = {T: induce(pl_new(n, bps), 1) for T, bps in bumps.items()}
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _env_with_src()
     for T, f in maps.items():
         path = tmp_path / f"deg30_{len(bumps[T])}.json"
         path.write_text(json.dumps(f.to_descriptor()), encoding="utf-8")
