@@ -48,6 +48,7 @@ from .errors import (
     NotMonotone,
     NotMultiple,
     SoldynError,
+    SweepBudgetExceeded,
 )
 from .hull import (
     CircleMapModN,

@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import plkernel
 from .errors import (
     AnalyticExactUnsupported,
+    BreakpointCapExceeded,
     DegreeMismatch,
     EmptyBreakpoints,
     NotMonotone,
@@ -438,9 +439,13 @@ class PeriodicPL:
         return PeriodicPL._trusted(self.period, self.xs, vs, slopes)
 
     def grid(self, T) -> set:
-        """Breakpoint abscissae repeated over [0, T); T a multiple of the period."""
+        """Breakpoint abscissae repeated over [0, T); T a multiple of the period.
+        Raises BreakpointCapExceeded past BREAKPOINT_CAP of them."""
         P = self.period
-        offsets = [j * P for j in range(int(T / P))]
+        reps = int(T / P)
+        if reps * len(self.xs) > BREAKPOINT_CAP:
+            raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
+        offsets = [j * P for j in range(reps)]
         return {x + off for off in offsets for x in self.xs}
 
     def _common_grid(self, other: "PeriodicPL"):
@@ -569,13 +574,22 @@ def minimal_period(delta: PeriodicPL) -> int:
     return next(T for T in divisors(P.numerator) if delta.has_period(T))
 
 
+def json_int(value, field: str) -> int:
+    """A descriptor's integer field, which must be a JSON integer: no float,
+    boolean or string is read as one."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def map_from_descriptor(d: dict) -> CircleLift:
     """Build a lift from its JSON descriptor."""
     if not isinstance(d, dict):
         raise TypeError("a map descriptor must be a JSON object")
     variant = d.get("variant")
+    degree = json_int(d.get("degree", 1), "degree")
     if variant == "pl":
-        return PLLift(d.get("degree", 1), [(x, y) for x, y in d["breakpoints"]])
+        return PLLift(degree, [(x, y) for x, y in d["breakpoints"]])
     if variant == "analytic":
-        return AnalyticLift(d["alpha"], d.get("terms", ()), d.get("degree", 1))
+        return AnalyticLift(d["alpha"], d.get("terms", ()), degree)
     raise ValueError(f"unknown map variant: {variant!r}")

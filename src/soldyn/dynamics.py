@@ -13,9 +13,11 @@ tau <= p/m, so tau lies in [L, U] with L = max floor(v_m)/m and
 U = min ceil(v_m)/m over m <= M, and no rational with denominator <= M lies
 strictly between L and U.  F^d(w) = w + p has a solution iff tau = p/d
 (Herman, Publ. Math. IHES 49, 1979), so only L or U can certify, and testing
-them costs at most two powers.  At degree n >= 2 a return with n not dividing
-p does not pin tau, so there every denominator is tried in order.  Analytic
-maps get float enclosures only.
+them costs two powers from one chain of squares F, F^2, F^4, ...
+(`plkernel.powers`), the second built only when the first end fails.  At
+degree n >= 2 a return with n not dividing p does not pin tau, so there every
+denominator is tried in order, within a budget of SWEEP_BUDGET numerators.
+Analytic maps get float enclosures only.
 
 fiber_target and classify_orbit find the limit of a non-periodic orbit the
 same way: the nearest fixed point of the leafwise return map G - p, with
@@ -38,10 +40,15 @@ from .errors import (
     CertificateMismatch,
     DegreeMismatch,
     NoSuchOrbit,
+    SweepBudgetExceeded,
 )
 from .induced import InducedHomeo, apply_iter
 from .profinite import DEFAULT_DEPTH, embed_int
 from .solenoid import SolenoidPoint, canonicalize, sigma, sol_add, sol_dist
+
+# Most numerators the degree n >= 2 sweep of rational_certificate may test,
+# summed over its denominators; past it the sweep raises SweepBudgetExceeded.
+SWEEP_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -203,14 +210,18 @@ def _orbit_bracket(F: PLLift, x0: Fraction, steps: int, q: int):
 def _certify_bracket(
     F: PLLift, L: Fraction, U: Fraction, lo, hi, max_den: int, cap: int
 ) -> Optional[tuple[Fraction, Fraction]]:
-    """Test the bracket ends that lie in [lo, hi] with denominator <= max_den."""
-    for cand in sorted({L, U}, key=lambda c: (c.denominator, c)):
-        if cand.denominator <= max_den and lo <= cand <= hi:
-            wit = _leftmost_return(
-                F.degree, plkernel.power(F.degree, F._table, cand.denominator, cap), cand.numerator
-            )
-            if wit is not None:
-                return cand, wit
+    """Test the bracket ends that lie in [lo, hi] with denominator <= max_den,
+    by (denominator, value), on powers pulled lazily from one chain of
+    squares: a first end that certifies leaves the second power unbuilt."""
+    cands = [
+        c for c in sorted({L, U}, key=lambda c: (c.denominator, c))
+        if c.denominator <= max_den and lo <= c <= hi
+    ]
+    tables = plkernel.powers(F.degree, F._table, (c.denominator for c in cands), cap)
+    for cand, G in zip(cands, tables):
+        wit = _leftmost_return(F.degree, G, cand.numerator)
+        if wit is not None:
+            return cand, wit
     return None
 
 
@@ -225,10 +236,12 @@ def rational_certificate(
 
     At degree 1 only tau can certify, so the orbit of 0 over max_den steps
     brackets the one candidate pair (see the module docstring): cost
-    max_den evaluations plus at most two powers.  At degree n >= 2 several
-    p/q can have exact returns, so every reduced p/q in the interval is
-    tried by increasing denominator, composing the integer table of
-    F^q = F o F^(q-1); that cost grows quadratically in max_den.
+    max_den evaluations plus two powers from one chain of squares.  At
+    degree n >= 2 several p/q can have exact returns, so every reduced p/q
+    in the interval is tried by increasing denominator, composing the
+    integer table of F^q = F o F^(q-1); that cost grows quadratically in
+    max_den.  The numerators to try are counted first, and past
+    SWEEP_BUDGET the sweep raises SweepBudgetExceeded before it tests any.
     """
     if not isinstance(F, PLLift):
         raise AnalyticExactUnsupported("certification needs a PL lift")
@@ -238,12 +251,22 @@ def rational_certificate(
         _, L, U = _orbit_bracket(F, Fraction(0), max_den, max_den)
         return _certify_bracket(F, L, U, lo, hi, max_den, cap)
     n = F.degree
-    G = None
+    spans, total = [], 0
     for den in range(1, max_den + 1):
+        first, last = math.ceil(lo * den), math.floor(hi * den)
+        total += max(last - first + 1, 0)
+        if total > SWEEP_BUDGET:
+            raise SweepBudgetExceeded(
+                f"the sweep up to denominator {max_den} would test more than "
+                f"{SWEEP_BUDGET} numerators"
+            )
+        spans.append(range(first, last + 1))
+    G = None
+    for den, nums in enumerate(spans, start=1):
         G = F._table if G is None else plkernel.compose(n, F._table, G)
         if len(G[0]) > cap:
             raise BreakpointCapExceeded(f"more than {cap} breakpoints")
-        for num in range(math.ceil(lo * den), math.floor(hi * den) + 1):
+        for num in nums:
             if math.gcd(num, den) != 1:
                 continue
             wit = _leftmost_return(n, G, num)
@@ -275,8 +298,8 @@ def rotation_report(
     lift from the witness; a failure raises CertificateMismatch.
 
     At degree 1 one orbit pass of max(q, max_cert_den) evaluations gives
-    both the enclosure and the Farey bracket, and at most two materialized
-    powers settle certification.  A binary64 x0 keeps its float enclosure;
+    both the enclosure and the Farey bracket, and two powers from one chain
+    of squares settle certification.  A binary64 x0 keeps its float enclosure;
     its bracket comes from the exact orbit of Fraction(x0).  Degree n >= 2
     runs the per-denominator search of rational_certificate.
     """

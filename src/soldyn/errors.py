@@ -29,6 +29,10 @@ class BreakpointCapExceeded(SoldynError):
     """Materializing an iterated map would exceed the breakpoint cap."""
 
 
+class SweepBudgetExceeded(SoldynError):
+    """A certificate search would test more candidates than its budget."""
+
+
 class NotMultiple(SoldynError):
     """Target degree is not a multiple of the source degree."""
 

@@ -29,6 +29,7 @@ from .circlemaps import (
     PLLift,
     displacement_lift,
     identity_lift,
+    json_int,
     map_from_descriptor,
     rotation_lift,
 )
@@ -194,9 +195,9 @@ def invert_induced(f: InducedHomeo) -> InducedHomeo:
 
 def homeo_from_descriptor(d: dict) -> InducedHomeo:
     lift = map_from_descriptor(d["lift"])
-    if "degree" in d and d["degree"] != lift.degree:
+    if json_int(d.get("degree", lift.degree), "degree") != lift.degree:
         raise ValueError("descriptor degree disagrees with lift degree")
-    return InducedHomeo(lift, int(d.get("offset", 0)))
+    return InducedHomeo(lift, json_int(d.get("offset", 0), "offset"))
 
 
 @dataclass(frozen=True)
@@ -310,4 +311,8 @@ def lp_from_descriptor(d: dict) -> LimitPeriodicHomeo:
         PeriodicPL(s["period"], [(x, v) for x, v in s["breakpoints"]])
         for s in body["summands"]
     ]
-    return lp_build(body["tower"], summands, Fraction(body.get("tail_bound", 0)))
+    tower = body["tower"]
+    if not isinstance(tower, list):
+        raise TypeError("an lp tower must be a JSON list")
+    tower = [json_int(T, "a tower period") for T in tower]
+    return lp_build(tower, summands, Fraction(body.get("tail_bound", 0)))

@@ -200,18 +200,35 @@ def compose(n: int, outer, inner) -> tuple:
     )
 
 
+def _capped(table, cap: int) -> tuple:
+    if len(table[0]) > cap:
+        raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+    return table
+
+
+def powers(n: int, table, qs, cap: int):
+    """Yield the table of F^q for each q >= 0 in `qs`, in the order pulled.
+
+    Every power is a product of one chain of squares F, F^2, F^4, ..., kept
+    for this call only and grown only as far as the largest q pulled so far;
+    F itself is the first square, not a copy.  The lowest set bit of q takes
+    its square as is, so nothing is composed with the identity: F^(2^k)
+    costs k compositions and q = 0 yields IDENTITY.  Raises
+    BreakpointCapExceeded when a square or a product passes `cap`.
+    """
+    squares = [table]
+    for q in qs:
+        while len(squares) < q.bit_length():
+            squares.append(_capped(compose(n, squares[-1], squares[-1]), cap))
+        result = None
+        for k, square in enumerate(squares[: q.bit_length()]):
+            if q >> k & 1:
+                result = square if result is None else _capped(compose(n, result, square), cap)
+        yield IDENTITY if result is None else result
+
+
 def power(n: int, table, q: int, cap: int) -> tuple:
-    """The table of F^q for q >= 0 by squaring; the squares and partial
-    products stay tables.  Raises BreakpointCapExceeded past `cap`."""
-    result = IDENTITY
-    while q:
-        if q & 1:
-            result = compose(n, result, table)
-            if len(result[0]) > cap:
-                raise BreakpointCapExceeded(f"more than {cap} breakpoints")
-        q >>= 1
-        if q:
-            table = compose(n, table, table)
-            if len(table[0]) > cap:
-                raise BreakpointCapExceeded(f"more than {cap} breakpoints")
-    return result
+    """The table of F^q for q >= 0 by squaring (see `powers`); the squares
+    and partial products stay tables.  Raises BreakpointCapExceeded past
+    `cap`."""
+    return next(powers(n, table, (q,), cap))

@@ -7,6 +7,7 @@ from math import factorial
 
 from hypothesis import strategies as st
 
+from soldyn import plkernel
 from soldyn import (
     InducedHomeo,
     NotHomeomorphism,
@@ -95,3 +96,17 @@ unit_fractions = st.builds(
 
 def towers(depth: int = 5):
     return st.integers(0, factorial(depth) - 1).map(lambda t: embed_int(t, depth))
+
+
+def count_compositions(monkeypatch) -> list:
+    """Patch `plkernel.compose`, through which every PL composition and power
+    runs, to append to the returned list on each call."""
+    calls = []
+    compose = plkernel.compose
+
+    def counting(n, outer, inner):
+        calls.append(1)
+        return compose(n, outer, inner)
+
+    monkeypatch.setattr(plkernel, "compose", counting)
+    return calls

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from soldyn import (
     AnalyticExactUnsupported,
+    BreakpointCapExceeded,
     DegreeMismatch,
     EmptyBreakpoints,
     NotMonotone,
     PeriodicPL,
+    PLLift,
     analytic_new,
     divisors,
     identity_lift,
@@ -21,9 +23,11 @@ from soldyn import (
     map_from_descriptor,
     minimal_period,
     pl_new,
+    plkernel,
     rotation_lift,
 )
-from genutil import rand_fraction, rand_pl_lift, small_fractions
+from soldyn.circlemaps import BREAKPOINT_CAP
+from genutil import count_compositions, rand_fraction, rand_pl_lift, small_fractions
 
 HALF = [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
 
@@ -403,15 +407,15 @@ class _RefLift:
     def power(self, q):
         if q < 0:
             return self.inverse().power(-q)
-        result = _RefLift(self.degree, (Fraction(0),), (Fraction(0),))
-        base = self
+        # the lowest set bit of q takes its square as is: no identity factor
+        result, base = None, self
         while q:
             if q & 1:
-                result = result.compose(base)
+                result = base if result is None else result.compose(base)
             q >>= 1
             if q:
                 base = base.compose(base)
-        return result
+        return _RefLift(self.degree, (Fraction(0),), (Fraction(0),)) if result is None else result
 
 
 def _ref_floor_div(x, n):
@@ -482,3 +486,61 @@ def test_integer_kernel_matches_fraction_reference():
         for x in floats:
             got = F.eval(x)
             assert type(got) is float and got.hex() == R.eval(x).hex()
+
+
+def test_shared_powers_match_separate_powers_and_reference(monkeypatch):
+    # one chain of squares serves every power pulled from a `powers`
+    # generator, in any order: the tables equal separate `power` calls and
+    # the Fraction reference, and the chain costs one composition per square
+    # plus one per further set bit of each q
+    rng = random.Random(1414)
+    lifts = [rand_pl_lift(rng, 1, 3, 8), _grid_lift(rng, 2, 2, 8), rand_pl_lift(rng, 3, 3, 8)]
+    for F in lifts:
+        n, R, qs = F.degree, _RefLift.of(F), list(range(65))
+        rng.shuffle(qs)
+        calls = count_compositions(monkeypatch)
+        shared = list(plkernel.powers(n, F._table, qs, BREAKPOINT_CAP))
+        squares = max(qs).bit_length() - 1
+        assert len(calls) == squares + sum(bin(q).count("1") - 1 for q in qs if q)
+        monkeypatch.undo()
+        for q, table in zip(qs, shared):
+            assert table == plkernel.power(n, F._table, q, BREAKPOINT_CAP)
+            _assert_same_lift(PLLift._from_table(n, table), R.power(q))
+        assert shared[qs.index(1)] is F._table
+
+
+def test_power_of_two_costs_one_composition_per_squaring(monkeypatch):
+    calls = count_compositions(monkeypatch)
+    F = rand_pl_lift(random.Random(7), 2, 3, 8)
+    for k in range(8):
+        calls.clear()
+        F.power(2**k)
+        assert len(calls) == k
+
+
+def test_powers_raise_past_the_cap_on_squares_and_products():
+    F = rand_pl_lift(random.Random(9), 1, 5, 12)
+    m1 = len(F.xs)
+    m2 = len(plkernel.power(1, F._table, 2, BREAKPOINT_CAP)[0])
+    m3 = len(plkernel.power(1, F._table, 3, BREAKPOINT_CAP)[0])
+    assert m1 < m2 < m3
+    # F^2 is a square, F^3 = F o F^2 a product
+    with pytest.raises(BreakpointCapExceeded):
+        plkernel.power(1, F._table, 2, m2 - 1)
+    assert len(plkernel.power(1, F._table, 2, m2)[0]) == m2
+    with pytest.raises(BreakpointCapExceeded):
+        plkernel.power(1, F._table, 3, m3 - 1)
+    with pytest.raises(BreakpointCapExceeded):
+        next(plkernel.powers(1, F._table, (4,), m2))
+    # F itself is never checked against the cap, F^0 is the identity
+    assert plkernel.power(1, F._table, 1, 1) is F._table
+    assert plkernel.power(1, F._table, 0, 1) == plkernel.IDENTITY
+
+
+def test_periodic_sum_stops_at_the_breakpoint_cap():
+    # the sum repeats the period-1 summand over the period 10^30: too many
+    # breakpoints to build, reported before any is evaluated
+    a = PeriodicPL(1, [(0, 0), (Fraction(1, 2), Fraction(1, 4))])
+    b = PeriodicPL(10**30, [(0, 0), (1, Fraction(1, 16))])
+    with pytest.raises(BreakpointCapExceeded, match="breakpoints"):
+        a.add(b)

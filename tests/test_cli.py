@@ -2,8 +2,11 @@ import gc
 import io
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -422,6 +425,30 @@ def test_rotation_on_bare_degree_two_map_exits_1(runner, tmp_path):
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
 
 
+DEG2_HOMEO = {
+    "degree": 2,
+    "offset": 0,
+    "lift": {"degree": 2, "variant": "pl", "breakpoints": [["0", "0"], ["1", "3/2"]]},
+}
+
+
+@pytest.mark.parametrize("sub, desc", [
+    ("rotation", {"degree": 1.9, "variant": "pl", "breakpoints": [["0", "1/2"]]}),
+    ("rotation", {**DEG2_HOMEO, "offset": 0.7}),
+    ("rotation", {"degree": True, "variant": "pl", "breakpoints": [["0", "1/2"]]}),
+    ("hull", {**ROT35_HOMEO, "degree": True}),
+    ("rotation", {"degree": "3", "variant": "pl", "breakpoints": [["0", "1/2"]]}),
+    ("density", {"lp": {**LP4["lp"], "tower": [1, 2, 6, "24"]}}),
+    ("density", {"lp": {**LP4["lp"], "tower": [1, 2.0, 6, 24]}}),
+], ids=["degree-1.9", "offset-0.7", "degree-true", "homeo-degree-true", "degree-string",
+        "tower-string", "tower-float"])
+def test_descriptor_integers_must_be_json_integers(runner, tmp_path, sub, desc):
+    iters = [] if sub == "density" else ["--iters", "7"]
+    res = runner.invoke(main, [sub, *iters, "--input", write(tmp_path, "d.json", desc)])
+    assert_usage_error(res)
+    assert "invalid descriptor" in res.stderr and "JSON integer" in res.stderr
+
+
 # malformed descriptors: one field of a valid descriptor replaced by a bad value
 
 _BAD_RATIONAL = st.sampled_from(
@@ -443,7 +470,7 @@ _BAD_BREAKPOINTS = st.one_of(
 )
 _BAD_DEGREE = st.one_of(
     st.integers(max_value=0),
-    st.sampled_from(["x", "", "1/2", None, [], {}, float("nan"), float("inf")]),
+    st.sampled_from(["x", "", "1/2", "1", None, [], {}, float("nan"), float("inf"), 1.0, True]),
 )
 _BAD_SCALAR = st.sampled_from(["nan", "inf", "-inf", "x", "", None, [], {}, float("nan"), float("inf")])
 _BAD_TERMS = st.sampled_from(
@@ -477,11 +504,14 @@ _ANALYTIC_BAD = _corrupt(
 _MAP_BAD = _PL_BAD | _ANALYTIC_BAD
 _HOMEO_BAD = _corrupt(ROT35_HOMEO, {
     "lift": _MAP_BAD | _NOT_AN_OBJECT,
-    "offset": st.sampled_from(["x", "1/2", "", None, [], {}, float("nan"), float("inf")]),
+    "offset": st.sampled_from(
+        ["x", "1/2", "0", "", None, [], {}, float("nan"), float("inf"), 0.0, 0.7, False]
+    ),
     "degree": _BAD_DEGREE,
 })
 _LP_BODY_BAD = _corrupt(LP4["lp"], {
-    "tower": st.sampled_from([[1, 2, 5, 24], [1, 2, 6], [1, 0, 6, 24], "x", None, 7]),
+    "tower": st.sampled_from([[1, 2, 5, 24], [1, 2, 6], [1, 0, 6, 24], [1, 2, 6, "24"],
+                              [True, 2, 6, 24], [1, 2.0, 6, 24], "x", None, 7]),
     "summands": st.sampled_from([None, "x", 3, [], [{"period": "1"}]]) | st.just(...),
     "tail_bound": _BAD_SCALAR,
 })
@@ -501,6 +531,100 @@ def test_malformed_descriptors_exit_2_without_traceback(tmp_path, desc, sub):
     path = write(tmp_path, "fuzz.json", desc)
     res = CliRunner().invoke(main, [sub, "--input", path])
     assert_usage_error(res)
+
+
+# seeded descriptor fuzz: every subcommand ends within a few seconds with an
+# exit code of the contract and no traceback, on inputs past the happy path
+
+_FUZZ_SECONDS = 5
+_HUGE = [2, 6, 10**6, 2**64, 10**30, 10**100]
+_NOT_INT = [1.5, 1.9, 2.0, True, False, "3", "1/2", None, [], {}]
+_LITERALS = ["1/0", "x", "", "nan", "inf", "1/2/3", "0x10", "--1", "9" * 5000, "7/8", "-1/3"]
+
+
+class _TooSlow(BaseException):
+    """Raised by the interval timer in a run that outlasts its budget; a
+    BaseException, so neither the CLI nor CliRunner swallows it."""
+
+
+def _fuzz_descriptor(rng):
+    kind = rng.randrange(6)
+    if kind == 0:  # huge degrees, bare or induced, degree-matched or not
+        n = rng.choice(_HUGE)
+        bps = [["0", rng.choice(["0", "1/2", "1/3"])], ["1/2", "3/4"]][: rng.randint(1, 2)]
+        lift = {"degree": n, "variant": "pl", "breakpoints": bps}
+        if rng.random() < 0.5:
+            return lift
+        return {"degree": rng.choice([n, n, n + 1]), "offset": rng.choice([0, 1, -2, 10**40]),
+                "lift": lift}
+    if kind == 1:  # an integer field that is not a JSON integer
+        base = rng.choice([HALFMAP, ROT35_HOMEO, DEG2_HOMEO])
+        return {**base, rng.choice(["degree", "offset"]): rng.choice(_NOT_INT)}
+    if kind == 2:  # empty or duplicate breakpoints
+        bps = rng.choice([[], [["0", "1/2"], ["0", "3/4"]], [["1/2", "1"], ["1/2", "1"]],
+                          [["0", "1/2"], ["1/4", "1/2"]]])
+        if rng.random() < 0.5:
+            return {**HALFMAP, "breakpoints": bps}
+        return {"lp": {**LP4["lp"], "summands": [
+            {"period": "1", "breakpoints": bps}, *LP4["lp"]["summands"][1:]]}}
+    if kind == 3:  # bad literals in breakpoints, periods and tail bounds
+        lit = rng.choice(_LITERALS)
+        return rng.choice([
+            {**HALFMAP, "breakpoints": [["0", lit]]},
+            {**ROT35_HOMEO, "lift": {**HALFMAP, "breakpoints": [[lit, "1/2"]]}},
+            {"lp": {**LP4["lp"], "tail_bound": lit}},
+            {"lp": {**LP4["lp"], "summands": [{"period": lit, "breakpoints": [["0", "0"]]}]}},
+        ])
+    if kind == 4:  # broken lp chains
+        tower = rng.choice([[1, 3, 6, 24], [2, 1, 6, 24], [1, 2, 6], [1, 2, 6, 24, 48],
+                            [0, 2, 6, 24], [-1, 2, 6, 24], [], [1, 2, 6, "24"], [1, 2, 6, 10**30]])
+        return {"lp": {**LP4["lp"], "tower": tower}}
+    # a valid lp tower whose top period is huge
+    T = rng.choice(_HUGE[2:])
+    return {"lp": {"tower": [1, T], "tail_bound": "0", "summands": [
+        LP4["lp"]["summands"][0], {"period": str(T), "breakpoints": [["0", "0"], ["1", "1/16"]]}]}}
+
+
+_FUZZ_ARGS = {
+    "rotation": ["--iters", "20"],
+    "orbit": ["--iters", "10"],
+    "semiconj": ["--samples", "10"],
+    "hull": ["--iters", "20"],
+    "density": [],
+}
+
+
+def test_seeded_descriptor_fuzz_keeps_the_exit_code_contract(runner, tmp_path):
+    def too_slow(signum, frame):
+        raise _TooSlow
+
+    rng = random.Random(2017)
+    # first the rigid rotation of degree 10^30 whose degree-n sweep once ran
+    # without bound under rotation and hull
+    big = {"degree": 10**30, "variant": "pl", "breakpoints": [["0", "1/2"]]}
+    descs = [{"degree": 10**30, "offset": 0, "lift": big}]
+    descs += [_fuzz_descriptor(rng) for _ in range(40)]
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    try:
+        for i, desc in enumerate(descs):
+            path = write(tmp_path, f"fuzz{i}.json", desc)
+            for sub in SUBCOMMANDS:
+                args = [sub, "--input", path, *_FUZZ_ARGS[sub]]
+                start = time.perf_counter()
+                signal.setitimer(signal.ITIMER_REAL, _FUZZ_SECONDS)
+                try:
+                    res = runner.invoke(main, args)
+                except _TooSlow:
+                    pytest.fail(f"{args} ran past {_FUZZ_SECONDS} s on {str(desc)[:200]}")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                assert time.perf_counter() - start < _FUZZ_SECONDS
+                assert res.exit_code in (0, 1, 2), (args, str(desc)[:200], res.output)
+                assert res.exception is None or isinstance(res.exception, SystemExit), (
+                    args, str(desc)[:200], res.exception
+                )
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_result_past_the_digit_limit_exits_1_without_traceback(tmp_path):

@@ -40,7 +40,7 @@ from soldyn import (
 )
 from soldyn import SolenoidPoint, plkernel
 from soldyn import dynamics as dyn
-from genutil import rand_induced, rand_pl_lift, rand_point
+from genutil import count_compositions, rand_induced, rand_pl_lift, rand_point
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 FIXEDPOINT = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
@@ -424,14 +424,7 @@ FAREY240 = pl_new(1, [
 def test_farey_gap_q240_needs_logarithmically_many_compositions(monkeypatch):
     # PLLift.power composes integer tables through the kernel function
     # plkernel.compose, not through PLLift.compose, so that is what counts
-    calls = []
-    compose = plkernel.compose
-
-    def counting(n, outer, inner):
-        calls.append(1)
-        return compose(n, outer, inner)
-
-    monkeypatch.setattr(plkernel, "compose", counting)
+    calls = count_compositions(monkeypatch)
     q = 240
     rep = rotation_report(FAREY240, q)
     assert rep.exact is None
@@ -439,6 +432,36 @@ def test_farey_gap_q240_needs_logarithmically_many_compositions(monkeypatch):
     # at most two powers, each at most 2*ceil(log2 q) + 1 compositions;
     # the per-denominator sweep needed q - 1 = 239
     assert 0 < len(calls) <= 2 * (2 * math.ceil(math.log2(q)) + 1)
+
+
+def test_bracket_end_that_certifies_leaves_the_other_power_unbuilt(monkeypatch):
+    # the orbit of 0 is not periodic, so the bracket is [1/2, 20/39]; 1/2
+    # certifies from F^2, one square, and F^39 is never built
+    F = pl_new(1, [(0, Fraction(11, 20)), (Fraction(1, 4), Fraction(3, 4)),
+                   (Fraction(3, 4), Fraction(5, 4))])
+    assert dyn._orbit_bracket(F, Fraction(0), 40, 40)[1:] == (Fraction(1, 2), Fraction(20, 39))
+    calls = count_compositions(monkeypatch)
+    rep = rotation_report(F, 40)
+    assert (rep.exact, rep.witness) == (Fraction(1, 2), Fraction(1, 4))
+    assert len(calls) == 1
+
+
+def test_degree_n_sweep_stops_at_its_budget(monkeypatch):
+    from soldyn import SweepBudgetExceeded
+
+    n = 10**30
+    f = induce(pl_new(n, [(0, Fraction(1, 2))]))
+    with pytest.raises(SweepBudgetExceeded, match="numerators"):
+        rotation_report(f, 5)
+    # the count is taken before any power is built: every numerator in the
+    # interval, reduced or not, summed over the denominators: 2 + 3 + 4 here
+    F = pl_new(3, [(0, Fraction(1, 2))])
+    monkeypatch.setattr(dyn, "SWEEP_BUDGET", 9)
+    assert rational_certificate(F, Fraction(0), Fraction(1), 3) == (Fraction(1, 2), Fraction(0))
+    monkeypatch.setattr(dyn, "SWEEP_BUDGET", 8)
+    monkeypatch.setattr(plkernel, "compose", None)
+    with pytest.raises(SweepBudgetExceeded):
+        rational_certificate(F, Fraction(0), Fraction(1), 3)
 
 
 def test_rotation_report_accepts_induced_maps():
