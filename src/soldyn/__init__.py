@@ -29,7 +29,6 @@ from .dynamics import (
     find_fiber_periodic,
     rational_certificate,
     rotation_report,
-    simplest_rational_in,
     translation_enclosure,
 )
 from .errors import (

@@ -46,11 +46,11 @@ def floor_div(x, n):
 def as_rational(v) -> Fraction:
     """Coerce exact input (int, Fraction, 'p/q' string) to Fraction.
 
-    Floats are rejected: the PL variant is the exact one and silently
-    accepting binary64 would poison certifications.
+    Floats and booleans (a JSON `true` would read as 1) are rejected: the PL
+    variant is the exact one, and silently coercing them would poison certifications.
     """
-    if isinstance(v, float):
-        raise TypeError("exact PL data requires int/Fraction/str, not float")
+    if isinstance(v, (float, bool)):
+        raise TypeError(f"exact PL data requires int/Fraction/str, not {type(v).__name__}")
     return Fraction(v)
 
 
@@ -230,12 +230,10 @@ class PLLift:
         Two PL lifts describe the same function iff their degrees and
         canonical breakpoint tuples agree.
         """
-        xn, xd, yn, yd, sn, sd = self._table
-        # slopes are reduced pairs, so equal slopes have equal pairs
+        xn, xd, yn, yd = self._table[:4]
         keep = [
             (Fraction(xn[i], xd[i]), Fraction(yn[i], yd[i]))
-            for i in range(len(xn))
-            if sn[i - 1] != sn[i] or sd[i - 1] != sd[i]
+            for i in plkernel.slope_changes(self._table)
         ]
         if not keep:
             z = Fraction(0)
@@ -259,27 +257,9 @@ class PLLift:
 
     def descend(self, T: int) -> "PLLift | None":
         """F as a degree-T lift if T divides the degree and F(x + T) = F(x) + T,
-        else None: the inverse of `induced.embed_degree`.  F is fixed by its
-        slope changes, so T is a period iff their integer pairs, shifted by
-        (T, T) or past n by (T - n, T - n), are the same set.  The result
-        keeps those in [0, T), plus (0, F(0)); a rotation has none."""
-        n = self.degree
-        if T < 1 or n % T:
-            return None
-        xn, xd, yn, yd, sn, sd = self._table
-        keep = [i for i in range(len(xn)) if sn[i - 1] != sn[i] or sd[i - 1] != sd[i]]
-        pts = {(xn[i], xd[i], yn[i], yd[i]) for i in keep}
-        for a, b, c, d in pts:
-            s = T if a + T * b < n * b else T - n
-            if (a + s * b, b, c + s * d, d) not in pts:
-                return None
-        cut = [i for i in keep if xn[i] < T * xd[i]]
-        cols = [[col[i] for i in cut] for col in self._table]
-        if not cut or xn[cut[0]]:
-            zero = (0, 1, *plkernel.eval_pair(self._table, n, 0, 1), sn[-1], sd[-1])
-            for col, v in zip(cols, zero):
-                col.insert(0, v)
-        return PLLift._from_table(T, tuple(cols))
+        else None (see `plkernel.descend`): the inverse of `induced.embed_degree`."""
+        table = plkernel.descend(self.degree, self._table, T)
+        return None if table is None else PLLift._from_table(T, table)
 
     def displacement(self) -> "PeriodicPL":
         """x -> F(x) - x, from the table: values y - x and slopes s - 1."""
@@ -467,6 +447,13 @@ class PeriodicPL:
         _, grid = self._common_grid(other)
         return max(abs(self.eval(x) - other.eval(x)) for x in grid)
 
+    def _lift_table(self) -> tuple[int, tuple]:
+        """(n, the `plkernel` table of x + delta(x)) at the integer stored period n."""
+        if self.period.denominator != 1:
+            raise ValueError(f"stored period {self.period} is not an integer")
+        ys = _parts([x + v for x, v in zip(self.xs, self.vs)])
+        return self.period.numerator, (*_parts(self.xs), *ys, *_parts([s + 1 for s in self.slopes]))
+
     def has_period(self, T) -> bool:
         """Exact test whether delta(x + T) = delta(x) for all x.
 
@@ -545,14 +532,15 @@ def rotation_lift(alpha, degree: int = 1) -> PLLift:
 
 
 def displacement_lift(delta: PeriodicPL, period: int) -> PLLift:
-    """The degree-`period` lift of x -> x + delta(x); `PLLift` raises
-    `NotMonotone` if it is not strictly increasing.
-
-    `period` must be an integer period of delta.  The breakpoints are
-    delta's canonical ones reduced mod `period`, plus 0.
-    """
-    xs = sorted({x % period for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
-    return PLLift(period, [(x, x + delta.eval(x)) for x in xs])
+    """The degree-`period` lift of x + delta(x): delta's table cut by `plkernel.descend`.
+    Raises ValueError unless `period` is a period of delta dividing its stored
+    period, and NotMonotone unless the lift is strictly increasing."""
+    table = plkernel.descend(*delta._lift_table(), period)
+    if table is None:
+        raise ValueError(f"{period} is not a period of delta dividing {delta.period}")
+    if min(table[4]) <= 0:  # a continuous PL map increases iff its slopes are positive
+        raise NotMonotone("x + delta(x) is not strictly increasing")
+    return PLLift._from_table(period, table)
 
 
 def divisors(n: int) -> list[int]:
@@ -562,16 +550,10 @@ def divisors(n: int) -> list[int]:
 
 
 def minimal_period(delta: PeriodicPL) -> int:
-    """The first divisor T of delta's integer stored period that
-    `PeriodicPL.has_period` accepts; the stored period always does.
-
-    It serves a bare `PeriodicPL` (`hull.hull_of`); induced maps use their
-    leaf lift (`hull.leaf_quotient`).  Non-divisor rational periods are out of scope.
-    """
-    P = delta.period
-    if P.denominator != 1:
-        raise ValueError("minimal period needs an integer stored period")
-    return next(T for T in divisors(P.numerator) if delta.has_period(T))
+    """The least period of delta dividing its integer stored period, by
+    `plkernel.least_period`, which never factors it.  Non-divisor rational
+    periods are out of scope."""
+    return plkernel.least_period(*delta._lift_table())[0]
 
 
 def json_int(value, field: str) -> int:

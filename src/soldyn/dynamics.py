@@ -105,19 +105,6 @@ def enclosure_sequence(F: CircleLift, q_max: int, x0=0):
         yield RotationEnclosure((d - 1) / q, (d + 1) / q, q)
 
 
-def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator in [lo, hi] (Stern-Brocot walk)."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    fl = math.ceil(lo)
-    if fl <= hi:
-        return Fraction(fl)
-    base = math.floor(lo)
-    inner = simplest_rational_in(1 / (hi - base), 1 / (lo - base))
-    return base + 1 / inner
-
-
 def _leftmost_return(n: int, table, p: int, rightmost: bool = False) -> Optional[Fraction]:
     """Leftmost (or rightmost) zero of g(x) = G(x) - x - p in [0, n) for the
     degree-n PL lift G with integer table `table` (see circlemaps); None if

@@ -7,7 +7,8 @@ handled only through their certified finite truncations.
 
 An induced map's leaf lift F is id + delta: `leaf_quotient` decides T and
 cuts F's integer table to the quotient map g, which `circle_map` reads at any
-level d that T divides.  `hull_of` and `quotient_map` serve a bare delta.
+level d that T divides.  `hull_of` and `quotient_map` run the same search
+and cut on the table of id + delta for a bare delta.
 
 `check_semiconjugacy` runs an exact sample on integer pairs: both sides are
 read off the lifts' tables and compared mod T by one cross-multiplication,
@@ -21,10 +22,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import plkernel
-from .circlemaps import PeriodicPL, PLLift, displacement_lift, minimal_period
-from .errors import (
-    AnalyticExactUnsupported, MixedHulls, NotIncreasing, NotInducedAtLevel, NotMonotone
-)
+from .circlemaps import PeriodicPL, PLLift, minimal_period
+from .errors import AnalyticExactUnsupported, MixedHulls, NotIncreasing, NotInducedAtLevel
 from .induced import (
     InducedHomeo,
     LimitPeriodicHomeo,
@@ -132,29 +131,20 @@ class QuotientMap:
 
 
 def quotient_map(delta: PeriodicPL) -> QuotientMap:
-    T = hull_of(delta).period
-    try:
-        lift = displacement_lift(delta, T.numerator)
-    except NotMonotone as exc:
-        raise NotIncreasing(f"id + delta is not strictly increasing: {exc}") from exc
-    return QuotientMap(T, lift)
+    T, table = plkernel.least_period(*delta._lift_table())
+    if min(table[4]) <= 0:  # as in `displacement_lift`
+        raise NotIncreasing("id + delta is not strictly increasing")
+    return QuotientMap(Fraction(T), PLLift._from_table(T, table))
 
 
 def leaf_quotient(f: InducedHomeo) -> QuotientMap:
-    """g: the leaf lift F cut by `PLLift.descend` at the minimal period T of
-    delta = F - id.  A period T < n carries the first slope change x_0 onto a
-    later one below n, so T is 1 (no slope change), n or an integer x_i - x_0."""
+    """g: the leaf lift F = id + delta cut by `plkernel.least_period` at the
+    minimal period T of delta."""
     F = f.leaf_lift()
     if not isinstance(F, PLLift):
         raise AnalyticExactUnsupported("the quotient map needs a PL base")
-    n, (xn, xd, _, _, sn, sd) = f.degree, F._table
-    cuts = [i for i in range(len(xn)) if sn[i - 1] != sn[i] or sd[i - 1] != sd[i]]
-    periods = {n if cuts else 1}
-    for i in cuts[1:]:  # T = x_i - x_0 when that is an integer
-        T, r = divmod(xn[i] * xd[cuts[0]] - xn[cuts[0]] * xd[i], xd[i] * xd[cuts[0]])
-        if not r and n % T == 0:
-            periods.add(T)
-    return next(QuotientMap(Fraction(T), g) for T in sorted(periods) if (g := F.descend(T)))
+    T, table = plkernel.least_period(f.degree, F._table)
+    return QuotientMap(Fraction(T), PLLift._from_table(T, table))
 
 
 def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":

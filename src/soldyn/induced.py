@@ -27,6 +27,7 @@ from .circlemaps import (
     CircleLift,
     PeriodicPL,
     PLLift,
+    as_rational,
     displacement_lift,
     identity_lift,
     json_int,
@@ -266,7 +267,7 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
     increasing (each truncation is itself a homeomorphism); the tail bound
     must be nonnegative.
     """
-    tail_bound = Fraction(tail_bound)
+    tail_bound = as_rational(tail_bound)
     if tail_bound < 0:
         raise ValueError(f"tail_bound must be nonnegative, got {tail_bound}")
     tower = tuple(int(T) for T in tower)
@@ -315,4 +316,4 @@ def lp_from_descriptor(d: dict) -> LimitPeriodicHomeo:
     if not isinstance(tower, list):
         raise TypeError("an lp tower must be a JSON list")
     tower = [json_int(T, "a tower period") for T in tower]
-    return lp_build(tower, summands, Fraction(body.get("tail_bound", 0)))
+    return lp_build(tower, summands, body.get("tail_bound", 0))

@@ -7,6 +7,9 @@ and its slopes, every pair reduced.  Slope i is that of the piece starting at
 breakpoint i; the last piece wraps to the first breakpoint plus n.
 
 Evaluation, composition and powers run on tables and build no Fraction.
+The period search (`slope_changes`, `descend`, `least_period`) only compares
+and copies pairs, so it also takes the table of x + delta(x) for a bare
+periodic delta, whose values need not increase; `compose` and `wrap_cut` do.
 Sums and products of reduced pairs are reduced in the order `fractions`
 uses: gcd of the denominators first, cancelling across before multiplying.
 No gcd is ever taken of a product of several coordinates, which matters
@@ -117,6 +120,46 @@ def eval_pair(table, n: int, a: int, b: int) -> tuple[int, int]:
     if j:
         a -= j * n * b
     return piece_value(table, locate(table[0], table[1], a, b) - 1, n, a, b, j)
+
+
+def slope_changes(table) -> list:
+    """The indices where the slope changes; equal reduced pairs are equal slopes."""
+    sn, sd = table[4], table[5]
+    return [i for i in range(len(sn)) if sn[i - 1] != sn[i] or sd[i - 1] != sd[i]]
+
+
+def descend(n: int, table, T: int):
+    """F as a degree-T table if T divides n and F(x + T) = F(x) + T, else None.
+    F is fixed by its slope changes, so T is a period iff their pairs, shifted
+    by (T, T) or past n by (T - n, T - n), are the same set.  The result
+    keeps those in [0, T), plus (0, F(0))."""
+    if T < 1 or n % T:
+        return None
+    xn, xd, yn, yd, sn, sd = table
+    keep = slope_changes(table)
+    pts = {(xn[i], xd[i], yn[i], yd[i]) for i in keep}
+    for a, b, c, d in pts:
+        s = T if a + T * b < n * b else T - n
+        if (a + s * b, b, c + s * d, d) not in pts:
+            return None
+    rows = [[col[i] for col in table] for i in keep if xn[i] < T * xd[i]]
+    if not rows or rows[0][0]:
+        rows.insert(0, (0, 1, *eval_pair(table, n, 0, 1), sn[-1], sd[-1]))
+    return tuple(map(list, zip(*rows)))
+
+
+def least_period(n: int, table) -> tuple[int, tuple]:
+    """(T, descend(n, table, T)) for the least period T of F - id dividing n.
+    A period T < n carries the first slope change x_0 onto a later one below
+    n, so T is 1 (no slope change), n or an integer x_i - x_0: n is never factored."""
+    xn, xd = table[0], table[1]
+    keep = slope_changes(table)
+    periods = {n if keep else 1}
+    for i in keep[1:]:
+        T, r = divmod(xn[i] * xd[keep[0]] - xn[keep[0]] * xd[i], xd[i] * xd[keep[0]])
+        if not r and n % T == 0:
+            periods.add(T)
+    return next((T, cut) for T in sorted(periods) if (cut := descend(n, table, T)))
 
 
 def compose(n: int, outer, inner) -> tuple:

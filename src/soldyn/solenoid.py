@@ -45,10 +45,6 @@ class SolenoidPoint:
     def depth(self) -> int:
         return self.k.depth
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.x, Fraction)
-
     def render(self) -> str:
         inner = ", ".join(str(r) for r in self.k.residues)
         return f"x={self.x}; k=({inner})"

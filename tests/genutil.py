@@ -1,9 +1,13 @@
 """Deterministic random generators and hypothesis strategies for the suite."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -96,6 +100,18 @@ unit_fractions = st.builds(
 
 def towers(depth: int = 5):
     return st.integers(0, factorial(depth) - 1).map(lambda t: embed_int(t, depth))
+
+
+def run_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run the interpreter with `args` in a subprocess that imports soldyn
+    from this checkout, capturing text output; raises TimeoutExpired once
+    `timeout` seconds pass, so a run that would not end fails the test."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def count_compositions(monkeypatch) -> list:

@@ -172,7 +172,7 @@ def test_has_period_matches_translate_reference():
         return delta.sup_diff(delta.translate(T)) == 0
 
     rng = random.Random(17)
-    outcomes = set()
+    outcomes, scanned = set(), 0
     for i in range(120):
         P = Fraction(rng.choice([1, 2, 3, 4, 6, Fraction(3, 2), Fraction(5, 3)]))
         r = rng.choice([1, 2, 3, 6])  # the pattern repeats r times per period
@@ -192,7 +192,12 @@ def test_has_period_matches_translate_reference():
             got = delta.has_period(T)
             assert got == reference(delta, T), (delta, T)
             outcomes.add((i % 4 == 0, got))
+        if P.denominator == 1:  # the divisor scan that minimal_period replaced
+            least = next(T for T in divisors(P.numerator) if delta.has_period(T))
+            assert minimal_period(delta) == least, delta
+            scanned += 1
     assert outcomes == {(True, True), (False, True), (False, False)}
+    assert scanned > 60
 
 
 def test_minimal_period_divides_degree():

@@ -1,11 +1,8 @@
 import gc
 import io
 import json
-import os
 import random
 import signal
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +15,7 @@ from hypothesis import strategies as st
 import soldyn
 from soldyn import PeriodicPL
 from soldyn.cli import main
+from genutil import run_python
 
 HALFMAP = {
     "degree": 1,
@@ -449,10 +447,24 @@ def test_descriptor_integers_must_be_json_integers(runner, tmp_path, sub, desc):
     assert "invalid descriptor" in res.stderr and "JSON integer" in res.stderr
 
 
+@pytest.mark.parametrize("sub, desc", [
+    ("rotation", {**HALFMAP, "breakpoints": [["0", True], ["1/2", "3/2"]]}),
+    ("density", {"lp": {**LP4["lp"], "summands": [
+        {"period": True, "breakpoints": [["0", "0"]]}, *LP4["lp"]["summands"][1:]]}}),
+    ("density", {"lp": {**LP4["lp"], "tail_bound": 0.1}}),
+    ("density", {"lp": {**LP4["lp"], "tail_bound": True}}),
+], ids=["breakpoint-true", "period-true", "tail-bound-float", "tail-bound-true"])
+def test_booleans_and_floats_are_not_exact_rationals(runner, tmp_path, sub, desc):
+    res = runner.invoke(main, [sub, "--input", write(tmp_path, "d.json", desc)])
+    assert_usage_error(res)
+    assert "invalid descriptor" in res.stderr, res.stderr
+
+
 # malformed descriptors: one field of a valid descriptor replaced by a bad value
 
 _BAD_RATIONAL = st.sampled_from(
-    ["1/0", "0/0", "x", "", "nan", "inf", "1/2/3", "--1", 0.5, float("nan"), None, [], {}]
+    ["1/0", "0/0", "x", "", "nan", "inf", "1/2/3", "--1", 0.5, float("nan"), None, [], {},
+     True, False]
 )
 _BAD_PAIR = st.one_of(
     st.tuples(_BAD_RATIONAL, st.sampled_from(["0", "1/2"])).map(list),
@@ -513,7 +525,7 @@ _LP_BODY_BAD = _corrupt(LP4["lp"], {
     "tower": st.sampled_from([[1, 2, 5, 24], [1, 2, 6], [1, 0, 6, 24], [1, 2, 6, "24"],
                               [True, 2, 6, 24], [1, 2.0, 6, 24], "x", None, 7]),
     "summands": st.sampled_from([None, "x", 3, [], [{"period": "1"}]]) | st.just(...),
-    "tail_bound": _BAD_SCALAR,
+    "tail_bound": _BAD_SCALAR | st.sampled_from([0.1, True, False]),
 })
 _MALFORMED = st.one_of(
     _NOT_AN_OBJECT,
@@ -634,14 +646,8 @@ def test_result_past_the_digit_limit_exits_1_without_traceback(tmp_path):
     path.write_text(
         '{"degree": 1, "variant": "pl", "breakpoints": [["0","1e-5000"]]}', encoding="utf-8"
     )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for args in (["rotation", "--iters", "7"], ["hull", "--iters", "5"]):
-        res = subprocess.run(
-            [sys.executable, "-m", "soldyn", *args, "--input", str(path)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        res = run_python("-m", "soldyn", *args, "--input", str(path))
         assert res.returncode == 1 and res.stdout == "", (args, res.stderr)
         assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1, res.stderr
         assert "digits" in res.stderr

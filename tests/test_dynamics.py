@@ -1,11 +1,7 @@
 import math
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +28,6 @@ from soldyn import (
     rotation_lift,
     rotation_report,
     sigma,
-    simplest_rational_in,
     sol_add,
     sol_dist,
     translation_enclosure,
@@ -40,7 +35,7 @@ from soldyn import (
 )
 from soldyn import SolenoidPoint, plkernel
 from soldyn import dynamics as dyn
-from genutil import count_compositions, rand_induced, rand_pl_lift, rand_point
+from genutil import count_compositions, rand_induced, rand_pl_lift, rand_point, run_python
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 FIXEDPOINT = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
@@ -110,17 +105,6 @@ def test_enclosure_shifts_by_integer_translation():
         e = translation_enclosure(F, q)
         e1 = translation_enclosure(G, q)
         assert (e1.lo, e1.hi) == (e.lo + 1, e.hi + 1)
-
-
-def test_simplest_rational():
-    assert simplest_rational_in(Fraction(2, 5), Fraction(3, 5)) == Fraction(1, 2)
-    assert simplest_rational_in(Fraction(-1, 10), Fraction(1, 10)) == 0
-    assert simplest_rational_in(Fraction(3, 5), Fraction(3, 5)) == Fraction(3, 5)
-    assert simplest_rational_in(Fraction(7, 3), Fraction(8, 3)) == Fraction(5, 2)
-    v = simplest_rational_in(Fraction(59, 100), Fraction(61, 100))
-    assert v == Fraction(3, 5)
-    with pytest.raises(ValueError):
-        simplest_rational_in(Fraction(1), Fraction(0))
 
 
 def test_certify_rational_examples():
@@ -501,11 +485,6 @@ def test_certificate_rechecks_survive_python_O():
             sys.exit(4)
         print("rechecked")
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    res = run_python("-O", "-c", code, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "rechecked"

@@ -1,10 +1,6 @@
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +13,7 @@ from soldyn import (
     NotIncreasing,
     Periodic,
     PeriodicPL,
+    PLLift,
     QuotientMap,
     SolenoidPoint,
     analytic_new,
@@ -47,17 +44,14 @@ from soldyn import (
     sigma,
     sol_add,
 )
-from genutil import rand_embedded, rand_induced, rand_pl_lift, rand_point, rand_tower
+from soldyn.circlemaps import displacement_lift
+from genutil import (
+    rand_embedded, rand_induced, rand_pl_lift, rand_point, rand_tower, run_python
+)
 
 SAW2 = PeriodicPL(2, [(0, 0), (1, Fraction(1, 4))])  # minimal period 2
 
 
-def _env_with_src() -> dict:
-    """The environment for a subprocess that imports soldyn from this checkout."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_hull_translate_and_eval():
@@ -282,10 +276,7 @@ except DepthExceeded:
     depth = "DepthExceeded"
 print(detected, depth, sys.flags.optimize)
 """
-    env = _env_with_src()
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    res = run_python("-O", "-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["True", "DepthExceeded", "1"]
 
@@ -350,9 +341,18 @@ def test_semiconjugacy_is_commuting_diagram_at_period():
         assert lhs == rhs
 
 
+def _reference_quotient(delta, n):
+    """(T, g) decided on the Fraction displacement alone: T the first divisor
+    of n that has_period accepts, g built by the checked PLLift constructor
+    from delta's canonical breakpoints reduced mod T, plus 0."""
+    T = next(T for T in divisors(n) if delta.has_period(T))
+    xs = sorted({x % T for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
+    return T, PLLift(T, [(x, x + delta.eval(x)) for x in xs])
+
+
 def test_leaf_quotient_matches_displacement_reference():
-    # reference: the period decided on the Fraction displacement and g built
-    # from it by displacement_lift; descend is checked on every candidate T
+    # the leaf lift's period search and cut, and the same search on a bare
+    # delta, against `_reference_quotient`; descend is checked on every candidate T
     rng = random.Random(12)
     periods = set()
     for n in (1, 2, 3, 4, 6, 12):
@@ -363,13 +363,13 @@ def test_leaf_quotient_matches_displacement_reference():
         maps += [induce(rand_induced(rng, n).base, c) for c in range(-2, 3)]
         for f in maps:
             delta = leaf_displacement(f)
-            T = minimal_period(delta)
-            ref = quotient_map(delta).lift
-            g = leaf_quotient(f)
-            assert g.period == T, f
-            assert (g.lift.degree, g.lift.xs, g.lift.ys, g.lift.slopes) == (
-                ref.degree, ref.xs, ref.ys, ref.slopes
-            ), f
+            T, ref = _reference_quotient(delta, n)
+            for g in (leaf_quotient(f), quotient_map(delta)):
+                assert g.period == T, f
+                assert (g.lift.degree, g.lift.xs, g.lift.ys, g.lift.slopes) == (
+                    ref.degree, ref.xs, ref.ys, ref.slopes
+                ), f
+            assert minimal_period(delta) == T, f
             F = f.leaf_lift()
             assert F.descend(0) is None and F.descend(-n) is None
             for t in range(1, 2 * n + 1):
@@ -390,15 +390,11 @@ def test_leaf_quotient_never_factors_the_degree(tmp_path):
         n: [(0, 0), (Fraction(1, 2), 1)],
     }
     maps = {T: induce(pl_new(n, bps), 1) for T, bps in bumps.items()}
-    env = _env_with_src()
     for T, f in maps.items():
         path = tmp_path / f"deg30_{len(bumps[T])}.json"
         path.write_text(json.dumps(f.to_descriptor()), encoding="utf-8")
-        res = subprocess.run(
-            [sys.executable, "-m", "soldyn", "semiconj", "--input", str(path),
-             "--depth", "125", "--samples", "5"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        res = run_python("-m", "soldyn", "semiconj", "--input", str(path),
+                         "--depth", "125", "--samples", "5")
         assert res.returncode == 0, res.stderr
         rep = json.loads(res.stdout)
         assert rep["period"] == str(T) and rep["exact"] is True, rep
@@ -408,6 +404,30 @@ def test_leaf_quotient_never_factors_the_degree(tmp_path):
         assert g.period == T and g.lift.degree == T
         for x in (0, Fraction(1, 3), Fraction(1, 2), half - 1, half + Fraction(1, 4), n - 1):
             assert g.lift.eval(x) == F.eval(x), (T, x)
+
+
+def test_displacement_lift_needs_a_period_dividing_the_stored_one():
+    assert displacement_lift(SAW2, 2) == PLLift(2, [(0, 0), (1, Fraction(5, 4))])
+    for T in (1, 4):  # 1 is no period of SAW2 and 4 does not divide 2
+        with pytest.raises(ValueError, match="not a period"):
+            displacement_lift(SAW2, T)
+
+
+def test_bare_delta_period_search_never_factors_the_stored_period():
+    # stored periods 10^30 and the prime 2^61 - 1: trial division up to the
+    # square root would not finish, so the period must come from the slope changes
+    code = """
+from soldyn import PeriodicPL, hull_of, minimal_period, periodicity_classify, quotient_map
+for P in (10**30, 2**61 - 1):
+    for bps, T in (([(0, 0), (1, "1/16")], P), ([(0, "1/8")], 1)):
+        delta = PeriodicPL(P, bps)
+        got = (hull_of(delta).period, minimal_period(delta), quotient_map(delta).period,
+               periodicity_classify(delta).period)
+        print(got == (T,) * 4)
+"""
+    res = run_python("-c", code, timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["True"] * 4
 
 
 def test_analytic_maps_have_no_exact_quotient():
