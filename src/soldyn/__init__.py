@@ -62,7 +62,6 @@ from .hull import (
     circle_map,
     g_apply,
     hull_dist,
-    hull_func_dist,
     hull_inv,
     hull_mul,
     hull_of,

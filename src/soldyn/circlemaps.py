@@ -413,11 +413,6 @@ class PeriodicPL:
             T, xs, self.vs[cut:] + self.vs[:cut], self.slopes[cut:] + self.slopes[:cut]
         )
 
-    def scale(self, c) -> "PeriodicPL":
-        c = as_rational(c)
-        vs, slopes = tuple([v * c for v in self.vs]), tuple([s * c for s in self.slopes])
-        return PeriodicPL._trusted(self.period, self.xs, vs, slopes)
-
     def grid(self, T) -> set:
         """Breakpoint abscissae repeated over [0, T); T a multiple of the period.
         Raises BreakpointCapExceeded past BREAKPOINT_CAP of them."""
@@ -476,9 +471,6 @@ class PeriodicPL:
                 keep.append((self.xs[i], self.vs[i]))
         return tuple(keep)
 
-    def is_constant(self) -> bool:
-        return not self.canonical_breakpoints()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodicPL):
             return NotImplemented
@@ -498,7 +490,7 @@ class PeriodicPL:
 
 
 class AnalyticDisplacement:
-    """Float view of F - id for an analytic lift, with a certified sup bound."""
+    """Float view of F - id for an analytic lift."""
 
     __slots__ = ("lift",)
 
@@ -509,9 +501,6 @@ class AnalyticDisplacement:
         return self.lift.eval(x) - float(x)
 
     __call__ = eval
-
-    def sup_bound(self) -> float:
-        return abs(self.lift.alpha) + sum(abs(a) for a, _ in self.lift.terms)
 
 
 def pl_new(degree: int, breakpoints) -> PLLift:

@@ -13,8 +13,10 @@ tau <= p/m, so tau lies in [L, U] with L = max floor(v_m)/m and
 U = min ceil(v_m)/m over m <= M, and no rational with denominator <= M lies
 strictly between L and U.  F^d(w) = w + p has a solution iff tau = p/d
 (Herman, Publ. Math. IHES 49, 1979), so only L or U can certify, and testing
-them costs two powers from one chain of squares F, F^2, F^4, ...
-(`plkernel.powers`), the second built only when the first end fails.  At
+them costs at most two powers from one chain of squares F, F^2, F^4, ...
+(`plkernel.powers`).  The second is built only when the first end a/q fails
+and the first power G = F^q admits the second end: q tau lies between the
+min and max of G - id, so an end outside them cannot certify.  At
 degree n >= 2 a return with n not dividing p does not pin tau, so there every
 denominator is tried in order, within a budget of SWEEP_BUDGET numerators.
 Analytic maps get float enclosures only.
@@ -199,14 +201,23 @@ def _certify_bracket(
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Test the bracket ends that lie in [lo, hi] with denominator <= max_den,
     by (denominator, value), on powers pulled lazily from one chain of
-    squares: a first end that certifies leaves the second power unbuilt."""
+    squares.  The second power is built only when the first end fails and
+    the first power's range admits the second end: tau(F) lies in
+    [min(G - id), max(G - id)] / q for G = F^q, so an end outside that range
+    has no return orbit (`plkernel.offset_sign`)."""
     cands = [
         c for c in sorted({L, U}, key=lambda c: (c.denominator, c))
         if c.denominator <= max_den and lo <= c <= hi
     ]
-    tables = plkernel.powers(F.degree, F._table, (c.denominator for c in cands), cap)
-    for cand, G in zip(cands, tables):
-        wit = _leftmost_return(F.degree, G, cand.numerator)
+    n = F.degree
+    tables = plkernel.powers(n, F._table, (c.denominator for c in cands), cap)
+    G = None
+    for cand in cands:
+        # G is set only for the second of at most two ends, so a skip ends the search
+        if G is not None and plkernel.offset_sign(G, q * cand.numerator, cand.denominator):
+            return None
+        G, q = next(tables), cand.denominator
+        wit = _leftmost_return(n, G, cand.numerator)
         if wit is not None:
             return cand, wit
     return None
@@ -223,7 +234,8 @@ def rational_certificate(
 
     At degree 1 only tau can certify, so the orbit of 0 over max_den steps
     brackets the one candidate pair (see the module docstring): cost
-    max_den evaluations plus two powers from one chain of squares.  At
+    max_den evaluations plus at most two powers from one chain of squares,
+    the second built only when the first power's range admits its end.  At
     degree n >= 2 several p/q can have exact returns, so every reduced p/q
     in the interval is tried by increasing denominator, composing the
     integer table of F^q = F o F^(q-1); that cost grows quadratically in
@@ -285,10 +297,11 @@ def rotation_report(
     lift from the witness; a failure raises CertificateMismatch.
 
     At degree 1 one orbit pass of max(q, max_cert_den) evaluations gives
-    both the enclosure and the Farey bracket, and two powers from one chain
-    of squares settle certification.  A binary64 x0 keeps its float enclosure;
-    its bracket comes from the exact orbit of Fraction(x0).  Degree n >= 2
-    runs the per-denominator search of rational_certificate.
+    both the enclosure and the Farey bracket, and at most two powers from
+    one chain of squares settle certification, the second built only when
+    the first power's range admits its end.  A binary64 x0 keeps its float
+    enclosure; its bracket comes from the exact orbit of Fraction(x0).
+    Degree n >= 2 runs the per-denominator search of rational_certificate.
     """
     if max_cert_den is None:
         max_cert_den = min(q, 1000)

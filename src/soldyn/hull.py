@@ -96,12 +96,6 @@ def hull_dist(a: HullPoint, b: HullPoint) -> Fraction:
     return Fraction(min(d, M - d), B)
 
 
-def hull_func_dist(a: HullPoint, b: HullPoint) -> Fraction:
-    """Exact sup distance of the translates as functions (validation view)."""
-    h = _same_hull(a, b)
-    return h.delta.translate(a.param).sup_diff(h.delta.translate(b.param))
-
-
 def K_map(s: SolenoidPoint, hull: Hull) -> HullPoint:
     """The homomorphism solenoid -> hull with K(sigma(t)) = delta^t.
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import plkernel
 from .circlemaps import (
+    BREAKPOINT_CAP,
     AnalyticLift,
     CircleLift,
     PeriodicPL,
@@ -36,6 +37,7 @@ from .circlemaps import (
 )
 from .errors import (
     AnalyticExactUnsupported,
+    BreakpointCapExceeded,
     NotDivisorChain,
     NotHomeomorphism,
     NotMultiple,
@@ -145,7 +147,9 @@ def leaf_displacement(f: InducedHomeo) -> PeriodicPL:
 
 
 def embed_degree(f: InducedHomeo, m: int) -> InducedHomeo:
-    """Direct-limit inclusion: reinterpret a degree-n map at degree m, n | m."""
+    """Direct-limit inclusion: reinterpret a degree-n map at degree m, n | m.
+    Raises BreakpointCapExceeded, before copying, when the m/n copies of the
+    table would pass BREAKPOINT_CAP breakpoints."""
     n = f.degree
     if m % n != 0:
         raise NotMultiple(f"{m} is not a multiple of {n}")
@@ -156,6 +160,10 @@ def embed_degree(f: InducedHomeo, m: int) -> InducedHomeo:
     # the lift repeated m/n times: copy j of each breakpoint is moved by j n
     xn, xd, yn, yd, sn, sd = f.base._table
     k = m // n
+    if k * len(xn) > BREAKPOINT_CAP:
+        raise BreakpointCapExceeded(
+            f"degree {m} would copy the table to more than {BREAKPOINT_CAP} breakpoints"
+        )
 
     def copies(nums, dens):
         return [a + j * n * b for j in range(k) for a, b in zip(nums, dens)]

@@ -122,6 +122,21 @@ def eval_pair(table, n: int, a: int, b: int) -> tuple[int, int]:
     return piece_value(table, locate(table[0], table[1], a, b) - 1, n, a, b, j)
 
 
+def offset_sign(table, cn: int, cd: int) -> int:
+    """1 if F(x) - x > cn/cd at every breakpoint, -1 if F(x) - x < cn/cd at
+    every one, else 0; cd > 0.  F - id is piecewise linear and periodic, so
+    its extrema lie on breakpoints and a nonzero sign holds on the whole line.
+    Each breakpoint costs one cross-multiplication and builds no Fraction."""
+    sign = 0
+    for a, b, c, d in zip(*table[:4]):
+        u, v = c * b * cd, (a * cd + cn * b) * d
+        s = (u > v) - (u < v)
+        if s == 0 or s == -sign:
+            return 0
+        sign = s
+    return sign
+
+
 def slope_changes(table) -> list:
     """The indices where the slope changes; equal reduced pairs are equal slopes."""
     sn, sd = table[4], table[5]

@@ -35,7 +35,9 @@ from soldyn import (
 )
 from soldyn import SolenoidPoint, plkernel
 from soldyn import dynamics as dyn
-from genutil import count_compositions, rand_induced, rand_pl_lift, rand_point, run_python
+from genutil import (
+    count_compositions, rand_fraction, rand_induced, rand_pl_lift, rand_point, run_python,
+)
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 FIXEDPOINT = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
@@ -428,6 +430,95 @@ def test_bracket_end_that_certifies_leaves_the_other_power_unbuilt(monkeypatch):
     rep = rotation_report(F, 40)
     assert (rep.exact, rep.witness) == (Fraction(1, 2), Fraction(1, 4))
     assert len(calls) == 1
+
+
+def _farey_gap_map(rng, order):
+    """(F, a/b, c/d): consecutive Farey neighbours a/b < c/d of the given
+    order, drawn as the certify benchmark draws them, and a degree-1 lift with
+    2-5 breakpoints whose displacement lies strictly between them."""
+    while True:
+        b = rng.randint(order // 2 + 1, order)
+        a = rng.randrange(b)
+        if math.gcd(a, b) == 1:
+            break
+    r = -pow(a, -1, b) % b
+    d = r + (order - r) // b * b
+    lo, hi = Fraction(a, b), Fraction((1 + a * d) // b, d)
+    xs = sorted(Fraction(k, 12) for k in rng.sample(range(12), rng.randint(2, 5)))
+    F = pl_new(1, [(x, x + lo + Fraction(rng.randint(1, 7), 8) * (hi - lo)) for x in xs])
+    return F, lo, hi
+
+
+def _mode_locked_map(rng):
+    """(F, d): a degree-1 lift with tau = p/d, d <= 7, whose orbit of 0 is
+    periodic and whose other orbits generally are not."""
+    d = rng.randint(2, 7)
+    p = rng.choice([p for p in range(d) if math.gcd(p, d) == 1])
+    pts = []
+    for j in range(d):
+        pts.append((Fraction(j, d), Fraction(j + p, d)))
+        bump = Fraction(rng.randint(-3, 3), 8 * d)
+        pts.append((Fraction(2 * j + 1, 2 * d), Fraction(2 * (j + p) + 1, 2 * d) + bump))
+    return pl_new(1, pts), d
+
+
+def test_farey_gap_map_builds_only_its_first_end_power(monkeypatch):
+    # F - id lies strictly inside (a/b, c/d), so the bracket is that gap and
+    # the first end's power G = F^q has G - id strictly inside (q a/b, q c/d):
+    # the second end lies outside G's range and its power is never built
+    rng = random.Random(40)
+    calls = count_compositions(monkeypatch)
+    for _ in range(20):
+        F, lo, hi = _farey_gap_map(rng, 40)
+        assert dyn._orbit_bracket(F, Fraction(0), 40, 40)[1:] == (lo, hi)
+        q = min(lo.denominator, hi.denominator)
+        calls.clear()
+        rep = rotation_report(F, 40)
+        assert rep.exact is None and rep.lo < lo < hi < rep.hi
+        # F^q is bit_length - 1 squares and popcount - 1 products
+        assert len(calls) == q.bit_length() - 1 + bin(q).count("1") - 1
+
+
+def _reference_report(F, q, x0):
+    """rotation_report's (exact, witness) by definition: the Farey bracket of
+    the orbit of x0 over q steps, then each end in the enclosure, by
+    (denominator, value), on its own power through certify_rational."""
+    x, ends = x0, None
+    for m in range(1, q + 1):
+        x = F.eval(x)
+        v = x - x0
+        lo_m, hi_m = Fraction(math.floor(v), m), Fraction(math.ceil(v), m)
+        ends = (lo_m, hi_m) if ends is None else (max(ends[0], lo_m), min(ends[1], hi_m))
+    lo, hi = (v - 1) / q, (v + 1) / q
+    for c in sorted(set(ends), key=lambda c: (c.denominator, c)):
+        if lo <= c <= hi:
+            wit = certify_rational(F, c.numerator, c.denominator)
+            if wit is not None:
+                return c, wit
+    return None, None
+
+
+def test_rotation_report_matches_both_ends_on_their_own_powers():
+    rng = random.Random(1979)
+    larger_end = 0
+    for kind in ("random", "farey", "locked") * 60:
+        x0 = rand_fraction(rng)
+        if kind == "random":
+            F = rand_pl_lift(rng, 1, rng.randint(1, 4), rng.choice([4, 6, 8]))
+            q = rng.randint(1, 30)
+        elif kind == "farey":
+            q = rng.randint(2, 40)
+            F = _farey_gap_map(rng, q)[0]
+        else:
+            F, d = _mode_locked_map(rng)
+            q = rng.randint(d, 2 * d + 2)
+        rep = rotation_report(F, q, x0)
+        ref = _reference_report(F, q, x0)
+        assert (rep.exact, rep.witness) == ref
+        _, L, U = dyn._orbit_bracket(F, x0, q, q)
+        larger_end += ref[0] is not None and L != U and ref[0] == max(L, U, key=lambda c: c.denominator)
+    # tau is the larger-denominator end, tested on the second power, often enough
+    assert larger_end >= 10
 
 
 def test_degree_n_sweep_stops_at_its_budget(monkeypatch):

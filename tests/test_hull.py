@@ -25,7 +25,6 @@ from soldyn import (
     embed_int,
     g_apply,
     hull_dist,
-    hull_func_dist,
     hull_inv,
     hull_mul,
     hull_of,
@@ -89,13 +88,17 @@ def test_mixed_hulls_rejected():
 
 
 def test_hull_parameter_faithful():
-    # functional sup-distance vanishes exactly on equal parameters
+    # the translates' sup-distance vanishes exactly on equal parameters
     h = hull_of(SAW2)
     a = h.translate(Fraction(1, 5))
     b = h.translate(Fraction(1, 5) + 2)
     c = h.translate(Fraction(2, 5))
-    assert hull_func_dist(a, b) == 0
-    assert hull_func_dist(a, c) > 0
+
+    def func_dist(u, v):
+        return h.delta.translate(u.param).sup_diff(h.delta.translate(v.param))
+
+    assert func_dist(a, b) == 0
+    assert func_dist(a, c) > 0
 
 
 def test_K_map_defining_property():

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from soldyn import (
+    BreakpointCapExceeded,
     DepthExceeded,
     Hull,
     HullPoint,
@@ -173,6 +174,20 @@ def test_embed_degree():
     assert minimal_period(leaf_displacement(g)) == minimal_period(leaf_displacement(f))
     with pytest.raises(NotMultiple):
         embed_degree(f, 3)
+
+
+def test_embed_degree_stops_at_the_breakpoint_cap():
+    # 500001 copies of a 2-breakpoint table would hold 1000002 > 10**6
+    # breakpoints; composing or reading the map at that degree embeds it too
+    f = induce(pl_new(1, [(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2))]))
+    m = 500_001
+    with pytest.raises(BreakpointCapExceeded):
+        embed_degree(f, m)
+    with pytest.raises(BreakpointCapExceeded):
+        compose_induced(f, induce(rotation_lift(0, m)))
+    with pytest.raises(BreakpointCapExceeded):
+        circle_map(f, m)
+    assert embed_degree(f, 3).degree == 3
 
 
 def test_compose_and_invert():
