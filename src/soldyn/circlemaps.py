@@ -396,9 +396,6 @@ class PeriodicPL:
         """Exact sup |delta|; PL extrema occur at breakpoints."""
         return max(abs(v) for v in self.vs)
 
-    def min_slope(self) -> Fraction:
-        return min(self.slopes)
-
     def translate(self, t) -> "PeriodicPL":
         """The translate delta^t(x) = delta(x + t)."""
         t = as_rational(t)

@@ -271,9 +271,15 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
     """Validate and assemble a certified limit-periodic homeomorphism.
 
     The tower must be a divisor chain; summand j must have stored period
-    T_j; every partial sum id + sum_{i<=j} delta_i must be strictly
-    increasing (each truncation is itself a homeomorphism); the tail bound
-    must be nonnegative.
+    T_j; every truncation id + S_j, S_j = sum_{i<=j} delta_i, must be
+    strictly increasing (each truncation is itself a homeomorphism); the
+    tail bound must be nonnegative.
+
+    A continuous PL map increases iff its slopes are positive, so the
+    truncation check reads slopes only: one merge per level of S_{j-1}'s
+    pieces with delta_j's, with no value evaluated and no S_j built.
+    BREAKPOINT_CAP bounds each merged level: BreakpointCapExceeded is raised
+    before S_{j-1}'s breakpoints are repeated over [0, T_j) past the cap.
     """
     tail_bound = as_rational(tail_bound)
     if tail_bound < 0:
@@ -291,14 +297,50 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
     for T, d in zip(tower, summands):
         if d.period != T:
             raise ValueError(f"summand period {d.period} != tower period {T}")
-    partial = None
-    for d in summands:
-        partial = d if partial is None else partial.add(d)
-        if partial.min_slope() <= -1:
+    # S_j = delta_1 + ... + delta_j as its breakpoints over [0, T_j), integers
+    # over one denominator D, and its slope on the piece from each: the pieces
+    # of S_{j-1} repeated T_j / T_{j-1} times, merged with delta_j's
+    D = 1
+    for j, (T, d) in enumerate(zip(tower, summands)):
+        E = math.lcm(D, *(x.denominator for x in d.xs))
+        bx = [x.numerator * (E // x.denominator) for x in d.xs]
+        if j:
+            reps = T // P
+            if reps * len(xs) > BREAKPOINT_CAP or len(bx) > BREAKPOINT_CAP:
+                raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
+            ax = [a * (E // D) + k * P * E for k in range(reps) for a in xs]
+            xs, slopes = _merge_slopes(ax, slopes * reps, bx, d.slopes)
+        else:
+            xs, slopes = bx, d.slopes
+        D, P = E, T
+        if min(slopes) <= -1:
             raise NotHomeomorphism(
                 "partial displacement sum has slope <= -1; id + sum not increasing"
             )
     return LimitPeriodicHomeo(tower, summands, tail_bound)
+
+
+def _merge_slopes(ax, a_slopes, bx, b_slopes) -> tuple[list, list]:
+    """The sorted union of two sorted breakpoint lists over one period, with
+    the sum of both slopes on the piece from each point; the piece before a
+    list's first point carries its last slope."""
+    xs, slopes = [], []
+    sa, sb = a_slopes[-1], b_slopes[-1]
+    i = k = 0
+    na, nb = len(ax), len(bx)
+    while i < na or k < nb:
+        if k == nb or (i < na and ax[i] <= bx[k]):
+            x, sa = ax[i], a_slopes[i]
+            i += 1
+            if k < nb and bx[k] == x:
+                sb = b_slopes[k]
+                k += 1
+        else:
+            x, sb = bx[k], b_slopes[k]
+            k += 1
+        xs.append(x)
+        slopes.append(sa + sb)
+    return xs, slopes
 
 
 def lp_truncate(h: LimitPeriodicHomeo, level: int) -> tuple[InducedHomeo, Fraction]:

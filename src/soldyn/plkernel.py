@@ -166,13 +166,14 @@ def descend(n: int, table, T: int):
 def least_period(n: int, table) -> tuple[int, tuple]:
     """(T, descend(n, table, T)) for the least period T of F - id dividing n.
     A period T < n carries the first slope change x_0 onto a later one below
-    n, so T is 1 (no slope change), n or an integer x_i - x_0: n is never factored."""
+    n, so T is 1 (no slope change), n or an integer x_i - x_0, which `descend`
+    rejects unless it divides n: n is never factored."""
     xn, xd = table[0], table[1]
     keep = slope_changes(table)
     periods = {n if keep else 1}
     for i in keep[1:]:
         T, r = divmod(xn[i] * xd[keep[0]] - xn[keep[0]] * xd[i], xd[i] * xd[keep[0]])
-        if not r and n % T == 0:
+        if not r:
             periods.add(T)
     return next((T, cut) for T in sorted(periods) if (cut := descend(n, table, T)))
 

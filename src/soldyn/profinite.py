@@ -3,7 +3,8 @@
 A depth-M value is the class of an integer a mod M!, stored as the one
 integer value = a mod M! in [0, M!).  The factorial moduli are cofinal in
 the divisibility order, so it determines the class of a mod every n dividing
-M!; the residues r_m = a mod m!, m = 1..M, are derived from it.  All
+M!; the residues r_m = a mod m!, m = 1..M, are derived from it, each walk
+over the levels building m! as (m - 1)! m within the call.  All
 arithmetic is exact (arbitrary-precision integers) and values are immutable.
 """
 from __future__ import annotations
@@ -47,9 +48,9 @@ class ProfiniteInt:
         if not residues:
             raise ValueError("residue tower must have depth >= 1")
         prev = 0
-        prev_mod = 1
+        prev_mod = mod = 1
         for m, r in enumerate(residues, start=1):
-            mod = _fact(m)
+            mod *= m
             if not 0 <= r < mod:
                 raise ValueError(f"residue {r} outside [0, {mod}) at level {m}")
             if r % prev_mod != prev:
@@ -59,7 +60,11 @@ class ProfiniteInt:
 
     @property
     def residues(self) -> tuple[int, ...]:
-        return tuple(self.value % _fact(m) for m in range(1, self.depth + 1))
+        out, mod = [], 1
+        for m in range(1, self.depth + 1):
+            mod *= m
+            out.append(self.value % mod)
+        return tuple(out)
 
     def truncate(self, depth: int) -> "ProfiniteInt":
         # No silent extension: a truncation does not determine deeper levels.
@@ -114,9 +119,10 @@ def pf_neg(a: ProfiniteInt) -> ProfiniteInt:
 def pf_dist(a: ProfiniteInt, b: ProfiniteInt) -> Fraction:
     """Indicator metric sum_m 2^-m [r_m(a) != r_m(b)]; an ultrametric on towers."""
     diff = a.value - b.value
-    total = Fraction(0)
+    total, mod = Fraction(0), 1
     for m in range(1, min(a.depth, b.depth) + 1):
-        if diff % _fact(m):
+        mod *= m
+        if diff % mod:
             total += Fraction(1, 2**m)
     return total
 

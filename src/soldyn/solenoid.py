@@ -13,7 +13,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .profinite import DEFAULT_DEPTH, ProfiniteInt, embed_int, pf_add, pf_neg
 
@@ -145,15 +144,16 @@ def sol_dist(s: SolenoidPoint, t: SolenoidPoint) -> Coordinate:
         B = math.lcm(a, b)
         # B times the difference of the lifts x + k, reduced at each level
         diff = s.x.numerator * (B // a) - t.x.numerator * (B // b) + (sv - tv) * B
-        num = 0
+        num, Bn = 0, B
         for m in range(1, M + 1):
-            Bn = B * factorial(m)
+            Bn *= m
             d = diff % Bn
             num += min(d, Bn - d) << (M - m)
         return Fraction(num, B << M)
     total: Coordinate = 0
+    n = 1
     for m in range(1, M + 1):
-        n = factorial(m)
+        n *= m
         # the level-n projections, with project's arithmetic
         d = ((s.x + sv % n) % n - (t.x + tv % n) % n) % n
         arc = min(d, n - d)

@@ -119,6 +119,17 @@ def test_orbit_rigid_rotation_zero_distance(runner, tmp_path):
             assert Fraction(line.split(",")[-1]) == 0
 
 
+def test_orbit_at_depth_ten_thousand_ends():
+    # every row prints 10^4 residues; each walk over the levels builds m! from (m - 1)!
+    path = Path(__file__).resolve().parents[1] / "descriptors" / "fixedpoint_homeo.json"
+    res = run_python("-m", "soldyn", "orbit", "--input", str(path), "--iters", "5",
+                     "--start", "1/3", "--depth", "10000", timeout=20)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 6
+    assert all(len(line.split(",")) == 10_003 for line in lines)
+
+
 def test_orbit_budget_zero_header_only(runner, tmp_path):
     path = write(tmp_path, "fp.json", FIXEDPOINT_HOMEO)
     res = runner.invoke(main, ["orbit", "--input", path, "--iters", "0"])

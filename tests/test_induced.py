@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import soldyn
 from soldyn import (
     BreakpointCapExceeded,
     DepthExceeded,
@@ -48,7 +51,8 @@ from soldyn import (
     sol_add,
     translation_homeo,
 )
-from genutil import rand_embedded, rand_induced, rand_lp, rand_pl_lift, rand_point
+from genutil import rand_embedded, rand_induced, rand_lp, rand_pl_lift, rand_point, run_python
+from reference import lp_partial_sum_check
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 
@@ -257,6 +261,94 @@ def test_lp_build_validation():
     with pytest.raises(NotHomeomorphism):
         # slope 2A/T = 2*(3/5)/1 > 1 downhill somewhere: min slope <= -1
         lp_build((1,), [tri(1, "3/5")])
+
+
+def _tower_check_outcome(check, *args):
+    try:
+        check(*args)
+    except (NotHomeomorphism, BreakpointCapExceeded) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _passing_summand(rng, T):
+    """A period-T summand on a grid of quarters whose own slopes are > -1."""
+    while True:
+        xs = sorted(Fraction(k, 4) for k in rng.sample(range(4 * T), 1 + rng.randrange(4)))
+        d = PeriodicPL(T, [(x, Fraction(rng.randint(-6, 6), 16)) for x in xs])
+        if min(d.slopes) > -1:
+            return d
+
+
+@pytest.mark.parametrize("cap", [None, 24])
+def test_lp_build_tower_check_matches_partial_sum_reference(monkeypatch, cap):
+    # every summand passes on its own; a refusal comes from a partial sum at
+    # level 2 or later, or, under a small cap, from a repeated grid past it
+    if cap is not None:
+        monkeypatch.setattr(soldyn.induced, "BREAKPOINT_CAP", cap)
+        monkeypatch.setattr(soldyn.circlemaps, "BREAKPOINT_CAP", cap)
+    rng = random.Random(2117)
+    chains = ((1, 2), (1, 3), (1, 2, 6), (2, 4, 12), (1, 2, 4, 12, 24), (3, 6, 12))
+    kinds, levels = set(), set()
+    for i in range(120):
+        tower = chains[i % len(chains)]
+        summands = [_passing_summand(rng, T) for T in tower]
+        want = _tower_check_outcome(lp_partial_sum_check, summands)
+        assert _tower_check_outcome(lp_build, tower, summands) == want, (tower, summands)
+        kinds.add(want[0] if want else None)
+        if want:
+            levels.add(next(j for j in range(1, len(tower) + 1)
+                            if _tower_check_outcome(lp_partial_sum_check, summands[:j])))
+    assert {None, NotHomeomorphism} <= kinds
+    assert (BreakpointCapExceeded in kinds) == (cap is not None)
+    assert min(levels) == 2 and max(levels) >= 3
+
+
+def test_lp_build_refuses_a_partial_slope_of_exactly_minus_one():
+    q = Fraction(1, 4)
+    cases = [
+        # slopes -1/2 on [1/2, 1) + 1 and on [1, 2): the sum has slope -1 on [3/2, 2)
+        [tri(1, "1/4"), tri(2, "1/2")],
+        # slope -1/2 on [0, 1/4), the piece before the first summand's first
+        # breakpoint, which carries its last slope, and -1/2 there in the second
+        [PeriodicPL(1, [(q, 0), (3 * q, q)]), PeriodicPL(2, [(0, 0), (q, -q / 2), (1, 0)])],
+    ]
+    for summands in cases:
+        want = _tower_check_outcome(lp_partial_sum_check, summands)
+        assert want is not None and want[0] is NotHomeomorphism
+        assert _tower_check_outcome(lp_build, (1, 2), summands) == want
+    # just above -1 the truncation is a homeomorphism
+    lp_build((1, 2), [tri(1, "1/4"), tri(2, "15/32")])
+
+
+def test_lp_build_adds_no_summands(monkeypatch):
+    def no_add(self, other):
+        raise AssertionError("lp_build must not build partial sums")
+
+    monkeypatch.setattr(PeriodicPL, "add", no_add)
+    path = Path(__file__).resolve().parents[1] / "descriptors" / "lp_tower4.json"
+    h = lp_from_descriptor(json.loads(path.read_text()))
+    assert h.tower == (1, 2, 6, 24)
+    with pytest.raises(NotHomeomorphism):
+        lp_build((1, 2), [tri(1, "1/4"), tri(2, "1/2")])
+
+
+def test_lp_build_stops_at_the_breakpoint_cap(tmp_path):
+    # the period-1 summand repeated over 10^30 would need 2 * 10^30 breakpoints
+    T = 10**30
+    desc = {"lp": {"tower": [1, T], "tail_bound": "0", "summands": [
+        {"period": "1", "breakpoints": [["0", "0"], ["1/2", "1/4"]]},
+        {"period": str(T), "breakpoints": [["0", "0"], ["1", "1/16"]]}]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(desc))
+    res = run_python("-m", "soldyn", "density", "--input", str(path), timeout=20)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    # in process only after the subprocess proved it terminates
+    summands = [tri(1, "1/4"), PeriodicPL(T, [(0, 0), (1, Fraction(1, 16))])]
+    got = _tower_check_outcome(lp_build, (1, T), summands)
+    assert got == _tower_check_outcome(lp_partial_sum_check, summands)
+    assert got[0] is BreakpointCapExceeded
 
 
 def test_lp_truncate_geometric_tail():

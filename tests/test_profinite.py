@@ -155,3 +155,16 @@ def test_value_is_one_integer_mod_depth_factorial():
             ProfiniteInt(value, depth)
     with pytest.raises(ValueError):
         ProfiniteInt.from_residues((0, 1, 7))  # 7 outside [0, 3!)
+
+
+def test_level_walks_past_the_factorial_table():
+    # depth 40 runs past the precomputed factorials: every level walk agrees
+    # with the definition r_m = a mod m!
+    a, b = embed_int(-10**40 - 7, 40), embed_int(3 * factorial(35) + 11, 40)
+    for x in (a, b):
+        assert x.residues == tuple(x.value % factorial(m) for m in range(1, 41))
+        assert ProfiniteInt.from_residues(x.residues) == x
+    diff = a.value - b.value
+    assert pf_dist(a, b) == sum(
+        Fraction(1, 2**m) for m in range(1, 41) if diff % factorial(m)
+    )
