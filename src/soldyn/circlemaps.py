@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import plkernel
 from .errors import (
     AnalyticExactUnsupported,
-    BreakpointCapExceeded,
     DegreeMismatch,
     EmptyBreakpoints,
     NotMonotone,
@@ -410,56 +409,12 @@ class PeriodicPL:
             T, xs, self.vs[cut:] + self.vs[:cut], self.slopes[cut:] + self.slopes[:cut]
         )
 
-    def grid(self, T) -> set:
-        """Breakpoint abscissae repeated over [0, T); T a multiple of the period.
-        Raises BreakpointCapExceeded past BREAKPOINT_CAP of them."""
-        P = self.period
-        reps = int(T / P)
-        if reps * len(self.xs) > BREAKPOINT_CAP:
-            raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
-        offsets = [j * P for j in range(reps)]
-        return {x + off for off in offsets for x in self.xs}
-
-    def _common_grid(self, other: "PeriodicPL"):
-        """A common period T and the union of both breakpoint grids over it."""
-        T = max(self.period, other.period)
-        if (T / self.period).denominator != 1 or (T / other.period).denominator != 1:
-            raise ValueError(f"incommensurable periods {self.period}, {other.period}")
-        return T, self.grid(T) | other.grid(T)
-
-    def add(self, other: "PeriodicPL") -> "PeriodicPL":
-        """Pointwise sum; periods must be equal or one a multiple of the other."""
-        T, grid = self._common_grid(other)
-        xs = sorted(grid)
-        vs = [self.eval(x) + other.eval(x) for x in xs]
-        return PeriodicPL._trusted(T, tuple(xs), tuple(vs), tuple(_slopes(xs, vs, T, 0)))
-
-    def sup_diff(self, other: "PeriodicPL") -> Fraction:
-        """Exact sup |self - other| over a common period."""
-        _, grid = self._common_grid(other)
-        return max(abs(self.eval(x) - other.eval(x)) for x in grid)
-
     def _lift_table(self) -> tuple[int, tuple]:
         """(n, the `plkernel` table of x + delta(x)) at the integer stored period n."""
         if self.period.denominator != 1:
             raise ValueError(f"stored period {self.period} is not an integer")
         ys = _parts([x + v for x, v in zip(self.xs, self.vs)])
         return self.period.numerator, (*_parts(self.xs), *ys, *_parts([s + 1 for s in self.slopes]))
-
-    def has_period(self, T) -> bool:
-        """Exact test whether delta(x + T) = delta(x) for all x.
-
-        A continuous periodic PL function is determined by its slope-change
-        points and their values, so T is a period exactly when shifting the
-        canonical breakpoints by T (mod the stored period) gives the same
-        set.  A constant function has no such points and every period.
-        """
-        T = as_rational(T)
-        if T <= 0:
-            raise ValueError("candidate period must be positive")
-        P = self.period
-        canon = self.canonical_breakpoints()
-        return {((x - T) % P, v) for x, v in canon} == set(canon)
 
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         keep = []

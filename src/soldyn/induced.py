@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import plkernel
 from .circlemaps import (
@@ -29,7 +30,6 @@ from .circlemaps import (
     PeriodicPL,
     PLLift,
     as_rational,
-    displacement_lift,
     identity_lift,
     json_int,
     map_from_descriptor,
@@ -217,6 +217,7 @@ class LimitPeriodicHomeo:
     plus a declared bound on whatever infinite tail the finite data
     truncates.  Checks read only finite levels: `tail_from(j)` bounds
     sup |h - h_j| with that bound added, `sup_gaps()` is the exact sup.
+    It and `lp_truncate` sum the summands on integers and evaluate none.
     """
 
     tower: tuple[int, ...]
@@ -243,13 +244,11 @@ class LimitPeriodicHomeo:
 
     def sup_gaps(self) -> list[Fraction]:
         """Exact sup |h - truncation at level j|, j = 1..levels: the sup norm of
-        the finite tail sum_{i>j} delta_i, from one running suffix sum over
-        summands m, ..., 2.  Level m's gap is 0."""
-        gaps, tail = [Fraction(0)], None
-        for d in reversed(self.summands[1:]):
-            tail = d if tail is None else d.add(tail)
-            gaps.append(tail.sup_norm())
-        return gaps[::-1]
+        the finite tail sum_{i>j} delta_i, one running suffix sum of the rows
+        of summands m, ..., 2 (`_tower_rows`).  Level m's gap is 0."""
+        _, Q, _, rows = _tower_rows(self.summands[:0:-1], self.tower[-1])
+        tails = accumulate(rows, lambda tail, row: [a + b for a, b in zip(tail, row)])
+        return [Fraction(max(map(abs, tail)), Q) for tail in tails][::-1] + [Fraction(0)]
 
     def to_descriptor(self) -> dict:
         return {
@@ -277,9 +276,10 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
 
     A continuous PL map increases iff its slopes are positive, so the
     truncation check reads slopes only: one merge per level of S_{j-1}'s
-    pieces with delta_j's, with no value evaluated and no S_j built.
-    BREAKPOINT_CAP bounds each merged level: BreakpointCapExceeded is raised
-    before S_{j-1}'s breakpoints are repeated over [0, T_j) past the cap.
+    pieces with delta_j's, on integer slopes over one denominator R, with no
+    value evaluated and no S_j built.  BREAKPOINT_CAP bounds each merged
+    level: BreakpointCapExceeded is raised before S_{j-1}'s breakpoints are
+    repeated over [0, T_j) past the cap.
     """
     tail_bound = as_rational(tail_bound)
     if tail_bound < 0:
@@ -297,23 +297,23 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
     for T, d in zip(tower, summands):
         if d.period != T:
             raise ValueError(f"summand period {d.period} != tower period {T}")
-    # S_j = delta_1 + ... + delta_j as its breakpoints over [0, T_j), integers
-    # over one denominator D, and its slope on the piece from each: the pieces
-    # of S_{j-1} repeated T_j / T_{j-1} times, merged with delta_j's
-    D = 1
+    # S_j = delta_1 + ... + delta_j as its breakpoints over [0, T_j) and its
+    # slope on the piece from each, integers over D and R: the pieces of
+    # S_{j-1} repeated T_j / T_{j-1} times, merged with delta_j's
+    D = math.lcm(*(x.denominator for d in summands for x in d.xs))
+    R = math.lcm(*(s.denominator for d in summands for s in d.slopes))
     for j, (T, d) in enumerate(zip(tower, summands)):
-        E = math.lcm(D, *(x.denominator for x in d.xs))
-        bx = [x.numerator * (E // x.denominator) for x in d.xs]
+        bx, bs = _over(d.xs, D), _over(d.slopes, R)
         if j:
             reps = T // P
             if reps * len(xs) > BREAKPOINT_CAP or len(bx) > BREAKPOINT_CAP:
                 raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
-            ax = [a * (E // D) + k * P * E for k in range(reps) for a in xs]
-            xs, slopes = _merge_slopes(ax, slopes * reps, bx, d.slopes)
+            ax = [a + k * P * D for k in range(reps) for a in xs]
+            xs, slopes = _merge_slopes(ax, slopes * reps, bx, bs)
         else:
-            xs, slopes = bx, d.slopes
-        D, P = E, T
-        if min(slopes) <= -1:
+            xs, slopes = bx, bs
+        P = T
+        if min(slopes) <= -R:
             raise NotHomeomorphism(
                 "partial displacement sum has slope <= -1; id + sum not increasing"
             )
@@ -343,15 +343,58 @@ def _merge_slopes(ax, a_slopes, bx, b_slopes) -> tuple[list, list]:
     return xs, slopes
 
 
+def _over(values, den: int) -> list:
+    """The numerators of Fractions whose denominators divide `den`, over `den`."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _tower_rows(summands, T: int) -> tuple[int, int, list, list]:
+    """(D, Q, grid, rows): the sorted union of the summands' breakpoints over
+    [0, T), as integers over one denominator D, and rows[i][k] / Q, summand i
+    at grid point k, with Q = D * lcm(value and slope denominators).  Each
+    row is one walk along the grid; T is a multiple of every integer period.
+    Raises BreakpointCapExceeded when an operand of the sum, a summand
+    repeated over [0, T) or the union of those before it, passes the cap."""
+    D = math.lcm(*(x.denominator for d in summands for x in d.xs))
+    L = math.lcm(*(v.denominator for d in summands for v in (*d.vs, *d.slopes)))
+    points, starts = set(), []
+    for d in summands:
+        P, bx = d.period.numerator, _over(d.xs, D)
+        if len(points) > BREAKPOINT_CAP or T // P * len(bx) > BREAKPOINT_CAP:
+            raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
+        # piece starts: the last breakpoint a period back, ..., a stop past the grid
+        starts.append([bx[-1] - P * D, *(b + k * P * D for k in range(T // P) for b in bx), T * D])
+        points.update(starts[-1][1:-1])
+    grid, rows = sorted(points), []
+    for d, a in zip(summands, starts):
+        vq, sq, j, row = _over(d.vs, D * L), _over(d.slopes, L), 0, []
+        v, s = vq[-1:] + vq * (T // d.period.numerator), sq[-1:] + sq * (T // d.period.numerator)
+        for g in grid:
+            if g == a[j + 1]:
+                j += 1
+            row.append(v[j] + (g - a[j]) * s[j])
+        rows.append(row)
+    return D, D * L, grid, rows
+
+
 def lp_truncate(h: LimitPeriodicHomeo, level: int) -> tuple[InducedHomeo, Fraction]:
     """Induced homeomorphism of degree T_level with the first `level` summands,
-    together with the certified sup bound on the discarded tail."""
+    together with the certified sup bound on the discarded tail.  The lift
+    x + S(x) is tabled on the summands' union grid from the prefix sum of
+    their rows (`_tower_rows`) and cut by `plkernel.descend`."""
     if not 1 <= level <= h.levels:
         raise ValueError(f"level must be in 1..{h.levels}")
-    S = h.summands[0]
-    for d in h.summands[1:level]:
-        S = S.add(d)
-    return InducedHomeo(displacement_lift(S, h.tower[level - 1])), h.tail_from(level)
+    T = h.tower[level - 1]
+    D, Q, grid, rows = _tower_rows(h.summands[:level], T)
+    ys = [g * (Q // D) + v for g, v in zip(grid, map(sum, zip(*rows)))]
+    # the last piece runs to the first point one period on
+    rise = [b - a for a, b in zip(ys, ys[1:] + [ys[0] + T * Q])]
+    run = [Q // D * (b - a) for a, b in zip(grid, grid[1:] + [grid[0] + T * D])]
+    table = []
+    for nums, dens in ((grid, [D] * len(grid)), (ys, [Q] * len(ys)), (rise, run)):
+        gs = list(map(math.gcd, nums, dens))
+        table += [[a // g for a, g in zip(nums, gs)], [b // g for b, g in zip(dens, gs)]]
+    return InducedHomeo(PLLift._from_table(T, plkernel.descend(T, table, T))), h.tail_from(level)
 
 
 def lp_from_descriptor(d: dict) -> LimitPeriodicHomeo:

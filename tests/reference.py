@@ -1,18 +1,96 @@
-"""Independent references that the suite checks the library against."""
+"""Independent references that the suite checks the library against.
+
+The periodic references work on `PeriodicPL`'s Fraction data with the
+Fraction `eval` (a bisection over Fractions) and build every sum on a
+Python set of Fraction grid points, apart from the library's integer tower
+sums (`induced._tower_rows`).
+"""
 from __future__ import annotations
 
-from soldyn import NotHomeomorphism
+from fractions import Fraction
+
+from soldyn import BreakpointCapExceeded, NotHomeomorphism, PeriodicPL, circlemaps
+from soldyn.circlemaps import as_rational, displacement_lift
+
+
+def periodic_grid(d: PeriodicPL, T) -> set:
+    """d's breakpoint abscissae repeated over [0, T); T a multiple of the period.
+    Raises BreakpointCapExceeded past `circlemaps.BREAKPOINT_CAP` of them,
+    read at call time so that a test may lower it."""
+    cap = circlemaps.BREAKPOINT_CAP
+    P = d.period
+    reps = int(T / P)
+    if reps * len(d.xs) > cap:
+        raise BreakpointCapExceeded(f"more than {cap} breakpoints over [0, {T})")
+    return {x + j * P for j in range(reps) for x in d.xs}
+
+
+def common_grid(a: PeriodicPL, b: PeriodicPL):
+    """A common period T of a and b and the union of both grids over it."""
+    T = max(a.period, b.period)
+    if (T / a.period).denominator != 1 or (T / b.period).denominator != 1:
+        raise ValueError(f"incommensurable periods {a.period}, {b.period}")
+    return T, periodic_grid(a, T) | periodic_grid(b, T)
+
+
+def periodic_add(a: PeriodicPL, b: PeriodicPL) -> PeriodicPL:
+    """Pointwise sum, on the union grid over the larger period, each value
+    by two Fraction evaluations; the periods must be equal or one a multiple
+    of the other."""
+    T, points = common_grid(a, b)
+    return PeriodicPL(T, [(x, a.eval(x) + b.eval(x)) for x in sorted(points)])
+
+
+def sup_diff(a: PeriodicPL, b: PeriodicPL) -> Fraction:
+    """Exact sup |a - b| over a common period."""
+    _, points = common_grid(a, b)
+    return max(abs(a.eval(x) - b.eval(x)) for x in points)
+
+
+def has_period(delta: PeriodicPL, T) -> bool:
+    """Exact test whether delta(x + T) = delta(x) for all x.
+
+    A continuous periodic PL function is determined by its slope-change
+    points and their values, so T is a period exactly when shifting the
+    canonical breakpoints by T (mod the stored period) gives the same set.
+    A constant function has no such points and every period.
+    """
+    T = as_rational(T)
+    if T <= 0:
+        raise ValueError("candidate period must be positive")
+    canon = delta.canonical_breakpoints()
+    return {((x - T) % delta.period, v) for x, v in canon} == set(canon)
 
 
 def lp_partial_sum_check(summands) -> None:
     """The truncation check of a valid tower by building values: each partial
-    sum S_j = delta_1 + ... + delta_j with `PeriodicPL.add`, refused at the
-    first whose least slope is <= -1.  `add` raises BreakpointCapExceeded
-    before it evaluates a grid past the cap."""
+    sum S_j = delta_1 + ... + delta_j with `periodic_add`, refused at the
+    first whose least slope is <= -1.  `periodic_add` raises
+    BreakpointCapExceeded before it evaluates a grid past the cap."""
     partial = None
     for d in summands:
-        partial = d if partial is None else partial.add(d)
+        partial = d if partial is None else periodic_add(partial, d)
         if min(partial.slopes) <= -1:
             raise NotHomeomorphism(
                 "partial displacement sum has slope <= -1; id + sum not increasing"
             )
+
+
+def lp_sup_gaps(h) -> list[Fraction]:
+    """sup |h - h_j| for j = 1..m by the chain of suffix sums delta_m,
+    delta_{m-1} + delta_m, ..., delta_2 + ... + delta_m, each the sup of
+    its breakpoint values; level m gives 0."""
+    gaps, tail = [Fraction(0)], None
+    for d in reversed(h.summands[1:]):
+        tail = d if tail is None else periodic_add(d, tail)
+        gaps.append(max(abs(v) for v in tail.vs))
+    return gaps[::-1]
+
+
+def lp_truncation_lift(h, level: int):
+    """The degree-T_level lift of x + S(x), S = delta_1 + ... + delta_level
+    built by the chain of prefix sums."""
+    S = h.summands[0]
+    for d in h.summands[1:level]:
+        S = periodic_add(S, d)
+    return displacement_lift(S, h.tower[level - 1])

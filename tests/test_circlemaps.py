@@ -12,6 +12,7 @@ from soldyn import (
     BreakpointCapExceeded,
     DegreeMismatch,
     EmptyBreakpoints,
+    LimitPeriodicHomeo,
     NotMonotone,
     PeriodicPL,
     PLLift,
@@ -20,6 +21,7 @@ from soldyn import (
     identity_lift,
     induce,
     invert_induced,
+    lp_truncate,
     map_from_descriptor,
     minimal_period,
     pl_new,
@@ -27,7 +29,9 @@ from soldyn import (
     rotation_lift,
 )
 from soldyn.circlemaps import BREAKPOINT_CAP
+from soldyn.induced import _tower_rows
 from genutil import count_compositions, rand_fraction, rand_pl_lift, small_fractions
+from reference import common_grid, has_period, periodic_add, sup_diff
 
 HALF = [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
 
@@ -147,7 +151,7 @@ def test_displacement_of_translated_lift():
     F = rand_pl_lift(rng)
     for m in (-2, 1, 3):
         shifted = rotation_lift(m).compose(F).displacement()
-        assert shifted.sup_diff(F.translate(m).displacement()) == 0
+        assert sup_diff(shifted, F.translate(m).displacement()) == 0
 
 
 def test_minimal_period_examples():
@@ -166,10 +170,10 @@ def test_minimal_period_examples():
 
 
 def test_has_period_matches_translate_reference():
-    # reference: the construction has_period replaced, delta^T - delta as an
-    # exact sup over the merged breakpoint grid
+    # the slope-change test against delta^T - delta as an exact sup over the
+    # merged breakpoint grid
     def reference(delta, T):
-        return delta.sup_diff(delta.translate(T)) == 0
+        return sup_diff(delta, delta.translate(T)) == 0
 
     rng = random.Random(17)
     outcomes, scanned = set(), 0
@@ -189,11 +193,11 @@ def test_has_period_matches_translate_reference():
         candidates += [P * Fraction(2, 5), Fraction(rng.randint(1, 40), rng.randint(1, 12))]
         candidates += [P * Fraction(rng.randint(7, 20), rng.randint(1, 6)), 2 * P, P + base]
         for T in candidates:
-            got = delta.has_period(T)
+            got = has_period(delta, T)
             assert got == reference(delta, T), (delta, T)
             outcomes.add((i % 4 == 0, got))
         if P.denominator == 1:  # the divisor scan that minimal_period replaced
-            least = next(T for T in divisors(P.numerator) if delta.has_period(T))
+            least = next(T for T in divisors(P.numerator) if has_period(delta, T))
             assert minimal_period(delta) == least, delta
             scanned += 1
     assert outcomes == {(True, True), (False, True), (False, False)}
@@ -218,10 +222,10 @@ def test_periodic_pl_algebra():
     assert tri.eval(Fraction(1, 2)) == Fraction(1, 8)
     assert tri.eval(Fraction(5, 2)) == Fraction(1, 8)
     assert tri.translate(Fraction(1, 2)).eval(0) == tri.eval(Fraction(1, 2))
-    s = tri.add(PeriodicPL(1, [(0, Fraction(1, 8))]))
+    s = periodic_add(tri, PeriodicPL(1, [(0, Fraction(1, 8))]))
     assert s.period == 2
     assert s.eval(1) == Fraction(1, 4) + Fraction(1, 8)
-    assert tri.has_period(2) and not tri.has_period(1)
+    assert has_period(tri, 2) and not has_period(tri, 1)
 
 
 def _same_periodic(d, e):
@@ -232,9 +236,11 @@ def _same_periodic(d, e):
 
 
 def test_periodic_translate_add_match_checked_constructor():
-    # translate rotates at the wrap index and add builds unchecked; the
-    # references sort and check every breakpoint again
+    # translate rotates at the wrap index; the reference sorts and checks
+    # every breakpoint again.  At integer periods the integer rows of a sum
+    # (`_tower_rows`) hold the Fraction values on the reference union grid
     rng = random.Random(909)
+    integer_rows = 0
     for _ in range(300):
         T = Fraction(*rng.choice([(1, 1), (2, 1), (3, 2), (5, 3), (4, 1)]))
         den = 6 * T.denominator
@@ -249,9 +255,13 @@ def test_periodic_translate_add_match_checked_constructor():
         e = PeriodicPL(T, [(x, v * c) for x, v in zip(d.xs, d.vs)]).translate(t)
         big = PeriodicPL(2 * T, [(x * 2, v) for x, v in zip(d.xs, d.vs)])
         for a, b in ((d, e), (d, big), (big, d)):
-            P, grid = a._common_grid(b)
-            ref = PeriodicPL(P, [(x, a.eval(x) + b.eval(x)) for x in sorted(grid)])
-            _same_periodic(a.add(b), ref)
+            if a.period.denominator == b.period.denominator == 1:
+                P, grid = common_grid(a, b)
+                D, Q, points, rows = _tower_rows([a, b], P.numerator)
+                assert [Fraction(g, D) for g in points] == sorted(grid)
+                assert rows == [[c.eval(x) * Q for x in sorted(grid)] for c in (a, b)]
+                integer_rows += 1
+    assert integer_rows > 300
 
 
 def test_analytic_lift():
@@ -540,8 +550,12 @@ def test_powers_raise_past_the_cap_on_squares_and_products():
 
 def test_periodic_sum_stops_at_the_breakpoint_cap():
     # the sum repeats the period-1 summand over the period 10^30: too many
-    # breakpoints to build, reported before any is evaluated
+    # breakpoints to build, reported before any is evaluated, by the
+    # reference sum and by a tower sum on a tower that lp_build never saw
     a = PeriodicPL(1, [(0, 0), (Fraction(1, 2), Fraction(1, 4))])
     b = PeriodicPL(10**30, [(0, 0), (1, Fraction(1, 16))])
-    with pytest.raises(BreakpointCapExceeded, match="breakpoints"):
-        a.add(b)
+    with pytest.raises(BreakpointCapExceeded, match="breakpoints") as ref:
+        periodic_add(a, b)
+    with pytest.raises(BreakpointCapExceeded) as got:
+        lp_truncate(LimitPeriodicHomeo((1, 10**30), (a, b)), 2)
+    assert str(got.value) == str(ref.value)

@@ -758,7 +758,8 @@ def test_density_ignores_samples(runner, tmp_path, monkeypatch):
         evals.append(calls["eval"])
     assert calls["lp_truncate"] == 0
     assert outputs[0] == outputs[1]
-    assert evals[0] == evals[1] > 0
+    # the gaps are sums of the summands' integer rows: no summand is evaluated
+    assert evals == [0, 0]
 
 
 def _live_runner_streams() -> int:

@@ -47,6 +47,7 @@ from soldyn.circlemaps import displacement_lift
 from genutil import (
     rand_embedded, rand_induced, rand_pl_lift, rand_point, rand_tower, run_python
 )
+from reference import has_period, sup_diff
 
 SAW2 = PeriodicPL(2, [(0, 0), (1, Fraction(1, 4))])  # minimal period 2
 
@@ -95,7 +96,7 @@ def test_hull_parameter_faithful():
     c = h.translate(Fraction(2, 5))
 
     def func_dist(u, v):
-        return h.delta.translate(u.param).sup_diff(h.delta.translate(v.param))
+        return sup_diff(h.delta.translate(u.param), h.delta.translate(v.param))
 
     assert func_dist(a, b) == 0
     assert func_dist(a, c) > 0
@@ -348,7 +349,7 @@ def _reference_quotient(delta, n):
     """(T, g) decided on the Fraction displacement alone: T the first divisor
     of n that has_period accepts, g built by the checked PLLift constructor
     from delta's canonical breakpoints reduced mod T, plus 0."""
-    T = next(T for T in divisors(n) if delta.has_period(T))
+    T = next(T for T in divisors(n) if has_period(delta, T))
     xs = sorted({x % T for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
     return T, PLLift(T, [(x, x + delta.eval(x)) for x in xs])
 
@@ -376,7 +377,7 @@ def test_leaf_quotient_matches_displacement_reference():
             F = f.leaf_lift()
             assert F.descend(0) is None and F.descend(-n) is None
             for t in range(1, 2 * n + 1):
-                if n % t or not delta.has_period(t):
+                if n % t or not has_period(delta, t):
                     assert F.descend(t) is None, (f, t)
             assert embed_degree(induce(g.lift), n).base.descend(T) == g.lift
             periods.add((n, T))

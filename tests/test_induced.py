@@ -52,7 +52,9 @@ from soldyn import (
     translation_homeo,
 )
 from genutil import rand_embedded, rand_induced, rand_lp, rand_pl_lift, rand_point, run_python
-from reference import lp_partial_sum_check
+from reference import (
+    lp_partial_sum_check, lp_sup_gaps, lp_truncation_lift, periodic_grid, sup_diff
+)
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 
@@ -147,16 +149,16 @@ def test_displacement_at_examples():
     rng = random.Random(8)
     f = rand_induced(rng, degree=3)
     d0 = displacement_at(f, embed_int(0, 8))
-    assert d0.sup_diff(leaf_displacement(f)) == 0
+    assert sup_diff(d0, leaf_displacement(f)) == 0
     # equivariance: delta_{i(t)}(x) = delta_0(x + t)
     for t in (1, 2, 5, -4):
         dt = displacement_at(f, embed_int(t, 8))
-        assert dt.sup_diff(d0.translate(t)) == 0
+        assert sup_diff(dt, d0.translate(t)) == 0
     # constancy on residue classes mod n
     for t in range(12):
         dt = displacement_at(f, embed_int(t, 8))
         dref = displacement_at(f, embed_int(t % 3, 8))
-        assert dt.sup_diff(dref) == 0
+        assert sup_diff(dt, dref) == 0
 
 
 def test_displacement_factors_through_residues():
@@ -322,13 +324,18 @@ def test_lp_build_refuses_a_partial_slope_of_exactly_minus_one():
 
 
 def test_lp_build_adds_no_summands(monkeypatch):
-    def no_add(self, other):
-        raise AssertionError("lp_build must not build partial sums")
+    # lp_build reads slopes and the tower sums run on integer rows: no
+    # summand is evaluated and no PeriodicPL is built
+    def refuse(*args):
+        raise AssertionError("tower sums must not evaluate or build a PeriodicPL")
 
-    monkeypatch.setattr(PeriodicPL, "add", no_add)
+    monkeypatch.setattr(PeriodicPL, "eval", refuse)
+    monkeypatch.setattr(PeriodicPL, "_trusted", refuse)
     path = Path(__file__).resolve().parents[1] / "descriptors" / "lp_tower4.json"
     h = lp_from_descriptor(json.loads(path.read_text()))
     assert h.tower == (1, 2, 6, 24)
+    assert h.sup_gaps()[-1] == 0
+    assert [lp_truncate(h, j)[0].degree for j in range(1, 5)] == [1, 2, 6, 24]
     with pytest.raises(NotHomeomorphism):
         lp_build((1, 2), [tri(1, "1/4"), tri(2, "1/2")])
 
@@ -378,25 +385,77 @@ def test_lp_build_rejects_negative_tail_bound():
 
 
 def test_sup_gaps_match_truncation_reference():
-    # reference: the full h minus the lift of its level-j truncation, maxed
-    # over every breakpoint of the summands that a tail can hold
+    # reference: the tail sum_{i>j} delta_i by Fraction evaluations of the
+    # summands, maxed over the union of the tail summands' breakpoint grids
     rng = random.Random(41)
     chains = ((1,), (1, 3), (1, 2, 6), (2, 4, 12, 24), (1, 2, 4, 12, 24))
     for i in range(20):
         h = rand_lp(rng, chains[i % len(chains)], zero_tail=i % 3 == 0)
         top = h.tower[-1]
-        union = sorted(set().union(*(d.grid(top) for d in h.summands[1:])))
+        union = sorted(set().union(*(periodic_grid(d, top) for d in h.summands[1:])))
         gaps = h.sup_gaps()
         assert len(gaps) == h.levels
         n = rng.choice((1, 7, 50))
         grid = [Fraction(k * top, n) + Fraction(rng.randrange(8), 97) for k in range(n)]
         for j, gap in enumerate(gaps, start=1):
-            trunc = lp_truncate(h, j)[0].base
-            diffs = [abs(h.eval(x) - trunc.eval(x)) for x in union]
+            tail = h.summands[j:]
+            diffs = [abs(sum(d.eval(x) for d in tail)) for x in union]
             assert gap == max(diffs, default=Fraction(0))
+            trunc = lp_truncate(h, j)[0].base
             assert max(abs(h.eval(x) - trunc.eval(x)) for x in grid) <= gap <= h.tail_from(j)
         assert all(type(g) is Fraction for g in gaps)
         assert gaps[-1] == 0
+
+
+def _oracle_summand(rng, T, j):
+    """A period-T summand on a grid of 1/4, 1/5, 1/7 or 1/12, with more and
+    smaller steps at later levels."""
+    den = rng.choice((4, 5, 7, 12))
+    count = 1 + rng.randrange(min(2 + 8 * j, den * T))
+    xs = sorted(Fraction(k, den) for k in rng.sample(range(den * T), count))
+    return PeriodicPL(T, [(x, Fraction(rng.randint(-4, 4), 16 * 4**j)) for x in xs])
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except BreakpointCapExceeded as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cap", [None, 24])
+def test_tower_sums_match_the_reference_add_chain(monkeypatch, cap):
+    # sup_gaps and every lp_truncate table, field by field, against the
+    # chains of Fraction sums; under a small cap a union of tail summands
+    # can pass it in both, with the same exception
+    if cap is not None:
+        monkeypatch.setattr(soldyn.induced, "BREAKPOINT_CAP", cap)
+        monkeypatch.setattr(soldyn.circlemaps, "BREAKPOINT_CAP", cap)
+    rng = random.Random(2323)
+    chains = ((1,), (1, 2, 2, 2), (1, 2, 4), (1, 3, 6, 6), (1, 1, 2, 2, 2),
+              (1, 2, 4, 12, 12, 24), (1, 1, 2, 2, 2, 2))
+    accepted, kinds = 0, set()
+    for i in range(180):
+        tower = chains[i % len(chains)]
+        summands = [_oracle_summand(rng, T, j) for j, T in enumerate(tower)]
+        tail_bound = Fraction(rng.randrange(3), 4**8)
+        try:
+            h = lp_build(tower, summands, tail_bound)
+        except (NotHomeomorphism, BreakpointCapExceeded):
+            continue
+        accepted += 1
+        gaps = _outcome(h.sup_gaps)
+        assert gaps == _outcome(lp_sup_gaps, h), tower
+        kinds.add("capped" if isinstance(gaps, tuple) else "gaps")
+        for j in range(1, h.levels + 1):
+            trunc, bound = lp_truncate(h, j)
+            ref = lp_truncation_lift(h, j)
+            assert (trunc.offset, trunc.degree, bound) == (0, ref.degree, h.tail_from(j))
+            for name, got, want in zip(("xn", "xd", "yn", "yd", "sn", "sd"),
+                                       trunc.base._table, ref._table):
+                assert got == want, (tower, j, name)
+    assert accepted >= 100
+    assert kinds == ({"gaps", "capped"} if cap else {"gaps"})
 
 
 def test_lp_descriptor_roundtrip():
@@ -406,7 +465,7 @@ def test_lp_descriptor_roundtrip():
     h2 = lp_from_descriptor(d)
     assert h2.tower == h.tower
     assert h2.tail_bound == Fraction(1, 48)
-    assert all(a.sup_diff(b) == 0 for a, b in zip(h.summands, h2.summands))
+    assert all(sup_diff(a, b) == 0 for a, b in zip(h.summands, h2.summands))
 
 
 def test_lp_truncations_are_homeomorphisms():
