@@ -472,18 +472,6 @@ def rotation_lift(alpha, degree: int = 1) -> PLLift:
     return PLLift(degree, [(0, as_rational(alpha))])
 
 
-def displacement_lift(delta: PeriodicPL, period: int) -> PLLift:
-    """The degree-`period` lift of x + delta(x): delta's table cut by `plkernel.descend`.
-    Raises ValueError unless `period` is a period of delta dividing its stored
-    period, and NotMonotone unless the lift is strictly increasing."""
-    table = plkernel.descend(*delta._lift_table(), period)
-    if table is None:
-        raise ValueError(f"{period} is not a period of delta dividing {delta.period}")
-    if min(table[4]) <= 0:  # a continuous PL map increases iff its slopes are positive
-        raise NotMonotone("x + delta(x) is not strictly increasing")
-    return PLLift._from_table(period, table)
-
-
 def divisors(n: int) -> list[int]:
     """The divisors of n in ascending order, by trial division up to sqrt(n)."""
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]

@@ -31,7 +31,7 @@ from .induced import (
     lp_from_descriptor,
 )
 from .profinite import DEFAULT_DEPTH, embed_int
-from .solenoid import SolenoidPoint, parse_point, sigma, sol_add, sol_dist
+from .solenoid import SolenoidPoint, canonicalize, parse_point, sigma, sol_dist
 
 
 def _load_json(path: str) -> dict:
@@ -191,7 +191,7 @@ def cmd_orbit(
     cur = s
     step = Fraction(p, q)
     for i in range(iters):
-        ref = sol_add(target, sigma(i * step, depth))
+        ref = canonicalize(target.x + i * step, target.k)
         d = sol_dist(cur, ref)
         rows.append([str(i), str(cur.x)] + [str(r) for r in cur.k.residues] + [str(d)])
         cur = apply(f, cur)

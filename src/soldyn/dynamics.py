@@ -172,28 +172,28 @@ def certify_rational(
 def _orbit_bracket(F: PLLift, x0: Fraction, steps: int, q: int):
     """Walk the orbit of x0 for `steps` >= 1 steps.
 
-    Returns (F^q(x0), L, U), where [L, U] is the Farey bracket of tau from
-    v_m = F^m(x0) - x0, m <= steps.  The orbit runs on F's integer table and
-    the bracket is kept as integer pairs, updated by cross-multiplication, so
-    a step builds no Fraction.
+    Returns (vq, L, U): v_q = F^q(x0) - x0 as an integer pair (num, den),
+    den > 0, for 1 <= q <= steps, and the Farey bracket [L, U] of tau from
+    v_m, m <= steps.  The orbit runs on F's integer table and the bracket is
+    kept as integer pairs, updated by cross-multiplication, so a step builds
+    no Fraction.
     """
     table, n = F._table, F.degree
     a, b = an, ad = x0.numerator, x0.denominator
     ln, ld, un, ud = -1, 0, 1, 0  # L = -inf, U = +inf
-    xq = x0
     for m in range(1, steps + 1):
         a, b = plkernel.eval_pair(table, n, a, b)
-        if m == q:
-            xq = Fraction(a, b)
         num = a * ad - an * b
         den = b * ad
+        if m == q:
+            vq = num, den
         fl = num // den
         if fl * ld > ln * m:
             ln, ld = fl, m
         ce = -(-num // den)
         if ce * ud < un * m:
             un, ud = ce, m
-    return xq, Fraction(ln, ld), Fraction(un, ud)
+    return vq, Fraction(ln, ld), Fraction(un, ud)
 
 
 def _certify_bracket(
@@ -205,10 +205,8 @@ def _certify_bracket(
     the first power's range admits the second end: tau(F) lies in
     [min(G - id), max(G - id)] / q for G = F^q, so an end outside that range
     has no return orbit (`plkernel.offset_sign`)."""
-    cands = [
-        c for c in sorted({L, U}, key=lambda c: (c.denominator, c))
-        if c.denominator <= max_den and lo <= c <= hi
-    ]
+    ends = (L,) if L == U else sorted((L, U), key=lambda c: (c.denominator, c))
+    cands = [c for c in ends if c.denominator <= max_den and lo <= c <= hi]
     n = F.degree
     tables = plkernel.powers(n, F._table, (c.denominator for c in cands), cap)
     G = None
@@ -274,14 +272,15 @@ def rational_certificate(
     return None
 
 
-def _checked(F: PLLift, enc: RotationEnclosure, found) -> RotationEnclosure:
-    """Attach a certificate to the enclosure after re-checking its witness."""
+def _checked(F: PLLift, lo: Fraction, hi: Fraction, iters: int, found) -> RotationEnclosure:
+    """The enclosure [lo, hi] from `iters` steps, with the certificate `found`
+    attached after its witness is re-checked."""
     if found is None:
-        return enc
+        return RotationEnclosure(lo, hi, iters)
     cand, wit = found
     if F.iterate_eval(wit, cand.denominator) != wit + cand.numerator:
         raise CertificateMismatch(f"witness {wit} fails the return identity for {cand}")
-    return RotationEnclosure(enc.lo, enc.hi, enc.iters, cand, wit)
+    return RotationEnclosure(lo, hi, iters, cand, wit)
 
 
 def rotation_report(
@@ -313,18 +312,18 @@ def rotation_report(
         return translation_enclosure(F, q, x0)
     if F.degree != 1:
         enc = translation_enclosure(F, q, x0)
-        return _checked(F, enc, rational_certificate(F, enc.lo, enc.hi, max_cert_den))
+        return _checked(F, enc.lo, enc.hi, q, rational_certificate(F, enc.lo, enc.hi, max_cert_den))
     if q < 1:
         raise ValueError("iteration count must be >= 1")
-    start = Fraction(x0)
-    xq, L, U = _orbit_bracket(F, start, max(q, max_cert_den), q)
+    (num, den), L, U = _orbit_bracket(F, Fraction(x0), max(q, max_cert_den), q)
     if isinstance(x0, float):
         enc = translation_enclosure(F, q, x0)
+        lo, hi = enc.lo, enc.hi
     else:
-        d = xq - start
-        enc = RotationEnclosure((d - 1) / q, (d + 1) / q, q)
-    found = _certify_bracket(F, L, U, enc.lo, enc.hi, max_cert_den, BREAKPOINT_CAP)
-    return _checked(F, enc, found)
+        # (v_q - 1) / q and (v_q + 1) / q, v_q = num / den
+        lo, hi = Fraction(num - den, den * q), Fraction(num + den, den * q)
+    found = _certify_bracket(F, L, U, lo, hi, max_cert_den, BREAKPOINT_CAP)
+    return _checked(F, lo, hi, q, found)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ class QuotientMap:
 
 def quotient_map(delta: PeriodicPL) -> QuotientMap:
     T, table = plkernel.least_period(*delta._lift_table())
-    if min(table[4]) <= 0:  # as in `displacement_lift`
+    if min(table[4]) <= 0:  # a continuous PL map increases iff its slopes are positive
         raise NotIncreasing("id + delta is not strictly increasing")
     return QuotientMap(Fraction(T), PLLift._from_table(T, table))
 

@@ -14,6 +14,13 @@ the table of the leaf lift F0 + offset = id + delta and cuts it to g there.
 
 `apply` maps an exact point under a PL base on integer pairs, one Fraction
 per image; binary64 points and analytic bases take the float path.
+
+A map's points are checked where they enter, by `SolenoidPoint` and
+`ProfiniteInt`.  `apply`, `cover_eval` and `InducedHomeo.fiber_lift` read
+r(k) through `ProfiniteInt.residue`, which raises DepthExceeded unless the
+degree divides depth!.  The image points `apply` builds, and the carries
+into their fibers, come from values already reduced and are not checked
+again (`SolenoidPoint._trusted`, `ProfiniteInt._trusted`).
 """
 from __future__ import annotations
 
@@ -42,7 +49,7 @@ from .errors import (
     NotHomeomorphism,
     NotMultiple,
 )
-from .profinite import ProfiniteInt, embed_int
+from .profinite import ProfiniteInt
 from .solenoid import SolenoidPoint, canonicalize
 
 
@@ -121,7 +128,8 @@ def apply(f: InducedHomeo, s: SolenoidPoint) -> SolenoidPoint:
         t = num // den
         if t:
             num -= t * den
-            k = embed_int(k.value + t, k.depth)
+            m = k.modulus
+            k = ProfiniteInt._trusted((k.value + t) % m, k.depth, m)
         return SolenoidPoint._trusted(Fraction(num, den), k)
     return canonicalize(f.base.eval(x + r) - r + f.offset, k)
 

@@ -89,15 +89,49 @@ def piece_value(table, i: int, n: int, wn: int, wd: int, carry: int) -> tuple[in
     """Value at wn/wd of the piece starting at breakpoint i, plus carry * n.
 
     i = -1 is the wrap piece, which starts at the last breakpoint minus n.
+    The three steps are `add`, `mul` and `add` written out in this frame,
+    each reducing as that helper does.
     """
     xn, xd, yn, yd, sn, sd = table
     x_n, x_d, y_d = xn[i], xd[i], yd[i]
     if i < 0:
         x_n -= n * x_d
         carry -= 1
-    dn, dd = add(wn, wd, -x_n, x_d)
-    dn, dd = mul(dn, dd, sn[i], sd[i])
-    return add(yn[i] + carry * n * y_d, y_d, dn, dd)
+    # dn/dd = wn/wd - x_n/x_d
+    g = gcd(wd, x_d)
+    if g == 1:
+        dn, dd = wn * x_d - wd * x_n, wd * x_d
+    else:
+        s = wd // g
+        dn = wn * (x_d // g) - x_n * s
+        g2 = gcd(dn, g)
+        if g2 == 1:
+            dd = s * x_d
+        else:
+            dn //= g2
+            dd = s * (x_d // g2)
+    # times the slope sa/sb
+    sa, sb = sn[i], sd[i]
+    g = gcd(dn, sb)
+    if g > 1:
+        dn //= g
+        sb //= g
+    g = gcd(sa, dd)
+    if g > 1:
+        sa //= g
+        dd //= g
+    dn, dd = dn * sa, dd * sb
+    # plus the value at the piece's start, carried by carry * n
+    vn = yn[i] + carry * n * y_d
+    g = gcd(y_d, dd)
+    if g == 1:
+        return vn * dd + y_d * dn, y_d * dd
+    s = y_d // g
+    t = vn * (dd // g) + dn * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * dd
+    return t // g2, s * (dd // g2)
 
 
 def locate(xn, xd, a: int, b: int) -> int:

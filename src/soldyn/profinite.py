@@ -6,6 +6,17 @@ the divisibility order, so it determines the class of a mod every n dividing
 M!; the residues r_m = a mod m!, m = 1..M, are derived from it, each walk
 over the levels building m! as (m - 1)! m within the call.  All
 arithmetic is exact (arbitrary-precision integers) and values are immutable.
+
+Input is checked once, where it enters: `ProfiniteInt(value, depth)` and
+`ProfiniteInt.from_residues` refuse a value or tower out of range, and
+`embed_int` a depth below 1.  Each value stores its modulus depth!, derived
+once at construction.  Values the library derives from integers it has
+already reduced mod depth! (`embed_int`, `pf_add`, `pf_neg`, `truncate`, and
+the carries of `solenoid.canonicalize` and `induced.apply`) are built by
+`ProfiniteInt._trusted` and not checked again.  `residue` still raises
+DepthExceeded for a modulus that does not divide depth!.  Values keep their
+attributes in slots; a copied or unpickled value is rebuilt by the checked
+constructor.
 """
 from __future__ import annotations
 
@@ -28,14 +39,32 @@ def _fact(m: int) -> int:
 @dataclass(frozen=True)
 class ProfiniteInt:
     """The class of an integer mod depth!, stored as its representative
-    value in [0, depth!); residues are derived from it."""
+    value in [0, depth!); residues are derived from it.  The modulus depth!
+    is a slot but not a field: equality and hashing read (value, depth)."""
 
+    __slots__ = ("value", "depth", "modulus")
     value: int
     depth: int
 
     def __post_init__(self) -> None:
-        if self.depth < 1 or not 0 <= self.value < _fact(self.depth):
+        if self.depth < 1 or not 0 <= self.value < (modulus := _fact(self.depth)):
             raise ValueError(f"value {self.value} outside [0, depth!) at depth {self.depth}")
+        _set_modulus(self, modulus)
+
+    @classmethod
+    def _trusted(cls, value: int, depth: int, modulus: int) -> "ProfiniteInt":
+        """The value from a depth >= 1, modulus = depth! and a value already
+        known to lie in [0, modulus).  The slots are set through their
+        descriptors, past the frozen dataclass's __setattr__."""
+        p = _new(cls)
+        _set_value(p, value)
+        _set_depth(p, depth)
+        _set_modulus(p, modulus)
+        return p
+
+    def __reduce__(self):
+        # copies and unpickled values go through the checked constructor
+        return type(self), (self.value, self.depth)
 
     @classmethod
     def from_residues(cls, residues) -> "ProfiniteInt":
@@ -72,13 +101,14 @@ class ProfiniteInt:
             raise DepthExceeded(f"cannot truncate depth {self.depth} to {depth}")
         if depth == self.depth:
             return self
-        return ProfiniteInt(self.value % _fact(depth), depth)
+        modulus = _fact(depth)
+        return ProfiniteInt._trusted(self.value % modulus, depth, modulus)
 
     def residue(self, n: int) -> int:
         """Class mod n for any modulus n dividing depth!."""
         if n < 1:
             raise ValueError("modulus must be positive")
-        if _fact(self.depth) % n != 0:
+        if self.modulus % n:
             raise DepthExceeded(f"modulus {n} does not divide {self.depth}!")
         return self.value % n
 
@@ -99,21 +129,28 @@ class ProfiniteInt:
         return self.render()
 
 
+_new = object.__new__
+_set_value = ProfiniteInt.value.__set__
+_set_depth = ProfiniteInt.depth.__set__
+_set_modulus = ProfiniteInt.modulus.__set__
+
+
 def embed_int(t: int, depth: int = DEFAULT_DEPTH) -> ProfiniteInt:
     """Dense inclusion of the integers: t maps to its class mod depth!."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return ProfiniteInt(int(t) % _fact(depth), depth)
+    modulus = _fact(depth)
+    return ProfiniteInt._trusted(int(t) % modulus, depth, modulus)
 
 
 def pf_add(a: ProfiniteInt, b: ProfiniteInt) -> ProfiniteInt:
     """Modular addition; mixed depths truncate to the smaller."""
-    d = min(a.depth, b.depth)
-    return ProfiniteInt((a.value + b.value) % _fact(d), d)
+    m = a if a.depth <= b.depth else b
+    return ProfiniteInt._trusted((a.value + b.value) % m.modulus, m.depth, m.modulus)
 
 
 def pf_neg(a: ProfiniteInt) -> ProfiniteInt:
-    return ProfiniteInt(-a.value % _fact(a.depth), a.depth)
+    return ProfiniteInt._trusted(-a.value % a.modulus, a.depth, a.modulus)
 
 
 def pf_dist(a: ProfiniteInt, b: ProfiniteInt) -> Fraction:

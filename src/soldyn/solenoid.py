@@ -6,6 +6,15 @@ leaf coordinate in [0, 1).  The leaf coordinate is an exact rational by
 default; binary64 is accepted for analytic-map experiments and propagates
 through all operations.  An exact x = a/b is evaluated on the integer pair
 (a, b): `project` and `sol_dist` build one Fraction per returned value.
+
+Input is checked once, where it enters: `SolenoidPoint(x, k)`,
+`CirclePointModN(n, v)` and `parse_point` refuse a coordinate out of range,
+and `project` raises DepthExceeded unless n divides depth!.  Points the
+library derives (`canonicalize`, `project`) are built by the `_trusted`
+constructors from coordinates already reduced, and their fiber carries by
+`ProfiniteInt._trusted`, so none is checked again.  Points keep their
+attributes in slots; a copied or unpickled point is rebuilt by the checked
+constructor.
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ Coordinate = Fraction | float
 class SolenoidPoint:
     """Canonical representative (x, k) with 0 <= x < 1."""
 
+    __slots__ = ("x", "k")
     x: Coordinate
     k: ProfiniteInt
 
@@ -35,10 +45,13 @@ class SolenoidPoint:
     @classmethod
     def _trusted(cls, x: Coordinate, k: ProfiniteInt) -> "SolenoidPoint":
         """A point from a Fraction or float x already known to lie in [0, 1)."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "x", x)
-        object.__setattr__(s, "k", k)
+        s = _new(cls)
+        _set_x(s, x)
+        _set_k(s, k)
         return s
+
+    def __reduce__(self):
+        return type(self), (self.x, self.k)
 
     @property
     def depth(self) -> int:
@@ -56,6 +69,7 @@ class SolenoidPoint:
 class CirclePointModN:
     """A point of R/nZ in its canonical range [0, n)."""
 
+    __slots__ = ("modulus", "value")
     modulus: int
     value: Coordinate
 
@@ -71,10 +85,20 @@ class CirclePointModN:
     def _trusted(cls, modulus: int, value: Coordinate) -> "CirclePointModN":
         """A point from a modulus >= 1 and a Fraction or float value already
         known to lie in [0, modulus)."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "modulus", modulus)
-        object.__setattr__(c, "value", value)
+        c = _new(cls)
+        _set_modulus(c, modulus)
+        _set_value(c, value)
         return c
+
+    def __reduce__(self):
+        return type(self), (self.modulus, self.value)
+
+
+# the `_trusted` constructors set slots through their descriptors, past the
+# frozen dataclasses' __setattr__
+_new = object.__new__
+_set_x, _set_k = SolenoidPoint.x.__set__, SolenoidPoint.k.__set__
+_set_modulus, _set_value = CirclePointModN.modulus.__set__, CirclePointModN.value.__set__
 
 
 def canonicalize(x: Coordinate, k: ProfiniteInt) -> SolenoidPoint:
@@ -83,14 +107,17 @@ def canonicalize(x: Coordinate, k: ProfiniteInt) -> SolenoidPoint:
         x = Fraction(x)
     if isinstance(x, Fraction):
         t = x.numerator // x.denominator
+        y = x - t if t else x
     else:
         t = math.floor(x)
-        if x - t == 1:
+        y = x - t
+        if y == 1:
             # binary64: for a tiny negative x, x - floor(x) rounds up to 1.0
-            return SolenoidPoint._trusted(0.0, embed_int(k.value + t + 1, k.depth))
+            y, t = 0.0, t + 1
     if t == 0:
-        return SolenoidPoint._trusted(x, k)
-    return SolenoidPoint._trusted(x - t, embed_int(k.value + t, k.depth))
+        return SolenoidPoint._trusted(y, k)
+    m = k.modulus
+    return SolenoidPoint._trusted(y, ProfiniteInt._trusted((k.value + t) % m, k.depth, m))
 
 
 def zero_point(depth: int = DEFAULT_DEPTH) -> SolenoidPoint:

@@ -3,14 +3,25 @@
 The periodic references work on `PeriodicPL`'s Fraction data with the
 Fraction `eval` (a bisection over Fractions) and build every sum on a
 Python set of Fraction grid points, apart from the library's integer tower
-sums (`induced._tower_rows`).
+sums (`induced._tower_rows`).  `check_table` states the invariants of a
+`plkernel` table.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from soldyn import BreakpointCapExceeded, NotHomeomorphism, PeriodicPL, circlemaps
-from soldyn.circlemaps import as_rational, displacement_lift
+from math import gcd
+
+from soldyn import (
+    BreakpointCapExceeded,
+    NotHomeomorphism,
+    NotMonotone,
+    PeriodicPL,
+    PLLift,
+    circlemaps,
+    plkernel,
+)
+from soldyn.circlemaps import as_rational
 
 
 def periodic_grid(d: PeriodicPL, T) -> set:
@@ -94,3 +105,46 @@ def lp_truncation_lift(h, level: int):
     for d in h.summands[1:level]:
         S = periodic_add(S, d)
     return displacement_lift(S, h.tower[level - 1])
+
+
+def displacement_lift(delta: PeriodicPL, period: int) -> PLLift:
+    """The degree-`period` lift of x + delta(x): delta's table cut by `plkernel.descend`.
+    Raises ValueError unless `period` is a period of delta dividing its stored
+    period, and NotMonotone unless the lift is strictly increasing."""
+    table = plkernel.descend(*delta._lift_table(), period)
+    if table is None:
+        raise ValueError(f"{period} is not a period of delta dividing {delta.period}")
+    if min(table[4]) <= 0:  # a continuous PL map increases iff its slopes are positive
+        raise NotMonotone("x + delta(x) is not strictly increasing")
+    return PLLift._from_table(period, table)
+
+
+def check_table(n: int, table) -> None:
+    """Raise AssertionError unless `table` is a valid degree-n lift table (see
+    `plkernel`): six equally long columns of reduced pairs with positive
+    denominators, abscissae strictly increasing in [0, n), values strictly
+    increasing and spanning less than n, and each slope the secant of its
+    piece, the last piece ending at the first breakpoint plus (n, n).  The
+    checks raise rather than assert, so `python -O` keeps them."""
+    xn, xd, yn, yd, sn, sd = table
+    m = len(xn)
+
+    def require(ok, what):
+        if not ok:
+            raise AssertionError(f"degree-{n} table, {m} breakpoints: {what}")
+
+    require(m >= 1 and all(len(col) == m for col in table), "column lengths")
+    for name, nums, dens in (("abscissa", xn, xd), ("value", yn, yd), ("slope", sn, sd)):
+        for i, (a, b) in enumerate(zip(nums, dens)):
+            require(b > 0 and gcd(a, b) == 1, f"{name} {i} is not a reduced pair: {a}/{b}")
+    require(0 <= xn[0] and xn[-1] < n * xd[-1], "abscissae outside [0, n)")
+    for i in range(m - 1):
+        require(xn[i] * xd[i + 1] < xn[i + 1] * xd[i], f"abscissae {i}, {i + 1} not increasing")
+        require(yn[i] * yd[i + 1] < yn[i + 1] * yd[i], f"values {i}, {i + 1} not increasing")
+    require(yn[-1] * yd[0] < (yn[0] + n * yd[0]) * yd[-1], "values span n or more")
+    for i in range(m):
+        j = (i + 1) % m
+        wrap = 0 if j else n
+        run = Fraction(xn[j], xd[j]) + wrap - Fraction(xn[i], xd[i])
+        rise = Fraction(yn[j], yd[j]) + wrap - Fraction(yn[i], yd[i])
+        require(Fraction(sn[i], sd[i]) == rise / run, f"slope {i} is not its secant")

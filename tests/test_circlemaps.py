@@ -18,6 +18,7 @@ from soldyn import (
     PLLift,
     analytic_new,
     divisors,
+    embed_degree,
     identity_lift,
     induce,
     invert_induced,
@@ -31,7 +32,7 @@ from soldyn import (
 from soldyn.circlemaps import BREAKPOINT_CAP
 from soldyn.induced import _tower_rows
 from genutil import count_compositions, rand_fraction, rand_pl_lift, small_fractions
-from reference import common_grid, has_period, periodic_add, sup_diff
+from reference import check_table, common_grid, has_period, periodic_add, sup_diff
 
 HALF = [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
 
@@ -447,6 +448,7 @@ def _grid_lift(rng, degree, nb, den):
 
 
 def _assert_same_lift(got, ref):
+    check_table(got.degree, got._table)
     assert (got.xs, got.ys, got.slopes) == (ref.xs, ref.ys, ref.slopes)
     for vals in (got.xs, got.ys, got.slopes):
         assert type(vals) is tuple
@@ -479,6 +481,23 @@ def test_integer_kernel_matches_fraction_reference():
             qs += [12]
         for q in qs:
             _assert_same_lift(F.power(q), R.power(q))
+        _assert_same_lift(F.inverse(), R.inverse())
+        # translate and shift_input against the Fraction data they move
+        c = Fraction(rng.randint(-9 * n, 9 * n), rng.randint(1, 12))
+        _assert_same_lift(F.translate(c), _RefLift(n, F.xs, tuple(y + c for y in F.ys)))
+        S = F.shift_input(c)
+        check_table(n, S._table)
+        for x in (0, Fraction(1, 3), *S.xs):
+            assert S.eval(x) == R.eval(x + c) - c
+        # descend undoes embed_degree, down to every divisor of the degree
+        E = embed_degree(induce(F), n * rng.randint(2, 3)).base
+        check_table(E.degree, E._table)
+        assert E.descend(n) is not None
+        for T in divisors(E.degree):
+            D = E.descend(T)
+            if D is not None:
+                check_table(T, D._table)
+                assert all(D.eval(x) == E.eval(x) for x in (0, *F.xs, *S.xs, *F.ys))
         xs = [rng.randint(-5 * n, 5 * n) for _ in range(6)]
         xs += [Fraction(rng.randint(-40 * n, 40 * n), rng.randint(1, 24)) for _ in range(12)]
         big = 10 ** rng.randint(30, 40)
@@ -499,6 +518,43 @@ def test_integer_kernel_matches_fraction_reference():
             assert type(got) is float and got.hex() == R.eval(x).hex()
 
 
+def _big_lift(rng, degree, nb, bits):
+    """A lift whose breakpoints and values have denominators of about `bits`
+    bits: nb distinct abscissae in [0, degree) and values rising by less
+    than degree."""
+    den = lambda: (1 << bits) + rng.randrange(1 << (bits - 8))
+    xs = sorted({Fraction(rng.randrange(degree * (d := den())), d) for _ in range(nb)})
+    ys = sorted({Fraction(rng.randrange(degree * (d := den())), d) for _ in range(len(xs))})
+    if len(ys) < len(xs):
+        xs = xs[: len(ys)]
+    y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+    return pl_new(degree, [(x, y0 + y) for x, y in zip(xs, ys)])
+
+
+def test_eval_pair_is_the_reduced_fraction_value():
+    # `plkernel.eval_pair` returns exactly the reduced pair of the Fraction
+    # evaluation, on small lifts and on lifts and points past 1,000 bits:
+    # `slope_changes` and `descend` compare the pairs for equality
+    rng = random.Random(2401)
+    lifts = [rand_pl_lift(rng, n, nb, 12) for n in (1, 2, 5) for nb in (1, 3, 8)]
+    lifts += [_big_lift(rng, n, nb, 1100) for n in (1, 3) for nb in (1, 4, 9)]
+    lifts += [F.power(3) for F in lifts[:6]]
+    checked = 0
+    for F in lifts:
+        n, R = F.degree, _RefLift.of(F)
+        points = [Fraction(rng.randint(-7 * n, 7 * n), rng.randint(1, 30)) for _ in range(20)]
+        for bits in (64, 1024, 1500):
+            d = rng.randrange(1 << bits) + 1
+            points += [Fraction(rng.randint(-3 * n * d, 3 * n * d), d) for _ in range(10)]
+        points += [x + j * n for x in F.xs for j in (-2, 0, 1)]
+        for x in points:
+            ref = R.eval(x)
+            got = plkernel.eval_pair(F._table, n, x.numerator, x.denominator)
+            assert got == (ref.numerator, ref.denominator), (F, x)
+            checked += ref.denominator.bit_length() > 1000
+    assert checked >= 100
+
+
 def test_shared_powers_match_separate_powers_and_reference(monkeypatch):
     # one chain of squares serves every power pulled from a `powers`
     # generator, in any order: the tables equal separate `power` calls and
@@ -515,6 +571,7 @@ def test_shared_powers_match_separate_powers_and_reference(monkeypatch):
         assert len(calls) == squares + sum(bin(q).count("1") - 1 for q in qs if q)
         monkeypatch.undo()
         for q, table in zip(qs, shared):
+            check_table(n, table)
             assert table == plkernel.power(n, F._table, q, BREAKPOINT_CAP)
             _assert_same_lift(PLLift._from_table(n, table), R.power(q))
         assert shared[qs.index(1)] is F._table

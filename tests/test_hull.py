@@ -43,11 +43,10 @@ from soldyn import (
     sigma,
     sol_add,
 )
-from soldyn.circlemaps import displacement_lift
 from genutil import (
     rand_embedded, rand_induced, rand_pl_lift, rand_point, rand_tower, run_python
 )
-from reference import has_period, sup_diff
+from reference import displacement_lift, has_period, sup_diff
 
 SAW2 = PeriodicPL(2, [(0, 0), (1, Fraction(1, 4))])  # minimal period 2
 

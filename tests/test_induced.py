@@ -86,6 +86,17 @@ def test_apply_depth_guard():
         apply(f, s)
 
 
+def test_cover_eval_and_fiber_lift_depth_guard():
+    f = rand_induced(random.Random(2), degree=4)
+    for k in (embed_int(1, 2), embed_int(0, 3)):  # 4 divides neither 2! nor 3!
+        with pytest.raises(DepthExceeded):
+            cover_eval(f, Fraction(1, 3), k)
+        with pytest.raises(DepthExceeded):
+            f.fiber_lift(k)
+    k = embed_int(1, 4)
+    assert f.fiber_lift(k).eval(Fraction(1, 3)) == cover_eval(f, Fraction(1, 3), k)
+
+
 def test_commuting_diagram_level_one():
     rng = random.Random(3)
     for _ in range(100):

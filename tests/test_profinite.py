@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -9,13 +11,17 @@ from hypothesis import strategies as st
 from soldyn import (
     DepthExceeded,
     ProfiniteInt,
+    SolenoidPoint,
+    apply,
+    canonicalize,
+    cover_eval,
     embed_int,
     parse_profinite,
     pf_add,
     pf_dist,
     pf_neg,
 )
-from genutil import towers
+from genutil import rand_induced, rand_tower, towers
 
 
 def test_embed_examples():
@@ -168,3 +174,61 @@ def test_level_walks_past_the_factorial_table():
     assert pf_dist(a, b) == sum(
         Fraction(1, 2**m) for m in range(1, 41) if diff % factorial(m)
     )
+
+
+def _same_as_checked(got, value, depth):
+    # a value built without the constructor's check: equal to the checked
+    # value of the independently computed residue, carrying its modulus
+    assert type(got) is ProfiniteInt
+    assert got == ProfiniteInt(value % factorial(depth), depth)
+    assert got.modulus == factorial(depth)
+
+
+@pytest.mark.parametrize("depth", [1, 8, 40])
+def test_trusted_values_equal_checked_ones(depth):
+    rng = random.Random(2400 + depth)
+    M = factorial(depth)
+    for _ in range(150):
+        s, t = rng.randrange(-3 * M, 3 * M), rng.randrange(-3 * M, 3 * M)
+        a, b = embed_int(s, depth), embed_int(t, depth)
+        _same_as_checked(a, s, depth)
+        _same_as_checked(pf_add(a, b), s + t, depth)
+        _same_as_checked(pf_neg(a), -s, depth)
+        d = rng.randint(1, depth)
+        _same_as_checked(a.truncate(d), s, d)
+        _same_as_checked(pf_add(a, embed_int(t, d)), s + t, d)
+        # canonicalize's carry, exact and binary64
+        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 97))
+        p = canonicalize(x, a)
+        _same_as_checked(p.k, s + math.floor(x), depth)
+        assert p.x == x - math.floor(x)
+        y = rng.uniform(-50.0, 50.0)
+        _same_as_checked(canonicalize(y, a).k, s + math.floor(y), depth)
+        # apply's carry: degree 1 at depth 1, any degree up to 6 deeper
+        f = rand_induced(rng, degree=1 if depth == 1 else rng.randint(1, 6))
+        u = Fraction(rng.randrange(60), 60)
+        image = cover_eval(f, u, a)
+        q = apply(f, SolenoidPoint(u, a))
+        _same_as_checked(q.k, s + math.floor(image), depth)
+        assert q.x == image - math.floor(image)
+
+
+def test_checked_values_carry_their_modulus():
+    assert ProfiniteInt(5, 3).modulus == 6
+    assert ProfiniteInt.from_residues((0, 1, 5)).modulus == 6
+    assert parse_profinite("(0, 1, 5, 5) @ depth 4").modulus == 24
+    assert embed_int(-1, 40).modulus == factorial(40)
+
+
+def test_operators_match_functions_at_mixed_depths():
+    # __add__, __neg__ and __sub__ are pf_add and pf_neg; a sum truncates to
+    # the smaller depth
+    rng = random.Random(2424)
+    for _ in range(300):
+        a = rand_tower(rng, rng.randint(1, 10))
+        b = rand_tower(rng, rng.randint(1, 10))
+        assert a + b == pf_add(a, b) == b + a
+        assert (a + b).depth == min(a.depth, b.depth)
+        assert -a == pf_neg(a) and (-a).depth == a.depth
+        assert a - b == pf_add(a, pf_neg(b))
+        assert (a - b) + b == a.truncate(min(a.depth, b.depth))

@@ -62,7 +62,6 @@ def test_period_builders_take_no_knobs():
     }
     for name, n in arity.items():
         assert len(inspect.signature(getattr(soldyn, name)).parameters) == n, name
-    assert len(inspect.signature(soldyn.circlemaps.displacement_lift).parameters) == 2
     assert list(inspect.signature(soldyn.PLLift.descend).parameters) == ["self", "T"]
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soldyn import (
+    CirclePointModN,
     DepthExceeded,
+    ProfiniteInt,
     SolenoidPoint,
     canonicalize,
     deck,
@@ -208,3 +212,18 @@ def test_sol_dist_matches_projection_reference():
         for a, b in ((fs, ft), (fs, t), (s, ft)):
             got, want = sol_dist(a, b), reference(a, b)
             assert type(got) is type(want) and got == want
+
+
+def test_values_copy_and_pickle_through_the_checked_constructors():
+    # trusted and checked values alike: copies equal the original, carry the
+    # modulus, and are rebuilt by the checked constructor
+    k = embed_int(-37, 6)
+    s = canonicalize(Fraction(7, 3), k)
+    c = project(s, 4)
+    for v in (k, ProfiniteInt(5, 3), s, SolenoidPoint(Fraction(1, 2), k), c, CirclePointModN(3, 2)):
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is type(v) and twin == v and hash(twin) == hash(v)
+    assert pickle.loads(pickle.dumps(k)).modulus == 720
+    # a value that skipped the check out of range is refused when copied
+    with pytest.raises(ValueError):
+        copy.copy(ProfiniteInt._trusted(720, 6, 720))
