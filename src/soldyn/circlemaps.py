@@ -5,14 +5,14 @@ rational breakpoint data and support exact composition, inversion and
 iteration; every certification claim in this package is made through them.
 The analytic family is binary64-only and exists for exploration.
 
-A PL lift is its degree and one integer table of the numerators and
+A PL lift is its degree, one integer table of the numerators and
 denominators of its breakpoints, values and slopes (`plkernel`), checked
-once when the lift is built from breakpoints.  Exact evaluation bisects the
-table by cross-multiplication and builds one Fraction for the value it
-returns; composition, powers, inverses and translates build only tables.
-A binary64 input is located on the table exactly and evaluated in floating
-point, each coordinate rounded once.  `xs`, `ys` and `slopes` build
-Fractions from the table on each read.
+once when the lift is built from breakpoints, and its pieces' affine forms,
+derived then.  Exact evaluation bisects the table by cross-multiplication
+and evaluates one form; composition, powers, inverses and translates build
+only tables.  A binary64 input is located on the table exactly and
+evaluated in floating point, each coordinate rounded once.  `xs`, `ys` and
+`slopes` build Fractions from the table on each read.
 """
 from __future__ import annotations
 
@@ -78,18 +78,18 @@ def _fractions(nums, dens) -> tuple:
     # through a list, so the tuple is allocated at its final size: a tuple
     # grown from a bare iterator is resized, and when freed it enlarges
     # CPython's tuple free lists for good
-    return tuple(list(map(Fraction, nums, dens)))
+    return tuple(list(map(plkernel.fraction, nums, dens)))
 
 
 class PLLift:
     """Strictly increasing piecewise-linear map with F(x + n) = F(x) + n.
 
-    A lift is its degree and its integer table (see `plkernel`).  `xs`, `ys`
-    and `slopes` are read-only views that build a fresh tuple of Fractions
-    from the table on every read.
+    A lift is its degree, its integer table and its pieces' forms (see
+    `plkernel`).  `xs`, `ys` and `slopes` are read-only views that build a
+    fresh tuple of Fractions from the table on every read.
     """
 
-    __slots__ = ("degree", "_table")
+    __slots__ = ("degree", "_table", "_forms")
 
     def __init__(self, degree: int, breakpoints) -> None:
         degree = int(degree)
@@ -111,6 +111,7 @@ class PLLift:
             raise NotMonotone("wrap-around violates strict monotonicity")
         self.degree = degree
         self._table = (*_parts(xs), *_parts(ys), *_parts(_slopes(xs, ys, degree, degree)))
+        self._forms = plkernel.forms(degree, self._table)
 
     @classmethod
     def _from_table(cls, degree: int, table) -> "PLLift":
@@ -118,6 +119,7 @@ class PLLift:
         lift = cls.__new__(cls)
         lift.degree = degree
         lift._table = table
+        lift._forms = plkernel.forms(degree, table)
         return lift
 
     @property
@@ -135,8 +137,9 @@ class PLLift:
     def eval(self, x):
         """F(x): exact for int and Fraction x, binary64 for a float x."""
         if isinstance(x, (int, Fraction)):
-            num, den = plkernel.eval_pair(self._table, self.degree, x.numerator, x.denominator)
-            return Fraction(num, den)
+            return plkernel.fraction(*plkernel.eval_pair(
+                self._table, self._forms, self.degree, x.numerator, x.denominator
+            ))
         n = self.degree
         j = floor_div(x, n)
         x0 = x - j * n if j else x
@@ -161,11 +164,11 @@ class PLLift:
         if q == 0:
             return x
         if isinstance(x, (int, Fraction)):
-            table, n = self._table, self.degree
+            table, forms, n = self._table, self._forms, self.degree
             a, b = x.numerator, x.denominator
             for _ in range(q):
-                a, b = plkernel.eval_pair(table, n, a, b)
-            return Fraction(a, b)
+                a, b = plkernel.eval_pair(table, forms, n, a, b)
+            return plkernel.fraction(a, b)
         for _ in range(q):
             x = self.eval(x)
         return x
@@ -204,24 +207,18 @@ class PLLift:
         return PLLift._from_table(self.degree, plkernel.power(self.degree, self._table, q, cap))
 
     def translate(self, c) -> "PLLift":
-        """The lift F + c."""
+        """The lift F + c; F itself when c = 0, as lifts are immutable."""
         c = as_rational(c)
-        xn, xd, yn, yd, sn, sd = self._table
-        yn, yd = plkernel.shift(yn, yd, c.numerator, c.denominator)
-        return PLLift._from_table(self.degree, (xn, xd, yn, yd, sn, sd))
+        if not c:
+            return self
+        table = plkernel.translate(self._table, c.numerator, c.denominator)
+        return PLLift._from_table(self.degree, table)
 
     def shift_input(self, r) -> "PLLift":
         """Conjugation by translation: x -> F(x + r) - r."""
         r = as_rational(r)
-        n = self.degree
-        xn, xd, yn, yd, sn, sd = self._table
-        xn, xd = plkernel.shift(xn, xd, -r.numerator, r.denominator)
-        yn, yd = plkernel.shift(yn, yd, -r.numerator, r.denominator)
-        # the shifted abscissae span less than n, so reducing them mod n rotates the list
-        j, cut = plkernel.wrap_cut(xn, xd, n)
-        xn, xd = plkernel.reduce_rotated(xn, xd, j, cut, n)
-        yn, yd = plkernel.reduce_rotated(yn, yd, j, cut, n)
-        return PLLift._from_table(n, (xn, xd, yn, yd, sn[cut:] + sn[:cut], sd[cut:] + sd[:cut]))
+        table = plkernel.shift_input(self.degree, self._table, r.numerator, r.denominator)
+        return PLLift._from_table(self.degree, table)
 
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Breakpoints where the slope actually changes; rotations anchor at 0.
@@ -231,7 +228,7 @@ class PLLift:
         """
         xn, xd, yn, yd = self._table[:4]
         keep = [
-            (Fraction(xn[i], xd[i]), Fraction(yn[i], yd[i]))
+            (plkernel.fraction(xn[i], xd[i]), plkernel.fraction(yn[i], yd[i]))
             for i in plkernel.slope_changes(self._table)
         ]
         if not keep:
@@ -263,7 +260,7 @@ class PLLift:
     def displacement(self) -> "PeriodicPL":
         """x -> F(x) - x, from the table: values y - x and slopes s - 1."""
         xn, xd, yn, yd, sn, sd = self._table
-        vs = [Fraction(*plkernel.add(a, b, -c, d)) for a, b, c, d in zip(yn, yd, xn, xd)]
+        vs = [plkernel.fraction(*plkernel.add(a, b, -c, d)) for a, b, c, d in zip(yn, yd, xn, xd)]
         slopes = _fractions([a - b for a, b in zip(sn, sd)], sd)
         return PeriodicPL._trusted(Fraction(self.degree), self.xs, tuple(vs), slopes)
 

@@ -122,7 +122,7 @@ def _leftmost_return(n: int, table, p: int, rightmost: bool = False) -> Optional
     xn, xd, yn, yd, sn, sd = table
     if xn[0]:
         # scan from 0, which lies on the wrap piece
-        y0n, y0d = plkernel.eval_pair(table, n, 0, 1)
+        y0n, y0d = plkernel.piece_value(table, -1, n, 0, 1, 0)
         xn, xd, yn, yd = (0, *xn), (1, *xd), (y0n, *yn), (y0d, *yd)
         sn, sd = (sn[-1], *sn), (sd[-1], *sd)
     count = len(xn)
@@ -141,14 +141,14 @@ def _leftmost_return(n: int, table, p: int, rightmost: bool = False) -> Optional
         cur, nxt = (new, shared) if rightmost else (shared, new)
         shared = new
         if cur == 0:
-            return Fraction(xn[k], xd[k])
+            return plkernel.fraction(xn[k], xd[k])
         if cur * nxt < 0:
             gn, gd = plkernel.add(yn[k], yd[k], -(xn[k] + p * xd[k]), xd[k])
             # g / (1 - s) with 1 - s = (sd - sn) / sd, sign moved to the numerator
             s_n, s_d = sn[k], sd[k]
             dn, dd = (s_d, s_d - s_n) if s_d > s_n else (-s_d, s_n - s_d)
             gn, gd = plkernel.mul(gn, gd, dn, dd)
-            return Fraction(*plkernel.add(xn[k], xd[k], gn, gd))
+            return plkernel.fraction(*plkernel.add(xn[k], xd[k], gn, gd))
     return None
 
 
@@ -178,11 +178,11 @@ def _orbit_bracket(F: PLLift, x0: Fraction, steps: int, q: int):
     kept as integer pairs, updated by cross-multiplication, so a step builds
     no Fraction.
     """
-    table, n = F._table, F.degree
+    table, forms, n = F._table, F._forms, F.degree
     a, b = an, ad = x0.numerator, x0.denominator
     ln, ld, un, ud = -1, 0, 1, 0  # L = -inf, U = +inf
     for m in range(1, steps + 1):
-        a, b = plkernel.eval_pair(table, n, a, b)
+        a, b = plkernel.eval_pair(table, forms, n, a, b)
         num = a * ad - an * b
         den = b * ad
         if m == q:
@@ -386,7 +386,8 @@ def _nearest_return(G: PLLift, p: int, x0: Fraction) -> Optional[Fraction]:
     """
     n = G.degree
     g0 = G.eval(x0) - x0 - p
-    u = _leftmost_return(n, G.shift_input(x0)._table, p, rightmost=g0 < 0)
+    table = plkernel.shift_input(n, G._table, x0.numerator, x0.denominator)
+    u = _leftmost_return(n, table, p, rightmost=g0 < 0)
     if u is None:
         return None
     return x0 + u - n if g0 < 0 else x0 + u

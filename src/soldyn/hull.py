@@ -133,11 +133,10 @@ def quotient_map(delta: PeriodicPL) -> QuotientMap:
 
 def leaf_quotient(f: InducedHomeo) -> QuotientMap:
     """g: the leaf lift F = id + delta cut by `plkernel.least_period` at the
-    minimal period T of delta."""
-    F = f.leaf_lift()
-    if not isinstance(F, PLLift):
+    minimal period T of delta.  F is read as a table; only g is a lift."""
+    if not isinstance(f.base, PLLift):
         raise AnalyticExactUnsupported("the quotient map needs a PL base")
-    T, table = plkernel.least_period(f.degree, F._table)
+    T, table = plkernel.least_period(f.degree, plkernel.translate(f.base._table, f.offset, 1))
     return QuotientMap(Fraction(T), PLLift._from_table(T, table))
 
 
@@ -227,8 +226,8 @@ def check_semiconjugacy(
     T = g.period.numerator
     if gm.period != T:
         raise MixedHulls(f"quotient map of period {gm.period}, hull of period {T}")
-    n, table, offset = f.degree, f.base._table, f.offset
-    g_table, g_degree = gm.lift._table, gm.lift.degree
+    n, table, forms, offset = f.degree, f.base._table, f.base._forms, f.offset
+    g_table, g_forms, g_degree = gm.lift._table, gm.lift._forms, gm.lift.degree
     worst_n, worst_d = 0, 1
     count = 0
     for s in samples:
@@ -237,9 +236,9 @@ def check_semiconjugacy(
         x = s.x
         if isinstance(x, Fraction):
             a, b = x.numerator, x.denominator
-            ln, ld = plkernel.eval_pair(table, n, a + r * b, b)
+            ln, ld = plkernel.eval_pair(table, forms, n, a + r * b, b)
             ln += offset * ld
-            rn, rd = plkernel.eval_pair(g_table, g_degree, (a + r * b) % (T * b), b)
+            rn, rd = plkernel.eval_pair(g_table, g_forms, g_degree, (a + r * b) % (T * b), b)
         else:
             lhs = Fraction(project(apply(f, s), T).value)
             rhs = gm.param_apply(Fraction(project(s, T).value))

@@ -12,8 +12,9 @@ circle map u -> F0(u) + offset (mod d) at every level d that the
 displacement's minimal period T divides.  `hull.leaf_quotient` decides T on
 the table of the leaf lift F0 + offset = id + delta and cuts it to g there.
 
-`apply` maps an exact point under a PL base on integer pairs, one Fraction
-per image; binary64 points and analytic bases take the float path.
+`apply` maps an exact point under a PL base on integer pairs, and its
+reduced image pair becomes a Fraction with no second gcd; binary64 points
+and analytic bases take the float path.
 
 A map's points are checked where they enter, by `SolenoidPoint` and
 `ProfiniteInt`.  `apply`, `cover_eval` and `InducedHomeo.fiber_lift` read
@@ -115,22 +116,22 @@ def cover_eval(f: InducedHomeo, x, k: ProfiniteInt):
 def apply(f: InducedHomeo, s: SolenoidPoint) -> SolenoidPoint:
     """Apply the homeomorphism: act leafwise, fiber unchanged, recanonicalize.
 
-    An exact x = a/b on a PL base: F0 at (a + r b)/b on the lift's table, then
-    offset - r and the carry into k on integers; one Fraction is built."""
+    An exact x = a/b on a PL base: F0 at (a + r b)/b on the lift's forms, then
+    offset - r and the carry into k on integers, all reduced pairs."""
     n = f.degree
     k = s.k
     r = k.residue(n)
     x = s.x
     if isinstance(x, Fraction) and isinstance(f.base, PLLift):
         b = x.denominator
-        num, den = plkernel.eval_pair(f.base._table, n, x.numerator + r * b, b)
+        num, den = plkernel.eval_pair(f.base._table, f.base._forms, n, x.numerator + r * b, b)
         num += (f.offset - r) * den
         t = num // den
         if t:
             num -= t * den
             m = k.modulus
             k = ProfiniteInt._trusted((k.value + t) % m, k.depth, m)
-        return SolenoidPoint._trusted(Fraction(num, den), k)
+        return SolenoidPoint._trusted(plkernel.fraction(num, den), k)
     return canonicalize(f.base.eval(x + r) - r + f.offset, k)
 
 

@@ -6,25 +6,44 @@ sequences: numerators and positive denominators of its breakpoint abscissae
 and its slopes, every pair reduced.  Slope i is that of the piece starting at
 breakpoint i; the last piece wraps to the first breakpoint plus n.
 
-Evaluation, composition and powers run on tables and build no Fraction.
-The period search (`slope_changes`, `descend`, `least_period`) only compares
-and copies pairs, so it also takes the table of x + delta(x) for a bare
-periodic delta, whose values need not increase; `compose` and `wrap_cut` do.
+Composition and powers run on tables and build no Fraction.  Point
+evaluation (`eval_pair`) also reads the affine form of each piece (`forms`),
+which a lift derives once, when it is built.  Fractions leave the kernel
+only through `fraction`, from pairs already reduced.  The period search
+(`slope_changes`, `descend`, `least_period`) only compares and copies pairs,
+so it also takes the table of x + delta(x) for a bare periodic delta, whose
+values need not increase; `compose` and `wrap_cut` do.
 Sums and products of reduced pairs are reduced in the order `fractions`
 uses: gcd of the denominators first, cancelling across before multiplying.
-No gcd is ever taken of a product of several coordinates, which matters
-once coordinates run to thousands of digits.
+So `add`, `mul` and `compose` take no gcd of a product of several
+coordinates, which matters once coordinates run to thousands of digits.
+`eval_pair` takes one per point, gcd(N, D) with D a product of three
+coordinates: on 600-bit tables a point still costs less than the reduced
+steps of `piece_value` followed by `Fraction(n, d)`.
 
 This module is internal; `PLLift` is the public face of a table.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from math import gcd
 
 from .errors import BreakpointCapExceeded
 
 IDENTITY = ((0,), (1,), (0,), (1,), (1,), (1,))
+
+_new = object.__new__
+
+
+def fraction(n: int, d: int) -> Fraction:
+    """`Fraction(n, d)` for a reduced pair with d > 0, without its gcd: the
+    one writer of a Fraction's slots (CPython 3.10 to 3.13 have these two),
+    as 3.12's `Fraction._from_coprime_ints` is."""
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 def add(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
@@ -63,6 +82,24 @@ def shift(nums, dens, cn: int, cd: int) -> tuple:
         out_n.append(a)
         out_d.append(b)
     return out_n, out_d
+
+
+def translate(table, cn: int, cd: int) -> tuple:
+    """The table of F + c for c = cn/cd, cd > 0; the other columns are shared."""
+    xn, xd, yn, yd, sn, sd = table
+    return (xn, xd, *shift(yn, yd, cn, cd), sn, sd)
+
+
+def shift_input(n: int, table, cn: int, cd: int) -> tuple:
+    """The table of x -> F(x + c) - c for c = cn/cd, cd > 0."""
+    xn, xd, yn, yd, sn, sd = table
+    xn, xd = shift(xn, xd, -cn, cd)
+    yn, yd = shift(yn, yd, -cn, cd)
+    # the shifted abscissae span less than n, so reducing them mod n rotates the list
+    j, cut = wrap_cut(xn, xd, n)
+    xn, xd = reduce_rotated(xn, xd, j, cut, n)
+    yn, yd = reduce_rotated(yn, yd, j, cut, n)
+    return xn, xd, yn, yd, sn[cut:] + sn[:cut], sd[cut:] + sd[:cut]
 
 
 def wrap_cut(nums, dens, n: int) -> tuple[int, int]:
@@ -147,13 +184,43 @@ def locate(xn, xd, a: int, b: int) -> int:
     return lo
 
 
-def eval_pair(table, n: int, a: int, b: int) -> tuple[int, int]:
-    """F(a/b) for a reduced a/b with b > 0: reduce mod n, locate the piece,
-    evaluate it."""
+def forms(n: int, table) -> list:
+    """The affine form (Q, P, D) of each piece, F(x) = (Q x + P) / D, indexed
+    by `locate`'s result: entry 0 is the wrap piece, entry i + 1 the piece
+    starting at breakpoint i.  Q = y_d s_n x_d, P = y_n s_d x_d - y_d s_n x_n
+    and D = y_d s_d x_d, where the wrap piece takes x_n - n x_d and
+    y_n - n y_d: six products per piece and no gcd."""
+
+    def form(x_n, x_d, y_n, y_d, s_n, s_d):
+        q, t = y_d * s_n, s_d * x_d
+        return q * x_d, y_n * t - q * x_n, y_d * t
+
+    xn, xd, yn, yd, sn, sd = table
+    return [form(xn[-1] - n * xd[-1], xd[-1], yn[-1] - n * yd[-1], yd[-1], sn[-1], sd[-1]),
+            *map(form, xn, xd, yn, yd, sn, sd)]
+
+
+def eval_pair(table, forms, n: int, a: int, b: int) -> tuple[int, int]:
+    """F(a/b) as a reduced pair, for a reduced a/b with b > 0, from the
+    table's `forms`: with a/b reduced mod n by the carry j, F(a/b) is
+    N / (D b), N = Q a + (P + j n D) b.  gcd(N, b) = gcd(Q, b) as a and b
+    are coprime, and once that is divided out N is coprime to what is left
+    of b, so dividing by gcd(N, D) leaves the reduced pair."""
     j = a // (b * n)
     if j:
         a -= j * n * b
-    return piece_value(table, locate(table[0], table[1], a, b) - 1, n, a, b, j)
+    Q, P, D = forms[locate(table[0], table[1], a, b)]
+    if j:
+        P += j * n * D
+    num = Q * a + P * b
+    g = gcd(Q, b)
+    if g > 1:
+        num //= g
+        b //= g
+    g = gcd(num, D)
+    if g > 1:
+        return num // g, D // g * b
+    return num, D * b
 
 
 def offset_sign(table, cn: int, cd: int) -> int:
@@ -193,7 +260,7 @@ def descend(n: int, table, T: int):
             return None
     rows = [[col[i] for col in table] for i in keep if xn[i] < T * xd[i]]
     if not rows or rows[0][0]:
-        rows.insert(0, (0, 1, *eval_pair(table, n, 0, 1), sn[-1], sd[-1]))
+        rows.insert(0, (0, 1, *piece_value(table, -1, n, 0, 1, 0), sn[-1], sd[-1]))
     return tuple(map(list, zip(*rows)))
 
 

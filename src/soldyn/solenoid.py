@@ -5,7 +5,8 @@ t.(x, k) = (x + t, k - t); every class has a unique representative with
 leaf coordinate in [0, 1).  The leaf coordinate is an exact rational by
 default; binary64 is accepted for analytic-map experiments and propagates
 through all operations.  An exact x = a/b is evaluated on the integer pair
-(a, b): `project` and `sol_dist` build one Fraction per returned value.
+(a, b): `project` builds its reduced pair's Fraction with no second gcd,
+and `sol_dist` builds one Fraction.
 
 Input is checked once, where it enters: `SolenoidPoint(x, k)`,
 `CirclePointModN(n, v)` and `parse_point` refuse a coordinate out of range,
@@ -23,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .plkernel import fraction
 from .profinite import DEFAULT_DEPTH, ProfiniteInt, embed_int, pf_add, pf_neg
 
 Coordinate = Fraction | float
@@ -134,19 +136,17 @@ def sol_neg(s: SolenoidPoint) -> SolenoidPoint:
 
 def sigma(t: Coordinate, depth: int = DEFAULT_DEPTH) -> SolenoidPoint:
     """The dense one-parameter subgroup R -> solenoid."""
-    if isinstance(t, int):
-        t = Fraction(t)
     return canonicalize(t, embed_int(0, depth))
 
 
 def project(s: SolenoidPoint, n: int) -> CirclePointModN:
     """Projection onto R/nZ; requires n | depth!.  An exact x = a/b maps to
-    ((a + r b) mod n b) / b on integers, one Fraction."""
+    ((a + r b) mod n b) / b on integers, a reduced pair as gcd(a, b) = 1."""
     r = s.k.residue(n)
     x = s.x
     if isinstance(x, Fraction):
         b = x.denominator
-        return CirclePointModN._trusted(n, Fraction((x.numerator + r * b) % (n * b), b))
+        return CirclePointModN._trusted(n, fraction((x.numerator + r * b) % (n * b), b))
     return CirclePointModN._trusted(n, (x + r) % n)
 
 

@@ -58,6 +58,28 @@ def rand_pl_lift(
     return pl_new(degree, list(zip(xs, ys)))
 
 
+def grid_lift(rng: random.Random, degree: int, nb: int, den: int) -> PLLift:
+    """A lift mapping grid points k/den to grid points, so that compositions
+    put breakpoint preimages exactly on breakpoints."""
+    xs = sorted(Fraction(k, den) for k in rng.sample(range(degree * den), nb))
+    offs = sorted(rng.sample(range(degree * den), nb))
+    y0 = Fraction(rng.randint(-3 * den, 3 * den), den)
+    return pl_new(degree, [(x, y0 + Fraction(o, den)) for x, o in zip(xs, offs)])
+
+
+def big_lift(rng: random.Random, degree: int, nb: int, bits: int) -> PLLift:
+    """A lift whose breakpoints and values have denominators of about `bits`
+    bits: nb distinct abscissae in [0, degree) and values rising by less
+    than degree."""
+    den = lambda: (1 << bits) + rng.randrange(1 << (bits - 8))
+    xs = sorted({Fraction(rng.randrange(degree * (d := den())), d) for _ in range(nb)})
+    ys = sorted({Fraction(rng.randrange(degree * (d := den())), d) for _ in range(len(xs))})
+    if len(ys) < len(xs):
+        xs = xs[: len(ys)]
+    y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+    return pl_new(degree, [(x, y0 + y) for x, y in zip(xs, ys)])
+
+
 def rand_induced(
     rng: random.Random, degree: int = 1, n_bps: int = 3, den: int = 8
 ) -> InducedHomeo:

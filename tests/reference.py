@@ -4,13 +4,15 @@ The periodic references work on `PeriodicPL`'s Fraction data with the
 Fraction `eval` (a bisection over Fractions) and build every sum on a
 Python set of Fraction grid points, apart from the library's integer tower
 sums (`induced._tower_rows`).  `check_table` states the invariants of a
-`plkernel` table.
+`plkernel` table, `piece_eval` evaluates one on Fractions, and
+`check_reduced` states what `plkernel.fraction` takes on trust.
 """
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
-from math import gcd
+from math import floor, gcd
 
 from soldyn import (
     BreakpointCapExceeded,
@@ -148,3 +150,32 @@ def check_table(n: int, table) -> None:
         run = Fraction(xn[j], xd[j]) + wrap - Fraction(xn[i], xd[i])
         rise = Fraction(yn[j], yd[j]) + wrap - Fraction(yn[i], yd[i])
         require(Fraction(sn[i], sd[i]) == rise / run, f"slope {i} is not its secant")
+
+
+def fraction_columns(table) -> tuple[list, list, list]:
+    """The abscissae, values and slopes of a `plkernel` table as Fractions,
+    each built by `Fraction(n, d)`."""
+    return tuple([Fraction(a, b) for a, b in zip(table[k], table[k + 1])] for k in (0, 2, 4))
+
+
+def piece_eval(n: int, columns, x: Fraction) -> tuple[Fraction, int, int]:
+    """(F(x), i, j) for the degree-n lift with `fraction_columns` `columns`
+    at an exact x: j = floor(x / n), i is the last breakpoint at most
+    x - j n, or -1 for the wrap piece from x_{m-1} - n, and
+    F(x) = y_i + s_i (x - j n - x_i) + j n."""
+    xs, ys, slopes = columns
+    j = floor(x / n)
+    x0 = x - j * n
+    i = bisect.bisect_right(xs, x0) - 1
+    xi, yi = (xs[i], ys[i]) if i >= 0 else (xs[-1] - n, ys[-1] - n)
+    return yi + slopes[i] * (x0 - xi) + j * n, i, j
+
+
+def check_reduced(value) -> None:
+    """Raise AssertionError unless `value` is a Fraction whose pair is reduced
+    with a positive denominator, as `Fraction(n, d)` would have made it."""
+    if type(value) is not Fraction:
+        raise AssertionError(f"{value!r} is a {type(value).__name__}, not a Fraction")
+    a, b = value.numerator, value.denominator
+    if b <= 0 or gcd(a, b) != 1:
+        raise AssertionError(f"{a}/{b} is not a reduced pair with a positive denominator")

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,12 @@ from soldyn import (
 )
 from soldyn.circlemaps import BREAKPOINT_CAP
 from soldyn.induced import _tower_rows
-from genutil import count_compositions, rand_fraction, rand_pl_lift, small_fractions
-from reference import check_table, common_grid, has_period, periodic_add, sup_diff
+from genutil import (
+    big_lift, count_compositions, grid_lift, rand_fraction, rand_pl_lift, small_fractions,
+)
+from reference import (
+    check_table, common_grid, fraction_columns, has_period, periodic_add, piece_eval, sup_diff,
+)
 
 HALF = [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
 
@@ -304,6 +309,24 @@ def test_canonical_form_strips_collinear():
     assert F.canonical_breakpoints() == ((Fraction(0), Fraction(0)),)
 
 
+def test_equal_lifts_hash_equal_and_translate_by_zero_is_the_lift():
+    # lifts are hashed by their canonical breakpoints, so the same function
+    # written with other breakpoints is one set element; F + 0 is F itself
+    F = rand_pl_lift(random.Random(7), 2, 4, 8)
+    xs, ys = F.xs, F.ys
+    mid = (xs[0] + xs[1]) / 2
+    G = pl_new(2, [*zip(xs, ys), (mid, F.eval(mid))])
+    assert len(G.xs) == len(xs) + 1 and G == F and hash(G) == hash(F)
+    collinear = pl_new(1, [(0, 0), (Fraction(1, 3), Fraction(1, 3))])
+    assert hash(collinear) == hash(identity_lift(1))
+    assert len({F, G, collinear, identity_lift(1)}) == 2
+    for zero in (0, Fraction(0), "0", "0/5"):
+        assert F.translate(zero) is F
+    assert F.translate(1) != F
+    with pytest.raises(TypeError):
+        F.translate(0.0)
+
+
 def _reference_inverse(F):
     """The previous inverse: reduce every breakpoint pair, then validate and sort."""
     n = F.degree
@@ -438,15 +461,6 @@ def _ref_floor_div(x, n):
     return math.floor(x / n)
 
 
-def _grid_lift(rng, degree, nb, den):
-    """A lift mapping grid points k/den to grid points, so that compositions
-    put breakpoint preimages exactly on breakpoints."""
-    xs = sorted(Fraction(k, den) for k in rng.sample(range(degree * den), nb))
-    offs = sorted(rng.sample(range(degree * den), nb))
-    y0 = Fraction(rng.randint(-3 * den, 3 * den), den)
-    return pl_new(degree, [(x, y0 + Fraction(o, den)) for x, o in zip(xs, offs)])
-
-
 def _assert_same_lift(got, ref):
     check_table(got.degree, got._table)
     assert (got.xs, got.ys, got.slopes) == (ref.xs, ref.ys, ref.slopes)
@@ -466,7 +480,7 @@ def test_integer_kernel_matches_fraction_reference():
             den = max(8, -(-nb // degree) + 1)
             F = rand_pl_lift(rng, degree, nb, den)
             lifts.append(F.translate(Fraction(rng.randint(-9, 9), 4)))
-            lifts.append(_grid_lift(rng, degree, nb, den))
+            lifts.append(grid_lift(rng, degree, nb, den))
     for F in lifts:
         n, nb = F.degree, len(F.xs)
         R = _RefLift.of(F)
@@ -518,41 +532,43 @@ def test_integer_kernel_matches_fraction_reference():
             assert type(got) is float and got.hex() == R.eval(x).hex()
 
 
-def _big_lift(rng, degree, nb, bits):
-    """A lift whose breakpoints and values have denominators of about `bits`
-    bits: nb distinct abscissae in [0, degree) and values rising by less
-    than degree."""
-    den = lambda: (1 << bits) + rng.randrange(1 << (bits - 8))
-    xs = sorted({Fraction(rng.randrange(degree * (d := den())), d) for _ in range(nb)})
-    ys = sorted({Fraction(rng.randrange(degree * (d := den())), d) for _ in range(len(xs))})
-    if len(ys) < len(xs):
-        xs = xs[: len(ys)]
-    y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
-    return pl_new(degree, [(x, y0 + y) for x, y in zip(xs, ys)])
-
-
 def test_eval_pair_is_the_reduced_fraction_value():
-    # `plkernel.eval_pair` returns exactly the reduced pair of the Fraction
-    # evaluation, on small lifts and on lifts and points past 1,000 bits:
-    # `slope_changes` and `descend` compare the pairs for equality
+    # `plkernel.eval_pair` on a lift's forms returns exactly the reduced pair
+    # of y_i + s_i (x - x_i) + j n on Fractions built from the table, for lifts
+    # from breakpoints and for compose, power, inverse and embed_degree
+    # outputs: on the wrap piece, with carries of both signs, on breakpoints
+    # and past 1,000 bits.  `slope_changes` and `descend` compare pairs for
+    # equality
     rng = random.Random(2401)
     lifts = [rand_pl_lift(rng, n, nb, 12) for n in (1, 2, 5) for nb in (1, 3, 8)]
-    lifts += [_big_lift(rng, n, nb, 1100) for n in (1, 3) for nb in (1, 4, 9)]
-    lifts += [F.power(3) for F in lifts[:6]]
-    checked = 0
+    lifts += [grid_lift(rng, n, nb, 8) for n in (1, 2, 4) for nb in (1, 3, 6)]
+    lifts += [big_lift(rng, n, nb, 1100) for n in (1, 3) for nb in (1, 4, 9)]
+    for F in lifts[::2]:
+        G = rng.choice([L for L in lifts if L.degree == F.degree])
+        lifts += [F.compose(G), F.power(3), F.inverse()]
+        lifts.append(embed_degree(induce(F), 2 * F.degree).base)
+    seen = Counter()
     for F in lifts:
-        n, R = F.degree, _RefLift.of(F)
-        points = [Fraction(rng.randint(-7 * n, 7 * n), rng.randint(1, 30)) for _ in range(20)]
+        n, table, forms = F.degree, F._table, F._forms
+        assert len(forms) == len(table[0]) + 1
+        columns = fraction_columns(table)
+        xs = columns[0]
+        wrap_mid = (xs[0] + xs[-1] - n) / 2  # on the wrap piece unless x_0 = 0
+        points = [x + j * n for x in (*xs, wrap_mid) for j in (-2, -1, 0, 1, 2)]
+        points += [Fraction(rng.randint(-7 * n, 7 * n), rng.randint(1, 30)) for _ in range(20)]
         for bits in (64, 1024, 1500):
             d = rng.randrange(1 << bits) + 1
-            points += [Fraction(rng.randint(-3 * n * d, 3 * n * d), d) for _ in range(10)]
-        points += [x + j * n for x in F.xs for j in (-2, 0, 1)]
+            points += [Fraction(rng.randint(-3 * n * d, 3 * n * d), d) for _ in range(6)]
         for x in points:
-            ref = R.eval(x)
-            got = plkernel.eval_pair(F._table, n, x.numerator, x.denominator)
+            ref, i, j = piece_eval(n, columns, x)
+            got = plkernel.eval_pair(table, forms, n, x.numerator, x.denominator)
             assert got == (ref.numerator, ref.denominator), (F, x)
-            checked += ref.denominator.bit_length() > 1000
-    assert checked >= 100
+            seen["wrap piece"] += i < 0
+            seen["carry < 0"] += j < 0
+            seen["carry > 0"] += j > 0
+            seen["on a breakpoint"] += x - j * n in xs
+            seen["past 1,000 bits"] += ref.denominator.bit_length() > 1000
+    assert len(seen) == 5 and min(seen.values()) >= 200, seen
 
 
 def test_shared_powers_match_separate_powers_and_reference(monkeypatch):
@@ -561,7 +577,7 @@ def test_shared_powers_match_separate_powers_and_reference(monkeypatch):
     # the Fraction reference, and the chain costs one composition per square
     # plus one per further set bit of each q
     rng = random.Random(1414)
-    lifts = [rand_pl_lift(rng, 1, 3, 8), _grid_lift(rng, 2, 2, 8), rand_pl_lift(rng, 3, 3, 8)]
+    lifts = [rand_pl_lift(rng, 1, 3, 8), grid_lift(rng, 2, 2, 8), rand_pl_lift(rng, 3, 3, 8)]
     for F in lifts:
         n, R, qs = F.degree, _RefLift.of(F), list(range(65))
         rng.shuffle(qs)

@@ -154,6 +154,16 @@ def test_rational_certificate_sweep():
         assert G.iterate_eval(wit, val.denominator) == wit + val.numerator
 
 
+def test_rational_certificate_without_denominators_finds_nothing():
+    # max_den < 1 leaves no candidate: None at degree 1, where the orbit walk
+    # that brackets tau needs a step, and at degree 2, an empty sweep; the
+    # same lifts certify 1/2 from max_den 2
+    for F in (HALFMAP, embed_degree(induce(HALFMAP), 2).base):
+        assert rational_certificate(F, Fraction(0), Fraction(1), 2)[0] == Fraction(1, 2)
+        for max_den in (0, -3):
+            assert rational_certificate(F, Fraction(0), Fraction(1), max_den) is None
+
+
 def test_rotation_report_certifies():
     rep = rotation_report(rotation_lift(Fraction(3, 5)), 100)
     assert rep.exact == Fraction(3, 5)

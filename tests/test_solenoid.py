@@ -27,6 +27,20 @@ from soldyn import (
 from genutil import rand_point, rand_tower, towers, unit_fractions
 
 
+def test_integer_coordinates_enter_as_fractions():
+    # an int coordinate is read as the Fraction it stands for, at the checked
+    # constructors and at canonicalize, which carries its integer part into k
+    k = embed_int(5, 4)
+    s = SolenoidPoint(0, k)
+    assert type(s.x) is Fraction and s == SolenoidPoint(Fraction(0), k)
+    for t in (-3, 0, 7):
+        c = canonicalize(t, k)
+        assert type(c.x) is Fraction and c == SolenoidPoint(Fraction(0), embed_int(5 + t, 4))
+    assert type(sigma(2).x) is Fraction
+    c = CirclePointModN(3, 2)
+    assert type(c.value) is Fraction and c == CirclePointModN(3, Fraction(2))
+
+
 def test_canonicalize_examples():
     z = embed_int(0, 3)
     assert canonicalize(Fraction(1, 4), z) == SolenoidPoint(Fraction(1, 4), z)
