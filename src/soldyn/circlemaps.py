@@ -5,19 +5,23 @@ rational breakpoint data and support exact composition, inversion and
 iteration; every certification claim in this package is made through them.
 The analytic family is binary64-only and exists for exploration.
 
+Exact input is read by one parser, `exact_pair`, to reduced integer pairs.
 A PL lift is its degree, one integer table of the numerators and
-denominators of its breakpoints, values and slopes (`plkernel`), checked
-once when the lift is built from breakpoints, and its pieces' affine forms,
-derived then.  Exact evaluation bisects the table by cross-multiplication
-and evaluates one form; composition, powers, inverses and translates build
-only tables.  A binary64 input is located on the table exactly and
-evaluated in floating point, each coordinate rounded once.  `xs`, `ys` and
-`slopes` build Fractions from the table on each read.
+denominators of its breakpoints, values and slopes (`plkernel`), checked on
+those pairs once when the lift is built from breakpoints (as a `PeriodicPL`
+is), and its pieces' affine forms, derived then.  Exact evaluation bisects
+the table by cross-multiplication and evaluates one form; composition,
+powers, inverses and translates build only tables.  A binary64 input is
+located on the table exactly and evaluated in floating point, each
+coordinate rounded once.  `xs`, `ys` and `slopes` build Fractions from the
+table on each read.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import re
+import sys
 from fractions import Fraction
 
 from . import plkernel
@@ -42,32 +46,59 @@ def floor_div(x, n):
     return math.floor(x / n)
 
 
-def as_rational(v) -> Fraction:
-    """Coerce exact input (int, Fraction, 'p/q' string) to Fraction.
+# strings read without Fraction: an integer or a ratio of two, in ASCII digits
+_PAIR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# Fraction's decimal form with an exponent, which can need far more digits than its text
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                       r"[eE]([-+]?\d+(?:_\d+)*)\s*")
 
-    Floats and booleans (a JSON `true` would read as 1) are rejected: the PL
-    variant is the exact one, and silently coercing them would poison certifications.
-    """
-    if isinstance(v, (float, bool)):
+
+def exact_pair(v) -> tuple[int, int]:
+    """The one parser of exact input: an int, Fraction or string as a reduced
+    (numerator, denominator), denominator > 0.  A string `-?[0-9]+(/[0-9]+)?`
+    is read by `int()` and one gcd, raising what `Fraction` would; other
+    strings go to `Fraction`, unless an exponent would give the exact value
+    more digits than twice the interpreter's digit limit, the most a "p/q"
+    string has.  Floats and booleans (a JSON `true` would read as 1) are
+    refused: the PL variant is the exact one."""
+    if type(v) is int:
+        return v, 1
+    if isinstance(v, str):
+        m = _PAIR.fullmatch(v)
+        if m:
+            n, d = int(m[1]), int(m[2] or 1)
+            if not d:
+                raise ZeroDivisionError(f"Fraction({n}, 0)")
+            g = math.gcd(n, d)
+            return n // g, d // g
+        limit = 2 * sys.get_int_max_str_digits()
+        m = limit and _EXPONENT.fullmatch(v)
+        if m and len(v) + abs(int(m[1])) > limit:
+            raise ValueError(f"number literal past the digit limit: its exact value "
+                             f"would need more than {limit} digits")
+    elif isinstance(v, (float, bool)):
         raise TypeError(f"exact PL data requires int/Fraction/str, not {type(v).__name__}")
-    return Fraction(v)
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
-def _slope(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> Fraction:
-    """(y1 - y0) / (x1 - x0) over common denominators, normalized once."""
-    xd0, xd1, yd0, yd1 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
-    return Fraction(
-        (y1.numerator * yd0 - y0.numerator * yd1) * (xd0 * xd1),
-        (x1.numerator * xd0 - x0.numerator * xd1) * (yd0 * yd1),
-    )
+def as_rational(v) -> Fraction:
+    """`exact_pair` as a Fraction."""
+    return plkernel.fraction(*exact_pair(v))
 
 
-def _slopes(xs, ys, period, rise) -> list:
-    """Slope of the piece starting at each breakpoint; the last piece runs to
-    xs[0] + period, where the value is ys[0] + rise."""
-    slopes = [_slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
-    slopes.append(_slope(xs[-1], ys[-1], xs[0] + period, ys[0] + rise))
-    return slopes
+def _columns(breakpoints, empty: str) -> list:
+    """The columns (x_n, x_d, y_n, y_d) of the breakpoints' reduced pairs, in
+    the order of their (x, y) values: sorted only when the abscissae, compared
+    by cross-multiplication, do not increase.  EmptyBreakpoints(`empty`) if
+    there are none."""
+    rows = [(*exact_pair(x), *exact_pair(y)) for x, y in breakpoints]
+    if not rows:
+        raise EmptyBreakpoints(empty)
+    if any(a * d >= c * b for (a, b, _, _), (c, d, _, _) in zip(rows, rows[1:])):
+        rows.sort(key=lambda r: (plkernel.fraction(*r[:2]), plkernel.fraction(*r[2:])))
+    return list(map(list, zip(*rows)))
 
 
 def _parts(values) -> tuple[list, list]:
@@ -95,22 +126,19 @@ class PLLift:
         degree = int(degree)
         if degree < 1:
             raise ValueError("degree must be a positive integer")
-        pts = sorted((as_rational(x), as_rational(y)) for x, y in breakpoints)
-        if not pts:
-            raise EmptyBreakpoints("a PL lift needs at least one breakpoint")
-        xs = tuple(p[0] for p in pts)
-        ys = tuple(p[1] for p in pts)
-        if xs[0] < 0 or xs[-1] >= degree:
+        xn, xd, yn, yd = _columns(breakpoints, "a PL lift needs at least one breakpoint")
+        if xn[0] < 0 or xn[-1] >= degree * xd[-1]:
             raise ValueError(f"breakpoint abscissae must lie in [0, {degree})")
-        for i in range(len(xs) - 1):
-            if xs[i] == xs[i + 1]:
-                raise NotMonotone(f"duplicate breakpoint at x={xs[i]}")
-            if ys[i] >= ys[i + 1]:
-                raise NotMonotone(f"values must increase: y({xs[i]}) >= y({xs[i + 1]})")
-        if ys[-1] >= ys[0] + degree:
+        for i in range(len(xn) - 1):
+            if xn[i] == xn[i + 1] and xd[i] == xd[i + 1]:
+                raise NotMonotone(f"duplicate breakpoint at x={plkernel.fraction(xn[i], xd[i])}")
+            if yn[i] * yd[i + 1] >= yn[i + 1] * yd[i]:
+                x0, x1 = _fractions(xn[i:i + 2], xd[i:i + 2])
+                raise NotMonotone(f"values must increase: y({x0}) >= y({x1})")
+        if yn[-1] * yd[0] >= (yn[0] + degree * yd[0]) * yd[-1]:
             raise NotMonotone("wrap-around violates strict monotonicity")
         self.degree = degree
-        self._table = (*_parts(xs), *_parts(ys), *_parts(_slopes(xs, ys, degree, degree)))
+        self._table = (xn, xd, yn, yd, *plkernel.slopes(xn, xd, yn, yd, degree, 1, degree))
         self._forms = plkernel.forms(degree, self._table)
 
     @classmethod
@@ -208,16 +236,14 @@ class PLLift:
 
     def translate(self, c) -> "PLLift":
         """The lift F + c; F itself when c = 0, as lifts are immutable."""
-        c = as_rational(c)
-        if not c:
+        cn, cd = exact_pair(c)
+        if not cn:
             return self
-        table = plkernel.translate(self._table, c.numerator, c.denominator)
-        return PLLift._from_table(self.degree, table)
+        return PLLift._from_table(self.degree, plkernel.translate(self._table, cn, cd))
 
     def shift_input(self, r) -> "PLLift":
         """Conjugation by translation: x -> F(x + r) - r."""
-        r = as_rational(r)
-        table = plkernel.shift_input(self.degree, self._table, r.numerator, r.denominator)
+        table = plkernel.shift_input(self.degree, self._table, *exact_pair(r))
         return PLLift._from_table(self.degree, table)
 
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -323,9 +349,6 @@ class AnalyticLift:
             x = self.eval(x)
         return x
 
-    def displacement(self) -> "AnalyticDisplacement":
-        return AnalyticDisplacement(self)
-
     def to_descriptor(self) -> dict:
         return {
             "degree": self.degree,
@@ -347,23 +370,19 @@ class PeriodicPL:
     __slots__ = ("period", "xs", "vs", "slopes")
 
     def __init__(self, period, breakpoints) -> None:
-        period = as_rational(period)
-        if period <= 0:
+        pn, pd = exact_pair(period)
+        if pn <= 0:
             raise ValueError("period must be positive")
-        pts = sorted((as_rational(x), as_rational(v)) for x, v in breakpoints)
-        if not pts:
-            raise EmptyBreakpoints("a periodic PL function needs a breakpoint")
-        xs = tuple(p[0] for p in pts)
-        vs = tuple(p[1] for p in pts)
-        if xs[0] < 0 or xs[-1] >= period:
-            raise ValueError(f"breakpoint abscissae must lie in [0, {period})")
-        for i in range(len(xs) - 1):
-            if xs[i] == xs[i + 1]:
-                raise ValueError(f"duplicate breakpoint at x={xs[i]}")
-        self.period = period
-        self.xs = xs
-        self.vs = vs
-        self.slopes = tuple(_slopes(xs, vs, period, 0))
+        xn, xd, vn, vd = _columns(breakpoints, "a periodic PL function needs a breakpoint")
+        self.period = plkernel.fraction(pn, pd)
+        if xn[0] < 0 or xn[-1] * pd >= pn * xd[-1]:
+            raise ValueError(f"breakpoint abscissae must lie in [0, {self.period})")
+        for i in range(len(xn) - 1):
+            if xn[i] == xn[i + 1] and xd[i] == xd[i + 1]:
+                raise ValueError(f"duplicate breakpoint at x={plkernel.fraction(xn[i], xd[i])}")
+        self.xs = _fractions(xn, xd)
+        self.vs = _fractions(vn, vd)
+        self.slopes = _fractions(*plkernel.slopes(xn, xd, vn, vd, pn, pd, 0))
 
     @classmethod
     def _trusted(cls, period: Fraction, xs: tuple, vs: tuple, slopes: tuple) -> "PeriodicPL":
@@ -436,20 +455,6 @@ class PeriodicPL:
     def __repr__(self) -> str:
         pts = ", ".join(f"({x}, {v})" for x, v in zip(self.xs, self.vs))
         return f"PeriodicPL(period={self.period}, [{pts}])"
-
-
-class AnalyticDisplacement:
-    """Float view of F - id for an analytic lift."""
-
-    __slots__ = ("lift",)
-
-    def __init__(self, lift: AnalyticLift) -> None:
-        self.lift = lift
-
-    def eval(self, x):
-        return self.lift.eval(x) - float(x)
-
-    __call__ = eval
 
 
 def pl_new(degree: int, breakpoints) -> PLLift:

@@ -6,7 +6,9 @@ SVG with rationals serialized as "p/q" strings.  A fixed seed makes every
 byte of output reproducible.
 
 Exit codes: 0 success, 1 mathematical failure (e.g. no certified orbit),
-2 usage or parse error.
+2 usage or parse error, including JSON nested too deeply and a number
+literal past the digit limit of `circlemaps.exact_pair`, which reads every
+descriptor number and `--start`.
 """
 from __future__ import annotations
 
@@ -16,12 +18,12 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import click
 
 from . import dynamics, hull as hull_mod
-from .circlemaps import PLLift, map_from_descriptor
+from .circlemaps import PLLift, as_rational, map_from_descriptor
 from .errors import SoldynError
 from .induced import (
     InducedHomeo,
@@ -30,6 +32,7 @@ from .induced import (
     homeo_from_descriptor,
     lp_from_descriptor,
 )
+from .plkernel import fraction
 from .profinite import DEFAULT_DEPTH, embed_int
 from .solenoid import SolenoidPoint, canonicalize, parse_point, sigma, sol_dist
 
@@ -42,6 +45,8 @@ def _load_json(path: str) -> dict:
         raise click.UsageError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise click.UsageError(f"malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise click.UsageError(f"malformed JSON in {path}: nesting too deep")
 
 
 def _load_input(path: str):
@@ -120,11 +125,13 @@ def _svg_chart(title: str, xs: list[float], series: list[tuple[str, list[float]]
     return "\n".join(parts) + "\n"
 
 
-def _random_exact_point(rng: random.Random, depth: int) -> SolenoidPoint:
+def _random_exact_point(rng: random.Random, depth: int, modulus: int) -> SolenoidPoint:
+    """x = a/den with 0 <= a < den, and k in [0, modulus), modulus = depth!."""
     den = rng.randint(1, 64)
-    x = Fraction(rng.randrange(den), den)
-    k = embed_int(rng.randrange(factorial(depth)), depth)
-    return SolenoidPoint(x, k)
+    a = rng.randrange(den)
+    g = gcd(a, den)
+    x = fraction(a // g, den // g)
+    return SolenoidPoint._trusted(x, embed_int(rng.randrange(modulus), depth))
 
 
 def _parse_start(start: str | None, depth: int) -> SolenoidPoint:
@@ -134,7 +141,7 @@ def _parse_start(start: str | None, depth: int) -> SolenoidPoint:
     try:
         if text.startswith("x="):
             return parse_point(text)
-        return sigma(Fraction(text), depth)
+        return sigma(as_rational(text), depth)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"invalid --start {start!r}: {exc}")
 
@@ -153,13 +160,16 @@ def _certified_pq(f: InducedHomeo, iters: int, p: int | None, q: int | None) -> 
     return enc.exact.numerator, enc.exact.denominator
 
 
-def _require_depth(f: InducedHomeo, depth: int, source: str) -> None:
-    """A degree-n map acts on points whose tower resolves n: n | depth!."""
-    if factorial(depth) % f.degree:
+def _require_depth(f: InducedHomeo, depth: int, source: str) -> int:
+    """depth!, once checked: a degree-n map acts on points whose tower
+    resolves n, n | depth!."""
+    modulus = factorial(depth)
+    if modulus % f.degree:
         raise click.UsageError(
             f"depth {depth} is too shallow for a degree-{f.degree} map: "
             f"{f.degree} does not divide {depth}! (depth set by {source})"
         )
+    return modulus
 
 
 def cmd_rotation(input_path: str, iters: int) -> str:
@@ -204,9 +214,9 @@ def cmd_semiconj(input_path: str, depth: int, samples: int, seed: int) -> str:
         raise click.UsageError("semiconj expects a map or homeo descriptor")
     if not isinstance(obj, InducedHomeo):
         obj = InducedHomeo(obj, 0)
-    _require_depth(obj, depth, "--depth")
+    modulus = _require_depth(obj, depth, "--depth")
     rng = random.Random(seed)
-    pts = [_random_exact_point(rng, depth) for _ in range(samples)]
+    pts = [_random_exact_point(rng, depth, modulus) for _ in range(samples)]
     return _json_text(hull_mod.check_semiconjugacy(obj, pts).to_report())
 
 

@@ -72,6 +72,18 @@ def mul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
     return na * nb, da * db
 
 
+def slopes(xn, xd, yn, yd, pn: int, pd: int, rise: int) -> tuple[list, list]:
+    """The slope of the piece from each breakpoint as (numerators,
+    denominators), for sorted distinct abscissae in lists: the last piece
+    ends at the first breakpoint plus the period pn/pd, its value risen by
+    `rise` (n for a degree-n lift, 0 for a periodic function)."""
+    wn, wd = add(xn[0], xd[0], pn, pd)
+    ends = zip(xn[1:] + [wn], xd[1:] + [wd], yn[1:] + [yn[0] + rise * yd[0]], yd[1:] + yd[:1])
+    pairs = [mul(*add(en, ed, -cn, cd), *add(bn, bd, -an, ad)[::-1])
+             for an, ad, cn, cd, (bn, bd, en, ed) in zip(xn, xd, yn, yd, ends)]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
 def shift(nums, dens, cn: int, cd: int) -> tuple:
     """Each nums[i]/dens[i] plus cn/cd, as (numerators, denominators)."""
     if cd == 1:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .circlemaps import as_rational
 from .plkernel import fraction
 from .profinite import DEFAULT_DEPTH, ProfiniteInt, embed_int, pf_add, pf_neg
 
@@ -201,7 +202,7 @@ def parse_point(text: str) -> SolenoidPoint:
     m = _POINT_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse point literal: {text!r}")
-    x = Fraction(m.group("x").strip())
+    x = as_rational(m.group("x").strip())
     parts = [p.strip() for p in m.group("k").split(",") if p.strip()]
     k = ProfiniteInt.from_residues(int(p) for p in parts)
     return SolenoidPoint(x, k)

@@ -3,8 +3,8 @@
 Usage: python tests/interpreter_smoke.py
 
 Imports soldyn from this checkout's src/ (no click, no pytest), checks
-`plkernel.fraction`, which writes a Fraction's slots, against `Fraction`,
-and hashes a fixed set of exact `rotation_report`, `apply` and `project`
+`plkernel.fraction`, which writes a Fraction's slots, and the exact-number
+parser `circlemaps.exact_pair` against `Fraction`, and hashes a fixed set of exact `rotation_report`, `apply` and `project`
 outputs.  Exits 1 unless the hash is the pinned one, which CPython 3.11
 gives, so a run under another interpreter shows that the outputs agree.
 """
@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from soldyn import (  # noqa: E402
     apply,
+    circlemaps,
     divisors,
     embed_degree,
     embed_int,
@@ -32,6 +33,37 @@ from soldyn import (  # noqa: E402
 )
 
 PINNED = "d9a9183f3f9972001d4f0a4ad96a9276b33ea19afff4f3d90d8810af9851dc08"
+
+# exact-number literals: the parser's own integer path (signs, zero, leading
+# zeros, a pair past 1,000 bits, a zero denominator, a part past the digit
+# limit) and forms it leaves to Fraction, whose answer, a value or an
+# exception's type and message, differs between interpreters ("1_000" is
+# refused by 3.10 only, "1 / 2" read by 3.12 on)
+PARSER_CORPUS = [
+    "0", "-0", "007/014", "-12/8", f"{-(3 ** 700)}/{2 ** 1100}", "1/0", "-5/0",
+    "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000,
+    " 1/2", "+3", "1.5e-3", "1_000", "\u0661\u0662", "1/-2", "1 / 2", "x", "", "nan",
+    ".5e3", "1e_5", "1e-5000", "1.5e4301",
+]
+
+
+def parse_outcome(parse, literal):
+    """(numerator, denominator) of parse(literal), or the type and message of
+    the ValueError or ZeroDivisionError it raises."""
+    try:
+        v = parse(literal)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return (v.numerator, v.denominator) if isinstance(v, Fraction) else v
+
+
+def check_parser() -> None:
+    for lit in PARSER_CORPUS:
+        if parse_outcome(circlemaps.exact_pair, lit) != parse_outcome(Fraction, lit):
+            raise SystemExit(f"exact_pair({lit[:20]!r}) differs from Fraction({lit[:20]!r})")
+    for lit in ("1e100000000", "1e-100000000"):
+        if parse_outcome(circlemaps.exact_pair, lit)[0] is not ValueError:
+            raise SystemExit(f"exact_pair({lit!r}) is not refused")
 
 
 def check_fraction(rng: random.Random) -> None:
@@ -78,6 +110,7 @@ def outputs(rng: random.Random) -> list[str]:
 def main() -> None:
     rng = random.Random(25)
     check_fraction(rng)
+    check_parser()
     digest = hashlib.sha256("\n".join(outputs(rng)).encode()).hexdigest()
     print(f"{sys.version.split()[0]} {digest}")
     if digest != PINNED:

@@ -6,6 +6,8 @@ Python set of Fraction grid points, apart from the library's integer tower
 sums (`induced._tower_rows`).  `check_table` states the invariants of a
 `plkernel` table, `piece_eval` evaluates one on Fractions, and
 `check_reduced` states what `plkernel.fraction` takes on trust.
+`fraction_pieces` builds breakpoint columns as the Fraction construction
+that `circlemaps.exact_pair` and `plkernel.slopes` replaced did.
 """
 from __future__ import annotations
 
@@ -156,6 +158,17 @@ def fraction_columns(table) -> tuple[list, list, list]:
     """The abscissae, values and slopes of a `plkernel` table as Fractions,
     each built by `Fraction(n, d)`."""
     return tuple([Fraction(a, b) for a, b in zip(table[k], table[k + 1])] for k in (0, 2, 4))
+
+
+def fraction_pieces(period, breakpoints, rise) -> tuple[list, list, list]:
+    """The abscissae, values and piece slopes of `breakpoints` read by
+    `Fraction` and sorted as (x, y) pairs, each slope a Fraction quotient:
+    the last piece ends at the first abscissa plus `period`, where the
+    value has risen by `rise`."""
+    pts = sorted((Fraction(x), Fraction(y)) for x, y in breakpoints)
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    ends = zip(xs[1:] + [xs[0] + period], ys[1:] + [ys[0] + rise])
+    return xs, ys, [(y1 - y) / (x1 - x) for x, y, (x1, y1) in zip(xs, ys, ends)]
 
 
 def piece_eval(n: int, columns, x: Fraction) -> tuple[Fraction, int, int]:

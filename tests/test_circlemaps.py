@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -30,13 +31,15 @@ from soldyn import (
     plkernel,
     rotation_lift,
 )
-from soldyn.circlemaps import BREAKPOINT_CAP
+from soldyn.circlemaps import BREAKPOINT_CAP, exact_pair
 from soldyn.induced import _tower_rows
 from genutil import (
     big_lift, count_compositions, grid_lift, rand_fraction, rand_pl_lift, small_fractions,
 )
+from interpreter_smoke import PARSER_CORPUS, parse_outcome
 from reference import (
-    check_table, common_grid, fraction_columns, has_period, periodic_add, piece_eval, sup_diff,
+    check_table, common_grid, fraction_columns, fraction_pieces, has_period, periodic_add,
+    piece_eval, sup_diff,
 )
 
 HALF = [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
@@ -63,6 +66,97 @@ def test_pl_new_rejections():
         pl_new(1, [(Fraction(3, 2), 0)])
     with pytest.raises(TypeError):
         pl_new(1, [(0.5, 1)])
+
+
+def test_exact_pair_reads_integer_strings_as_fraction_does():
+    # signs, -0, leading zeros and parts past 1,000 bits, as reduced pairs
+    rng = random.Random(2601)
+    literals = ["0", "-0", "-0/7", "007/014", "-12/8", "0012", "5/5"]
+    for bits in (4, 64, 1100, 1500):
+        for _ in range(40):
+            n, d = rng.randint(-(1 << bits), 1 << bits), rng.randrange(1, 1 << bits)
+            zeros = "0" * rng.randrange(3)
+            literals += [str(n), f"{n}/{d}", f"{'-' * (n < 0)}{zeros}{abs(n)}/{zeros}{d}"]
+    for lit in literals:
+        ref = Fraction(lit)
+        got = exact_pair(lit)
+        assert got == (ref.numerator, ref.denominator) and type(got[0]) is int, lit
+    for v in (0, -7, 10**400, Fraction(-3, 9), Fraction(10**30, 7)):
+        assert exact_pair(v) == (Fraction(v).numerator, Fraction(v).denominator)
+    for v in (0.5, True, False):
+        with pytest.raises(TypeError):
+            exact_pair(v)
+
+
+def test_exact_pair_gives_what_fraction_gives_off_its_integer_path():
+    # a value, or the same exception type and message, on this interpreter
+    for lit in PARSER_CORPUS:
+        assert parse_outcome(exact_pair, lit) == parse_outcome(Fraction, lit), lit[:20]
+
+
+def test_exact_pair_refuses_literals_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for lit in ("1e100000000", "1e-100000000", " -2.5E+9000 ", "1e9_000"):
+        with pytest.raises(ValueError, match="digit limit"):
+            exact_pair(lit)
+    # within twice the limit, the most a "p/q" literal holds, Fraction reads it
+    for lit in ("1e-5000", "1.5e4301", f"1e{2 * limit - 10}"):
+        assert exact_pair(lit) == (Fraction(lit).numerator, Fraction(lit).denominator)
+    assert exact_pair(" 1/2 ") == (1, 2)
+    # no limit, no check
+    try:
+        sys.set_int_max_str_digits(0)
+        assert exact_pair("1e9000") == (10**9000, 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_breakpoints_read_as_pairs_give_the_fraction_construction():
+    # strings, unreduced strings, ints and Fractions, sorted or shuffled: the
+    # columns of sorting Fractions and dividing their differences
+    rng = random.Random(2602)
+    forms = (str, lambda v: v, lambda v: f"{3 * v.numerator}/{3 * v.denominator}",
+             lambda v: v.numerator if v.denominator == 1 else str(v))
+    for i in range(200):
+        n = 1 + i % 3
+        F = rand_pl_lift(rng, n, rng.randint(1, 4), rng.choice([4, 9, 12]))
+        F = F.translate(Fraction(rng.randint(-9, 9), 7))
+        bps = [(rng.choice(forms)(x), rng.choice(forms)(y)) for x, y in zip(F.xs, F.ys)]
+        if i % 2:
+            rng.shuffle(bps)
+        G = pl_new(n, bps)
+        check_table(n, G._table)
+        assert fraction_columns(G._table) == fraction_pieces(n, bps, n)
+        T = Fraction(rng.randint(1, 12), rng.choice([1, 1, 2, 3]))
+        xs = {T * Fraction(rng.randrange(24), 24) for _ in range(rng.randint(1, 5))}
+        pts = [(rng.choice(forms)(x), rng.choice(forms)(Fraction(rng.randint(-9, 9), 16)))
+               for x in xs]
+        d = PeriodicPL(rng.choice(forms)(T), pts)
+        assert (d.period, list(d.xs), list(d.vs), list(d.slopes)) == (T, *fraction_pieces(T, pts, 0))
+
+
+def test_refused_breakpoints_keep_their_messages():
+    cases = [
+        (lambda: pl_new(1, [("1/2", "1"), ("1/2", "3/4"), ("0", "0")]), NotMonotone,
+         "duplicate breakpoint at x=1/2"),
+        (lambda: pl_new(1, [("1/2", "1/4"), ("0", "1/2")]), NotMonotone,
+         "values must increase: y(0) >= y(1/2)"),
+        (lambda: pl_new(2, [("0", "0"), ("2", "1")]), ValueError,
+         "breakpoint abscissae must lie in [0, 2)"),
+        (lambda: pl_new(1, [("0", "0"), ("1/2", "3/2")]), NotMonotone,
+         "wrap-around violates strict monotonicity"),
+        (lambda: pl_new(1, [("0", "1/0")]), ZeroDivisionError, "Fraction(1, 0)"),
+        (lambda: PeriodicPL("3/2", [("0", "0"), ("3/2", "1")]), ValueError,
+         "breakpoint abscissae must lie in [0, 3/2)"),
+        (lambda: PeriodicPL("-0", [("0", "0")]), ValueError, "period must be positive"),
+        (lambda: PeriodicPL(1, [("1/4", "1"), ("1/4", "0")]), ValueError,
+         "duplicate breakpoint at x=1/4"),
+        (lambda: PeriodicPL(1, []), EmptyBreakpoints, "a periodic PL function needs a breakpoint"),
+    ]
+    for build, exc, message in cases:
+        with pytest.raises(exc) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_eval_between_breakpoints():
@@ -282,8 +376,7 @@ def test_analytic_lift():
         identity_lift(1).compose(F)
     with pytest.raises(AnalyticExactUnsupported):
         invert_induced(induce(F))
-    d = F.displacement()
-    assert d.eval(0.0) == pytest.approx(0.3)
+    assert F.eval(0.0) - 0.0 == pytest.approx(0.3)
 
 
 def test_descriptor_roundtrip():

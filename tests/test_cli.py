@@ -473,9 +473,10 @@ def test_booleans_and_floats_are_not_exact_rationals(runner, tmp_path, sub, desc
 
 # malformed descriptors: one field of a valid descriptor replaced by a bad value
 
+_HUGE_LITERALS = ["1e100000000", "1e-100000000"]  # past the digit limit
 _BAD_RATIONAL = st.sampled_from(
     ["1/0", "0/0", "x", "", "nan", "inf", "1/2/3", "--1", 0.5, float("nan"), None, [], {},
-     True, False]
+     True, False, *_HUGE_LITERALS]
 )
 _BAD_PAIR = st.one_of(
     st.tuples(_BAD_RATIONAL, st.sampled_from(["0", "1/2"])).map(list),
@@ -535,15 +536,33 @@ _HOMEO_BAD = _corrupt(ROT35_HOMEO, {
 _LP_BODY_BAD = _corrupt(LP4["lp"], {
     "tower": st.sampled_from([[1, 2, 5, 24], [1, 2, 6], [1, 0, 6, 24], [1, 2, 6, "24"],
                               [True, 2, 6, 24], [1, 2.0, 6, 24], "x", None, 7]),
-    "summands": st.sampled_from([None, "x", 3, [], [{"period": "1"}]]) | st.just(...),
-    "tail_bound": _BAD_SCALAR | st.sampled_from([0.1, True, False]),
+    "summands": st.sampled_from([None, "x", 3, [], [{"period": "1"}]]
+                                + [[{"period": p, "breakpoints": [["0", "0"]]}] for p in _HUGE_LITERALS])
+    | st.just(...),
+    "tail_bound": _BAD_SCALAR | st.sampled_from([0.1, True, False, *_HUGE_LITERALS]),
 })
+
+
+class _Text(str):
+    """A descriptor file's text, for nestings `json.dumps` cannot write."""
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+_TOO_DEEP = st.sampled_from([5_000, 200_000]).flatmap(lambda depth: st.sampled_from([
+    _Text(_nested(depth)),
+    _Text('{"degree": 1, "variant": "pl", "breakpoints": %s}' % _nested(depth)),
+    _Text('{"lp": {"tower": [1], "tail_bound": "0", "summands": %s}}' % _nested(depth)),
+]))
 _MALFORMED = st.one_of(
     _NOT_AN_OBJECT,
     _MAP_BAD,
     _HOMEO_BAD,
     _LP_BODY_BAD.map(lambda body: {"lp": body}),
     _NOT_AN_OBJECT.map(lambda body: {"lp": body}),
+    _TOO_DEEP,
 )
 
 
@@ -551,7 +570,12 @@ _MALFORMED = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(desc=_MALFORMED, sub=st.sampled_from(SUBCOMMANDS))
 def test_malformed_descriptors_exit_2_without_traceback(tmp_path, desc, sub):
-    path = write(tmp_path, "fuzz.json", desc)
+    if isinstance(desc, _Text):
+        path = tmp_path / "fuzz.json"
+        path.write_text(desc, encoding="utf-8")
+        path = str(path)
+    else:
+        path = write(tmp_path, "fuzz.json", desc)
     res = CliRunner().invoke(main, [sub, "--input", path])
     assert_usage_error(res)
 
@@ -562,7 +586,8 @@ def test_malformed_descriptors_exit_2_without_traceback(tmp_path, desc, sub):
 _FUZZ_SECONDS = 5
 _HUGE = [2, 6, 10**6, 2**64, 10**30, 10**100]
 _NOT_INT = [1.5, 1.9, 2.0, True, False, "3", "1/2", None, [], {}]
-_LITERALS = ["1/0", "x", "", "nan", "inf", "1/2/3", "0x10", "--1", "9" * 5000, "7/8", "-1/3"]
+_LITERALS = ["1/0", "x", "", "nan", "inf", "1/2/3", "0x10", "--1", "9" * 5000, "7/8", "-1/3",
+             "1e100000000", "1e-100000000", "1.5e4301"]
 
 
 class _TooSlow(BaseException):
@@ -662,6 +687,34 @@ def test_result_past_the_digit_limit_exits_1_without_traceback(tmp_path):
         assert res.returncode == 1 and res.stdout == "", (args, res.stderr)
         assert "Traceback" not in res.stderr and len(res.stderr.splitlines()) == 1, res.stderr
         assert "digits" in res.stderr
+
+
+def test_json_nested_too_deep_exits_2_without_traceback(tmp_path):
+    # the JSON decoder's RecursionError is a parse error of the input file
+    path = tmp_path / "deep.json"
+    path.write_text(_nested(200_000), encoding="utf-8")
+    for sub in SUBCOMMANDS:
+        res = run_python("-m", "soldyn", sub, "--input", str(path), timeout=30)
+        assert res.returncode == 2 and res.stdout == "", (sub, res.stderr)
+        assert "Traceback" not in res.stderr and "nesting too deep" in res.stderr, res.stderr
+
+
+def test_literals_past_the_digit_limit_exit_2_quickly(tmp_path):
+    # 10^(10^8) is refused from its text, before Fraction would build it
+    huge = "1e100000000"
+    period = {"lp": {**LP4["lp"], "summands": [{"period": huge, "breakpoints": [["0", "0"]]}]}}
+    cases = [
+        ("coordinate", {**HALFMAP, "breakpoints": [["0", huge]]}, ["rotation"]),
+        ("period", period, ["density"]),
+        ("tail_bound", {"lp": {**LP4["lp"], "tail_bound": huge}}, ["density"]),
+        ("--start", HALFMAP, ["orbit", "--start", huge]),
+        ("point literal", HALFMAP, ["orbit", "--start", f"x={huge}; k=(0)"]),
+    ]
+    for name, desc, args in cases:
+        path = write(tmp_path, "huge.json", desc)
+        res = run_python("-m", "soldyn", *args, "--input", path, timeout=10)
+        assert res.returncode == 2 and res.stdout == "", (name, res.stderr)
+        assert "Traceback" not in res.stderr and "digit limit" in res.stderr, (name, res.stderr)
 
 
 def test_orbit_p_without_q_return_exits_2(runner, tmp_path):

@@ -3,7 +3,8 @@
 It is checked against `Fraction(n, d)`, and every Fraction the library
 builds through it is checked to be reduced.  The evaluation by per-piece
 forms that feeds it is checked in `test_circlemaps`
-(`test_eval_pair_is_the_reduced_fraction_value`).
+(`test_eval_pair_is_the_reduced_fraction_value`).  `plkernel.offset_sign`
+is checked at exact ties, where its cross-multiplications compare equal.
 """
 import copy
 import math
@@ -22,6 +23,7 @@ from soldyn import (
     embed_degree,
     embed_int,
     induce,
+    pl_new,
     plkernel,
     project,
 )
@@ -139,3 +141,19 @@ def test_interpreter_smoke_script_gives_its_pinned_digest():
     # the stdlib-only script that checks other interpreters, run under this one
     done = run_python(str(SMOKE))
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_offset_sign_is_0_when_f_minus_id_meets_the_offset_exactly():
+    # F - id equals c = 1/3 at one breakpoint and lies strictly below c at
+    # the others, then strictly above (the mirror case): wherever the tie
+    # falls, no strict sign holds at every breakpoint
+    c, step = Fraction(1, 3), Fraction(1, 12)
+    xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
+    for side in (-1, 1):
+        for tie in range(len(xs)):
+            gaps = [c if i == tie else c + side * step for i in range(len(xs))]
+            F = pl_new(1, [(x, x + g) for x, g in zip(xs, gaps)])
+            assert plkernel.offset_sign(F._table, 1, 3) == 0, (side, tie)
+        # moved off the tie, F - id is strictly on one side of c
+        F = pl_new(1, [(x, x + c + side * step) for x in xs])
+        assert plkernel.offset_sign(F._table, 1, 3) == side
