@@ -59,7 +59,8 @@ def exact_pair(v) -> tuple[int, int]:
     is read by `int()` and one gcd, raising what `Fraction` would; other
     strings go to `Fraction`, unless an exponent would give the exact value
     more digits than twice the interpreter's digit limit, the most a "p/q"
-    string has.  Floats and booleans (a JSON `true` would read as 1) are
+    string has, or they hold what only 3.11 on reads (underscores, whitespace
+    next to "/"), refused as 3.10 does.  Floats and booleans (a JSON `true` would read as 1) are
     refused: the PL variant is the exact one."""
     if type(v) is int:
         return v, 1
@@ -76,6 +77,8 @@ def exact_pair(v) -> tuple[int, int]:
         if m and len(v) + abs(int(m[1])) > limit:
             raise ValueError(f"number literal past the digit limit: its exact value "
                              f"would need more than {limit} digits")
+        if "_" in v or re.search(r"\s/|/\s", v):
+            raise ValueError(f"Invalid literal for Fraction: {v!r}")
     elif isinstance(v, (float, bool)):
         raise TypeError(f"exact PL data requires int/Fraction/str, not {type(v).__name__}")
     if not isinstance(v, Fraction):

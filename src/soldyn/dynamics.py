@@ -6,19 +6,18 @@ translation number tau satisfies |F^q(x) - x - q tau| < n, so
 translation_enclosure gives this width-2n/q interval for any lift; an
 induced map is measured through its leaf lift.
 
-Exact certification goes through materialized PL powers.  At degree 1 the
-orbit that gives the enclosure also gives a Farey bracket: with
-v_m = F^m(x) - x, v_m >= p forces tau >= p/m and v_m <= p forces
-tau <= p/m, so tau lies in [L, U] with L = max floor(v_m)/m and
-U = min ceil(v_m)/m over m <= M, and no rational with denominator <= M lies
-strictly between L and U.  F^d(w) = w + p has a solution iff tau = p/d
-(Herman, Publ. Math. IHES 49, 1979), so only L or U can certify, and testing
-them costs at most two powers from one chain of squares F, F^2, F^4, ...
-(`plkernel.powers`).  The second is built only when the first end a/q fails
-and the first power G = F^q admits the second end: q tau lies between the
-min and max of G - id, so an end outside them cannot certify.  At
-degree n >= 2 a return with n not dividing p does not pin tau, so there every
-denominator is tried in order, within a budget of SWEEP_BUDGET numerators.
+Exact certification scans g = F^q - id - p for its first zero
+(`plkernel.first_return`) on the walk of F^q's last composition, never built
+(`plkernel.last_pairs`).  F^d(w) = w + p has a solution iff tau = p/d
+(Herman, Publ. Math. IHES 49, 1979).  At degree 1 the orbit that gives the
+enclosure also gives a Farey bracket: v_m = F^m(x) - x >= p forces
+tau >= p/m and v_m <= p forces tau <= p/m, so tau lies in [L, U] with
+L = max floor(v_m)/m and U = min ceil(v_m)/m over m <= M, and no rational
+with denominator <= M lies strictly between.  Only L or U can certify; the
+second is tested only when the first end a/q fails and q times the second
+lies in the range of F^q - id that the first scan returns, as q tau does.
+At degree n >= 2 a return with n not dividing p does not pin tau, so every
+denominator is tried in order, within SWEEP_BUDGET numerators.
 Analytic maps get float enclosures only.
 
 fiber_target and classify_orbit find the limit of a non-periodic orbit the
@@ -107,49 +106,18 @@ def enclosure_sequence(F: CircleLift, q_max: int, x0=0):
         yield RotationEnclosure((d - 1) / q, (d + 1) / q, q)
 
 
-def _leftmost_return(n: int, table, p: int, rightmost: bool = False) -> Optional[Fraction]:
-    """Leftmost (or rightmost) zero of g(x) = G(x) - x - p in [0, n) for the
-    degree-n PL lift G with integer table `table` (see circlemaps); None if
-    g has constant sign.
+def _pl(F, message: str) -> PLLift:
+    """F itself if it is a PL lift; else AnalyticExactUnsupported(message)."""
+    if not isinstance(F, PLLift):
+        raise AnalyticExactUnsupported(message)
+    return F
 
-    The pieces are scanned from the left (or from the right).  A piece
-    yields either its left breakpoint, where g is 0, or the zero inside it
-    where g changes sign, never both; a zero at its right end is the next
-    piece's.  The sign of g at a breakpoint is one cross-multiplication, and
-    a zero inside a piece is solved there, x_i + g(x_i) / (1 - s_i), as a
-    single Fraction.
-    """
-    xn, xd, yn, yd, sn, sd = table
-    if xn[0]:
-        # scan from 0, which lies on the wrap piece
-        y0n, y0d = plkernel.piece_value(table, -1, n, 0, 1, 0)
-        xn, xd, yn, yd = (0, *xn), (1, *xd), (y0n, *yn), (y0d, *yd)
-        sn, sd = (sn[-1], *sn), (sd[-1], *sd)
-    count = len(xn)
 
-    def sign(k):
-        k %= count
-        u, v = yn[k] * xd[k], (xn[k] + p * xd[k]) * yd[k]
-        return (u > v) - (u < v)
-
-    # `shared` is g's sign at the breakpoint this piece shares with the piece
-    # scanned before it; from either side the first one is breakpoint 0, as
-    # sign(count) is sign(0)
-    shared = sign(0)
-    for k in reversed(range(count)) if rightmost else range(count):
-        new = sign(k) if rightmost else sign(k + 1)
-        cur, nxt = (new, shared) if rightmost else (shared, new)
-        shared = new
-        if cur == 0:
-            return plkernel.fraction(xn[k], xd[k])
-        if cur * nxt < 0:
-            gn, gd = plkernel.add(yn[k], yd[k], -(xn[k] + p * xd[k]), xd[k])
-            # g / (1 - s) with 1 - s = (sd - sn) / sd, sign moved to the numerator
-            s_n, s_d = sn[k], sd[k]
-            dn, dd = (s_d, s_d - s_n) if s_d > s_n else (-s_d, s_n - s_d)
-            gn, gd = plkernel.mul(gn, gd, dn, dd)
-            return plkernel.fraction(*plkernel.add(xn[k], xd[k], gn, gd))
-    return None
+def _return(n: int, pair, p: int):
+    """`plkernel.first_return` on a `plkernel.last_pairs` pair, walked."""
+    outer, inner = pair
+    points = plkernel.rows(n, outer) if inner is None else plkernel.walk(n, outer, inner, True)
+    return plkernel.first_return(n, points, p)
 
 
 def certify_rational(
@@ -157,16 +125,16 @@ def certify_rational(
 ) -> Optional[Fraction]:
     """Leftmost exact solution of F^q(x) = x + p in [0, degree), or None.
 
-    Materializes F^q as PL and scans g(x) = F^q(x) - x - p over one period;
-    zeros at breakpoints or inside linear pieces are solved in closed form.
+    Scans g(x) = F^q(x) - x - p on F^q's last composition, walked, up to the
+    first zero, at a breakpoint or solved in closed form inside a piece.
     """
-    if not isinstance(F, PLLift):
-        raise AnalyticExactUnsupported("certification needs a PL lift")
+    n = _pl(F, "certification needs a PL lift").degree
     if q < 1:
         raise ValueError("q must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"{p}/{q} is not reduced")
-    return _leftmost_return(F.degree, plkernel.power(F.degree, F._table, q, cap), p)
+    wit = _return(n, next(plkernel.last_pairs(n, F._table, (q,), cap)), p)
+    return wit if isinstance(wit, Fraction) else None
 
 
 def _orbit_bracket(F: PLLift, x0: Fraction, steps: int, q: int):
@@ -200,24 +168,25 @@ def _certify_bracket(
     F: PLLift, L: Fraction, U: Fraction, lo, hi, max_den: int, cap: int
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Test the bracket ends that lie in [lo, hi] with denominator <= max_den,
-    by (denominator, value), on powers pulled lazily from one chain of
-    squares.  The second power is built only when the first end fails and
-    the first power's range admits the second end: tau(F) lies in
-    [min(G - id), max(G - id)] / q for G = F^q, so an end outside that range
-    has no return orbit (`plkernel.offset_sign`)."""
+    by (denominator, value), each on a pair pulled from one chain of squares.
+    The second is tested only when the first end a/q fails and q times it
+    lies in the range of G - id, G = F^q, that the first scan returns, as
+    q tau does."""
     ends = (L,) if L == U else sorted((L, U), key=lambda c: (c.denominator, c))
     cands = [c for c in ends if c.denominator <= max_den and lo <= c <= hi]
     n = F.degree
-    tables = plkernel.powers(n, F._table, (c.denominator for c in cands), cap)
-    G = None
+    pairs = plkernel.last_pairs(n, F._table, (c.denominator for c in cands), cap)
+    miss = None
     for cand in cands:
-        # G is set only for the second of at most two ends, so a skip ends the search
-        if G is not None and plkernel.offset_sign(G, q * cand.numerator, cand.denominator):
-            return None
-        G, q = next(tables), cand.denominator
-        wit = _leftmost_return(n, G, cand.numerator)
-        if wit is not None:
-            return cand, wit
+        p, q = cand.numerator, cand.denominator
+        # miss is set only for the second of at most two ends, so a skip ends the search
+        if miss is not None:
+            (ln, ld), (hn, hd) = miss
+            if k * p * ld < ln * q or k * p * hd > hn * q:
+                return None
+        miss, k = _return(n, next(pairs), p), q
+        if isinstance(miss, Fraction):
+            return cand, miss
     return None
 
 
@@ -230,24 +199,19 @@ def rational_certificate(
     leftmost x in [0, degree) with F^q(x) = x + p, or None, which means: no
     rational in [lo, hi] with denominator <= max_den certifies.
 
-    At degree 1 only tau can certify, so the orbit of 0 over max_den steps
-    brackets the one candidate pair (see the module docstring): cost
-    max_den evaluations plus at most two powers from one chain of squares,
-    the second built only when the first power's range admits its end.  At
-    degree n >= 2 several p/q can have exact returns, so every reduced p/q
-    in the interval is tried by increasing denominator, composing the
-    integer table of F^q = F o F^(q-1); that cost grows quadratically in
-    max_den.  The numerators to try are counted first, and past
-    SWEEP_BUDGET the sweep raises SweepBudgetExceeded before it tests any.
+    At degree 1 only tau can certify: the orbit of 0 over max_den steps
+    brackets it between two candidates (see the module docstring).  At
+    degree n >= 2 several p/q can have exact returns, so every reduced p/q in
+    the interval is tried by increasing denominator on the table of
+    F^q = F o F^(q-1), quadratic in max_den; past SWEEP_BUDGET numerators,
+    counted first, the sweep raises SweepBudgetExceeded before it tests any.
     """
-    if not isinstance(F, PLLift):
-        raise AnalyticExactUnsupported("certification needs a PL lift")
-    if F.degree == 1:
+    n = _pl(F, "certification needs a PL lift").degree
+    if n == 1:
         if max_den < 1:
             return None
         _, L, U = _orbit_bracket(F, Fraction(0), max_den, max_den)
         return _certify_bracket(F, L, U, lo, hi, max_den, cap)
-    n = F.degree
     spans, total = [], 0
     for den in range(1, max_den + 1):
         first, last = math.ceil(lo * den), math.floor(hi * den)
@@ -266,8 +230,8 @@ def rational_certificate(
         for num in nums:
             if math.gcd(num, den) != 1:
                 continue
-            wit = _leftmost_return(n, G, num)
-            if wit is not None:
+            wit = plkernel.first_return(n, plkernel.rows(n, G), num)
+            if isinstance(wit, Fraction):
                 return Fraction(num, den), wit
     return None
 
@@ -296,10 +260,9 @@ def rotation_report(
     lift from the witness; a failure raises CertificateMismatch.
 
     At degree 1 one orbit pass of max(q, max_cert_den) evaluations gives
-    both the enclosure and the Farey bracket, and at most two powers from
-    one chain of squares settle certification, the second built only when
-    the first power's range admits its end.  A binary64 x0 keeps its float
-    enclosure; its bracket comes from the exact orbit of Fraction(x0).
+    both the enclosure and the Farey bracket, whose at most two ends are
+    scanned as rational_certificate scans them.  A binary64 x0 keeps its
+    float enclosure; its bracket comes from the exact orbit of Fraction(x0).
     Degree n >= 2 runs the per-denominator search of rational_certificate.
     """
     if max_cert_den is None:
@@ -364,10 +327,7 @@ def find_fiber_periodic(
     Solves the leafwise return equation exactly on one period; raises
     NoSuchOrbit when no exact return orbit exists (certification fails).
     """
-    L = f.leaf_lift()
-    if not isinstance(L, PLLift):
-        raise AnalyticExactUnsupported("fiber-periodic search needs a PL lift")
-    wit = certify_rational(L, p, q)
+    wit = certify_rational(_pl(f.leaf_lift(), "fiber-periodic search needs a PL lift"), p, q)
     if wit is None:
         raise NoSuchOrbit(f"no orbit with return p/q = {p}/{q}")
     s = canonicalize(wit, embed_int(0, depth))
@@ -387,8 +347,8 @@ def _nearest_return(G: PLLift, p: int, x0: Fraction) -> Optional[Fraction]:
     n = G.degree
     g0 = G.eval(x0) - x0 - p
     table = plkernel.shift_input(n, G._table, x0.numerator, x0.denominator)
-    u = _leftmost_return(n, table, p, rightmost=g0 < 0)
-    if u is None:
+    u = plkernel.first_return(n, plkernel.rows(n, table), p, rightmost=g0 < 0)
+    if not isinstance(u, Fraction):
         return None
     return x0 + u - n if g0 < 0 else x0 + u
 
@@ -400,8 +360,7 @@ def _return_fixed_point(f: InducedHomeo, s: SolenoidPoint, p: int, q: int):
     Raises AnalyticExactUnsupported for an analytic base and NoSuchOrbit
     when the return map is untracked or has no fixed point.
     """
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("fiber targets need a PL base")
+    _pl(f.base, "fiber targets need a PL base")
     n = f.degree
     if n != 1 and p % n != 0:
         # h^m tracks f^{qm} only when integer translation by p commutes

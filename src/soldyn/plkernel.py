@@ -6,26 +6,25 @@ sequences: numerators and positive denominators of its breakpoint abscissae
 and its slopes, every pair reduced.  Slope i is that of the piece starting at
 breakpoint i; the last piece wraps to the first breakpoint plus n.
 
-Composition and powers run on tables and build no Fraction.  Point
-evaluation (`eval_pair`) also reads the affine form of each piece (`forms`),
-which a lift derives once, when it is built.  Fractions leave the kernel
-only through `fraction`, from pairs already reduced.  The period search
+No Fraction is built on tables.  `walk` visits the breakpoints of a product
+outer o inner in increasing x without building it: `compose` keeps it, and
+`first_return` scans it, or a built table's `rows`, for the first zero of
+G - id - p; `last_pairs` builds a power up to its last composition.
+`eval_pair` evaluates a point by its piece's affine form (`forms`).  Fractions
+leave only through `fraction`, from reduced pairs.  The period search
 (`slope_changes`, `descend`, `least_period`) only compares and copies pairs,
 so it also takes the table of x + delta(x) for a bare periodic delta, whose
-values need not increase; `compose` and `wrap_cut` do.
-Sums and products of reduced pairs are reduced in the order `fractions`
-uses: gcd of the denominators first, cancelling across before multiplying.
-So `add`, `mul` and `compose` take no gcd of a product of several
-coordinates, which matters once coordinates run to thousands of digits.
-`eval_pair` takes one per point, gcd(N, D) with D a product of three
-coordinates: on 600-bit tables a point still costs less than the reduced
-steps of `piece_value` followed by `Fraction(n, d)`.
+values need not increase, as `walk` and `wrap_cut` need.  Pairs are reduced
+in the order `fractions` uses, gcd of the denominators first, so `add`, `mul`
+and `walk` take no gcd of a product of coordinates; `eval_pair` takes one.
 
 This module is internal; `PLLift` is the public face of a table.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain
 from math import gcd
 
@@ -235,21 +234,6 @@ def eval_pair(table, forms, n: int, a: int, b: int) -> tuple[int, int]:
     return num, D * b
 
 
-def offset_sign(table, cn: int, cd: int) -> int:
-    """1 if F(x) - x > cn/cd at every breakpoint, -1 if F(x) - x < cn/cd at
-    every one, else 0; cd > 0.  F - id is piecewise linear and periodic, so
-    its extrema lie on breakpoints and a nonzero sign holds on the whole line.
-    Each breakpoint costs one cross-multiplication and builds no Fraction."""
-    sign = 0
-    for a, b, c, d in zip(*table[:4]):
-        u, v = c * b * cd, (a * cd + cn * b) * d
-        s = (u > v) - (u < v)
-        if s == 0 or s == -sign:
-            return 0
-        sign = s
-    return sign
-
-
 def slope_changes(table) -> list:
     """The indices where the slope changes; equal reduced pairs are equal slopes."""
     sn, sd = table[4], table[5]
@@ -291,116 +275,170 @@ def least_period(n: int, table) -> tuple[int, tuple]:
     return next((T, cut) for T in sorted(periods) if (cut := descend(n, table, T)))
 
 
-def compose(n: int, outer, inner) -> tuple:
-    """The table of outer(inner(x)) for two degree-n tables.
 
-    The breakpoints are inner's, valued by evaluating outer at inner's values,
-    and the preimages under inner of outer's breakpoints, valued by outer's
-    breakpoint values less the integer carry.  Reduced mod n, both lists are
-    rotations of sorted lists, so pointer walks replace bisection and one
-    merge replaces sorting.  The slope of each piece is the product of the
-    two slopes it runs on.
+
+def walk(n: int, outer, inner, origin: bool = False):
+    """Yield the row (xn, xd, yn, yd, sn, sd) of reduced pairs of x, G(x) and
+    the slope from x, for each breakpoint x of G = outer o inner in [0, n) in
+    increasing order; with `origin`, x = 0 first even if not a breakpoint.
+
+    The breakpoints are inner's, valued by outer at inner's values, and the
+    preimages under inner of outer's breakpoints, one point where they meet.
+    On [0, n) inner runs from v = inner(0) to v + n, so one pointer into each
+    table, outer's from its first breakpoint at or above v, merges them by
+    value.  A piece's slope is the product of the two slopes it runs on.
     """
     axn, axd, ayn, ayd, asn, asd = outer
     bxn, bxd, byn, byd, bsn, bsd = inner
     ma, mb = len(axn), len(bxn)
-    # inner's values reduced into [0, n): indices >= cut carry one more n
-    j0, cut = wrap_cut(byn, byd, n)
-    iyn, iyd, isn, isd = ([None] * mb for _ in range(4))
-    i = -1
-    for k in chain(range(cut, mb), range(cut)):
-        j = j0 + 1 if k >= cut else j0
-        wd = byd[k]
-        wn = byn[k] - j * n * wd
-        while i + 1 < ma and axn[i + 1] * wd <= wn * axd[i + 1]:
-            i += 1
-        iyn[k], iyd[k] = piece_value(outer, i, n, wn, wd, j)
-        isn[k], isd[k] = mul(asn[i], asd[i], bsn[k], bsd[k])
-    # outer's breakpoints reduced into [by0, by0 + n): indices >= cut carry one more n
-    y0n, y0d = byn[0], byd[0]
-    m0 = -y0n // (y0d * n)
-    tn = y0n + (m0 + 1) * n * y0d
-    cut = 0
-    while cut < ma and axn[cut] * y0d < tn * axd[cut]:
-        cut += 1
-    # the preimages increase along the walk; those past n wrap to the front
-    pxn, pxd, pyn, pyd, psn, psd = ([None] * ma for _ in range(6))
-    front = ma
-    k = 0
-    for t, i in enumerate(chain(range(cut, ma), range(cut))):
-        m = m0 + 1 if i >= cut else m0
-        wd = axd[i]
-        wn = axn[i] - m * n * wd
-        while k + 1 < mb and byn[k + 1] * wd <= wn * byd[k + 1]:
+    vn, vd = piece_value(inner, -1, n, 0, 1, 0) if bxn[0] else (byn[0], byd[0])
+    # outer's next breakpoint is i, carried by m: its value is an / axd[i]
+    m = vn // (vd * n)
+    wn = vn - m * n * vd
+    i = bisect_left(range(ma), True, key=lambda i: axn[i] * vd >= wn * axd[i])
+    if i == ma:
+        i, m = 0, m + 1
+    an = axn[i] + m * n * axd[i]
+    if origin and bxn[0] and vn * axd[i] != an * vd:
+        yield (0, 1, *piece_value(outer, i - 1, n, vn - m * n * vd, vd, m),
+               *mul(asn[i - 1], asd[i - 1], bsn[-1], bsd[-1]))
+    k, left = 0, ma
+    while k < mb or left:
+        c = byn[k] * axd[i] - an * byd[k] if k < mb and left else left or -1
+        if c < 0:
+            # inner's breakpoint k, on outer's piece i - 1
+            wn = byn[k] - m * n * byd[k]
+            yield (bxn[k], bxd[k], *piece_value(outer, i - 1, n, wn, byd[k], m),
+                   *mul(asn[i - 1], asd[i - 1], bsn[k], bsd[k]))
             k += 1
-        zn, zd = add(wn, wd, -byn[k], byd[k])
-        zn, zd = mul(zn, zd, bsd[k], bsn[k])
-        zn, zd = add(bxn[k], bxd[k], zn, zd)
-        if zn >= n * zd:
-            zn -= n * zd
-            m += 1
-            front = min(front, t)
-        pxn[t], pxd[t], pyn[t], pyd[t] = zn, zd, ayn[i] - m * n * ayd[i], ayd[i]
-        psn[t], psd[t] = mul(asn[i], asd[i], bsn[k], bsd[k])
-    pxn, pxd, pyn, pyd, psn, psd = (
-        col[front:] + col[:front] for col in (pxn, pxd, pyn, pyd, psn, psd)
-    )
-    # merge: `order` lists preimage p as p and inner breakpoint k as ~k; a
-    # preimage on an inner breakpoint is one point
-    order = []
-    p = 0
-    for k in range(mb):
-        while p < ma:
-            c = pxn[p] * bxd[k] - bxn[k] * pxd[p]
-            if c > 0:
-                break
-            if c < 0:
-                order.append(p)
-            p += 1
-        order.append(~k)
-    order += range(p, ma)
+            continue
+        if c:
+            # the preimage of outer's breakpoint i on inner's piece k - 1
+            j = k - 1
+            zn, zd = mul(*add(an, axd[i], n * byd[j] - byn[j] if j < 0 else -byn[j], byd[j]),
+                         bsd[j], bsn[j])
+            zn, zd = add(bxn[j] - n * bxd[j] if j < 0 else bxn[j], bxd[j], zn, zd)
+        else:
+            j, zn, zd = k, bxn[k], bxd[k]
+            k += 1
+        yield (zn, zd, ayn[i] + m * n * ayd[i], ayd[i], *mul(asn[i], asd[i], bsn[j], bsd[j]))
+        left -= 1
+        i += 1
+        if i == ma:
+            i, m = 0, m + 1
+        an = axn[i] + m * n * axd[i]
 
+
+def compose(n: int, outer, inner) -> tuple:
+    """The table of outer(inner(x)) for two degree-n tables: `walk`, kept."""
     # columns are lists: CPython 3.11 parks every freed 20-tuple in a free
-    # list it never draws from, so 20-element tuples made per composition
-    # would pile up there
-    def column(pre_col, inner_col):
-        return [pre_col[v] if v >= 0 else inner_col[~v] for v in order]
-
-    return (
-        column(pxn, bxn), column(pxd, bxd), column(pyn, iyn),
-        column(pyd, iyd), column(psn, isn), column(psd, isd),
-    )
-
-
-def _capped(table, cap: int) -> tuple:
-    if len(table[0]) > cap:
-        raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+    # list it never draws from, so no tuple of the table's length is made
+    xn, xd, yn, yd, sn, sd = table = ([], [], [], [], [], [])
+    for a, b, c, d, e, f in walk(n, outer, inner):
+        xn.append(a)
+        xd.append(b)
+        yn.append(c)
+        yd.append(d)
+        sn.append(e)
+        sd.append(f)
     return table
 
 
-def powers(n: int, table, qs, cap: int):
-    """Yield the table of F^q for each q >= 0 in `qs`, in the order pulled.
+def rows(n: int, table):
+    """A degree-n table's rows from x = 0, as `walk` with `origin` yields them."""
+    if not table[0][0]:
+        return zip(*table)
+    head = 0, 1, *piece_value(table, -1, n, 0, 1, 0), table[4][-1], table[5][-1]
+    return chain([head], zip(*table))
 
-    Every power is a product of one chain of squares F, F^2, F^4, ..., kept
-    for this call only and grown only as far as the largest q pulled so far;
-    F itself is the first square, not a copy.  The lowest set bit of q takes
-    its square as is, so nothing is composed with the identity: F^(2^k)
-    costs k compositions and q = 0 yields IDENTITY.  Raises
-    BreakpointCapExceeded when a square or a product passes `cap`.
+
+def first_return(n: int, points, p: int, rightmost: bool = False):
+    """The leftmost (or rightmost) zero of g(x) = G(x) - x - p in [0, n), a
+    Fraction, for the degree-n lift G whose rows `points` yields from x = 0
+    (`walk` with `origin`, or `rows`); if g has no zero, the range
+    ((lo_n, lo_d), (hi_n, hi_d)) of G - id over the points, reduced pairs.
+
+    A piece yields its left end, where g is 0, or else the zero inside it
+    where g changes sign, x + g(x) / (1 - s); the last ends at n, where g is
+    g(0).  The leftmost scan stops at the first zero.  At a point g = t / e,
+    e = x_d y_d: t's sign is taken once, and the range cross-multiplies only
+    where floor(2^64 g) ties.
+    """
+    hit = prev = None
+    for row in points:
+        xn, xd, yn, yd, _, _ = row
+        t = yn * xd - (xn + p * xd) * yd
+        if prev is None:
+            t0 = lo_t = hi_t = t
+            lo_e = hi_e = e = xd * yd
+            lo_f = hi_f = (t << 64) // e
+        elif t < 0 < pt or pt < 0 < t:
+            hit = prev, True
+            if not rightmost:
+                break
+        if not t:
+            hit = row, False
+            if not rightmost:
+                break
+        elif hit is None:
+            e = xd * yd
+            f = (t << 64) // e
+            if f <= lo_f and (f < lo_f or t * lo_e < lo_t * e):
+                lo_t, lo_e, lo_f = t, e, f
+            elif f >= hi_f and (f > hi_f or t * hi_e > hi_t * e):
+                hi_t, hi_e, hi_f = t, e, f
+        prev, pt = row, t
+    else:
+        hit = (prev, True) if t0 < 0 < pt or pt < 0 < t0 else hit
+    if hit is None:
+        return tuple((a // g, b // g) for a, b in ((lo_t + p * lo_e, lo_e), (hi_t + p * hi_e, hi_e))
+                     for g in (gcd(a, b),))
+    (xn, xd, yn, yd, sn, sd), inside = hit
+    if not inside:
+        return fraction(xn, xd)
+    gn, gd = add(yn, yd, -(xn + p * xd), xd)
+    # 1 - s = (sd - sn) / sd, its sign moved to the numerator
+    gn, gd = mul(gn, gd, *((sd, sd - sn) if sd > sn else (-sd, sn - sd)))
+    return fraction(*add(xn, xd, gn, gd))
+
+
+def last_pairs(n: int, table, qs, cap: int):
+    """Yield, for each q >= 0 in `qs` in the order pulled, a pair (outer,
+    inner) of tables whose composition is F^q, or (F^q, None) when F^q is
+    already built: q = 0 (IDENTITY), q = 1 (F itself) or a square.
+
+    Every power is a product, from q's lowest set bit up, of one chain of
+    squares F, F^2, F^4, ..., kept for this call and grown only as far as
+    pulled; every composition but the last is built.  BreakpointCapExceeded
+    when a square passes `cap`, or a pair's two tables have more than `cap`
+    breakpoints together, which bounds their product's.  A product below the
+    top square needs no check: F^m has F^(m - 1)'s breakpoints and more.
     """
     squares = [table]
     for q in qs:
-        while len(squares) < q.bit_length():
-            squares.append(_capped(compose(n, squares[-1], squares[-1]), cap))
-        result = None
-        for k, square in enumerate(squares[: q.bit_length()]):
-            if q >> k & 1:
-                result = square if result is None else _capped(compose(n, result, square), cap)
-        yield IDENTITY if result is None else result
+        if q < 2:
+            yield table if q else IDENTITY, None
+            continue
+        top = q.bit_length() - 1
+        rest = q ^ 1 << top
+        while len(squares) < top + (rest > 0):
+            squares.append(compose(n, squares[-1], squares[-1]))
+            if len(squares[-1][0]) > cap:
+                raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+        if rest:
+            parts = [s for k, s in enumerate(squares) if rest >> k & 1]
+            pair = reduce(partial(compose, n), parts), squares[top]
+        elif top < len(squares):
+            yield squares[top], None
+            continue
+        else:
+            pair = squares[top - 1], squares[top - 1]
+        if len(pair[0][0]) + len(pair[1][0]) > cap:
+            raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+        yield pair
 
 
 def power(n: int, table, q: int, cap: int) -> tuple:
-    """The table of F^q for q >= 0 by squaring (see `powers`); the squares
-    and partial products stay tables.  Raises BreakpointCapExceeded past
-    `cap`."""
-    return next(powers(n, table, (q,), cap))
+    """The table of F^q for q >= 0: `last_pairs`' pair, composed."""
+    outer, inner = next(last_pairs(n, table, (q,), cap))
+    return outer if inner is None else compose(n, outer, inner)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate, combinations, product
 from math import factorial
 from pathlib import Path
 
@@ -78,6 +79,18 @@ def big_lift(rng: random.Random, degree: int, nb: int, bits: int) -> PLLift:
         xs = xs[: len(ys)]
     y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
     return pl_new(degree, [(x, y0 + y) for x, y in zip(xs, ys)])
+
+
+def degree1_scope(nb: int = 3, den: int = 6):
+    """Every degree-1 lift with nb breakpoints on the 1/den grid, its first
+    value in [0, 1) and its values spanning less than 1: 1,200 lifts for
+    3 breakpoints on the 1/6 grid, 19,600 for 4 on the 1/8 grid."""
+    for xs in combinations(range(den), nb):
+        for y0 in range(den):
+            for gaps in product(range(1, den), repeat=nb - 1):
+                if sum(gaps) < den:
+                    ys = accumulate(gaps, initial=y0)
+                    yield pl_new(1, [(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)])
 
 
 def rand_induced(

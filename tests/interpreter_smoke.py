@@ -4,13 +4,14 @@ Usage: python tests/interpreter_smoke.py
 
 Imports soldyn from this checkout's src/ (no click, no pytest), checks
 `plkernel.fraction`, which writes a Fraction's slots, and the exact-number
-parser `circlemaps.exact_pair` against `Fraction`, and hashes a fixed set of exact `rotation_report`, `apply` and `project`
+parser `circlemaps.exact_pair` against 3.10's `Fraction`, and hashes a fixed set of exact `rotation_report`, `apply` and `project`
 outputs.  Exits 1 unless the hash is the pinned one, which CPython 3.11
 gives, so a run under another interpreter shows that the outputs agree.
 """
 import hashlib
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -37,14 +38,22 @@ PINNED = "d9a9183f3f9972001d4f0a4ad96a9276b33ea19afff4f3d90d8810af9851dc08"
 # exact-number literals: the parser's own integer path (signs, zero, leading
 # zeros, a pair past 1,000 bits, a zero denominator, a part past the digit
 # limit) and forms it leaves to Fraction, whose answer, a value or an
-# exception's type and message, differs between interpreters ("1_000" is
-# refused by 3.10 only, "1 / 2" read by 3.12 on)
+# exception's type and message, is 3.10's on every interpreter ("1_000" is
+# read from 3.11 on and "1 / 2" from 3.12 on, but the parser refuses both)
 PARSER_CORPUS = [
     "0", "-0", "007/014", "-12/8", f"{-(3 ** 700)}/{2 ** 1100}", "1/0", "-5/0",
     "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000,
-    " 1/2", "+3", "1.5e-3", "1_000", "\u0661\u0662", "1/-2", "1 / 2", "x", "", "nan",
-    ".5e3", "1e_5", "1e-5000", "1.5e4301",
+    " 1/2", "+3", "1.5e-3", "1_000", "1_0/2", "\u0661\u0662", "1/-2", "1 / 2", "1/ 2",
+    "1 /2", "x", "", "nan", ".5e3", "1e_5", "1e-5000", "1.5e4301",
 ]
+
+
+def fraction_310(literal):
+    """Fraction(literal) as CPython 3.10 reads it, on any interpreter: no
+    underscores, and no whitespace next to "/"."""
+    if "_" in literal or re.search(r"\s/|/\s", literal):
+        raise ValueError(f"Invalid literal for Fraction: {literal!r}")
+    return Fraction(literal)
 
 
 def parse_outcome(parse, literal):
@@ -59,8 +68,10 @@ def parse_outcome(parse, literal):
 
 def check_parser() -> None:
     for lit in PARSER_CORPUS:
-        if parse_outcome(circlemaps.exact_pair, lit) != parse_outcome(Fraction, lit):
-            raise SystemExit(f"exact_pair({lit[:20]!r}) differs from Fraction({lit[:20]!r})")
+        if sys.version_info[:2] == (3, 10) and parse_outcome(Fraction, lit) != parse_outcome(fraction_310, lit):
+            raise SystemExit(f"fraction_310({lit[:20]!r}) differs from this Fraction({lit[:20]!r})")
+        if parse_outcome(circlemaps.exact_pair, lit) != parse_outcome(fraction_310, lit):
+            raise SystemExit(f"exact_pair({lit[:20]!r}) differs from 3.10's Fraction({lit[:20]!r})")
     for lit in ("1e100000000", "1e-100000000"):
         if parse_outcome(circlemaps.exact_pair, lit)[0] is not ValueError:
             raise SystemExit(f"exact_pair({lit!r}) is not refused")

@@ -7,7 +7,9 @@ sums (`induced._tower_rows`).  `check_table` states the invariants of a
 `plkernel` table, `piece_eval` evaluates one on Fractions, and
 `check_reduced` states what `plkernel.fraction` takes on trust.
 `fraction_pieces` builds breakpoint columns as the Fraction construction
-that `circlemaps.exact_pair` and `plkernel.slopes` replaced did.
+that `circlemaps.exact_pair` and `plkernel.slopes` replaced did.  `RefLift`
+is a lift as the Fraction-only kernel kept it, and `leftmost_return` scans
+one of its powers for a return with no code of `plkernel`.
 """
 from __future__ import annotations
 
@@ -192,3 +194,102 @@ def check_reduced(value) -> None:
     a, b = value.numerator, value.denominator
     if b <= 0 or gcd(a, b) != 1:
         raise AssertionError(f"{a}/{b} is not a reduced pair with a positive denominator")
+
+
+class RefLift:
+    """Fraction breakpoint data of a lift, as the Fraction-only kernel kept
+    it, with its Fraction eval, compose, inverse and power."""
+
+    def __init__(self, degree, xs, ys):
+        def slope(x0, y0, x1, y1):
+            xd0, xd1, yd0, yd1 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
+            return Fraction(
+                (y1.numerator * yd0 - y0.numerator * yd1) * (xd0 * xd1),
+                (x1.numerator * xd0 - x0.numerator * xd1) * (yd0 * yd1),
+            )
+
+        slopes = [slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
+        slopes.append(slope(xs[-1], ys[-1], xs[0] + degree, ys[0] + degree))
+        self.degree, self.xs, self.ys, self.slopes = degree, xs, ys, tuple(slopes)
+
+    @classmethod
+    def of(cls, F):
+        return cls(F.degree, F.xs, F.ys)
+
+    def eval(self, x):
+        n = self.degree
+        j = _floor_div(x, n)
+        x0 = x - j * n if j else x
+        i = bisect.bisect_right(self.xs, x0) - 1
+        if i < 0:
+            x1 = self.xs[-1] - n
+            y1 = self.ys[-1] - n
+            s = self.slopes[-1]
+        else:
+            x1 = self.xs[i]
+            y1 = self.ys[i]
+            s = self.slopes[i]
+        return y1 + (x0 - x1) * s + j * n
+
+    def compose(self, other):
+        n = self.degree
+        pts = {x: self.eval(y) for x, y in zip(other.xs, other.ys)}
+        oxs, oys, oslopes = other.xs, other.ys, other.slopes
+        y0 = oys[0]
+        for u, v in zip(self.xs, self.ys):
+            m = _floor_div(u - y0, n)
+            w = u - m * n if m else u
+            i = bisect.bisect_right(oys, w) - 1
+            z = oxs[i] + (w - oys[i]) / oslopes[i]
+            if z >= n:
+                z -= n
+                m += 1
+            pts[z] = v - m * n if m else v
+        xs = tuple(sorted(pts))
+        return RefLift(n, xs, tuple(pts[x] for x in xs))
+
+    def inverse(self):
+        n = self.degree
+        xs, ys = self.xs, self.ys
+        j = _floor_div(ys[0], n)
+        lo, hi = j * n, (j + 1) * n
+        cut = bisect.bisect_left(ys, hi)
+        new_xs = [y - hi for y in ys[cut:]] + [y - lo if j else y for y in ys[:cut]]
+        new_ys = [x - hi for x in xs[cut:]] + [x - lo if j else x for x in xs[:cut]]
+        return RefLift(n, tuple(new_xs), tuple(new_ys))
+
+    def power(self, q):
+        if q < 0:
+            return self.inverse().power(-q)
+        # the lowest set bit of q takes its square as is: no identity factor
+        result, base = None, self
+        while q:
+            if q & 1:
+                result = base if result is None else result.compose(base)
+            q >>= 1
+            if q:
+                base = base.compose(base)
+        return RefLift(self.degree, (Fraction(0),), (Fraction(0),)) if result is None else result
+
+
+def _floor_div(x, n):
+    if isinstance(x, Fraction):
+        return x.numerator // (x.denominator * n)
+    if isinstance(x, int):
+        return x // n
+    return floor(x / n)
+
+
+def leftmost_return(G, p):
+    """The leftmost zero of G(x) - x - p in [0, n) for a `RefLift` G, or
+    None: Fraction values at the breakpoints and at 0 and n, and the zero of
+    the chord between two of opposite sign."""
+    n = G.degree
+    xs = sorted({Fraction(0), *G.xs})
+    gs = [G.eval(x) - x - p for x in xs]
+    for (a, ga), (b, gb) in zip(zip(xs, gs), zip(xs[1:] + [xs[0] + n], gs[1:] + gs[:1])):
+        if ga == 0:
+            return a
+        if ga * gb < 0:
+            return a - ga * (b - a) / (gb - ga)
+    return None

@@ -1,4 +1,3 @@
-import bisect
 import math
 import random
 import sys
@@ -36,9 +35,9 @@ from soldyn.induced import _tower_rows
 from genutil import (
     big_lift, count_compositions, grid_lift, rand_fraction, rand_pl_lift, small_fractions,
 )
-from interpreter_smoke import PARSER_CORPUS, parse_outcome
+from interpreter_smoke import PARSER_CORPUS, fraction_310, parse_outcome
 from reference import (
-    check_table, common_grid, fraction_columns, fraction_pieces, has_period, periodic_add,
+    RefLift, check_table, common_grid, fraction_columns, fraction_pieces, has_period, periodic_add,
     piece_eval, sup_diff,
 )
 
@@ -89,9 +88,13 @@ def test_exact_pair_reads_integer_strings_as_fraction_does():
 
 
 def test_exact_pair_gives_what_fraction_gives_off_its_integer_path():
-    # a value, or the same exception type and message, on this interpreter
+    # a value, or the same exception type and message, as 3.10's Fraction
+    # gives on every interpreter: "1_000" and "1 / 2" are refused
     for lit in PARSER_CORPUS:
-        assert parse_outcome(exact_pair, lit) == parse_outcome(Fraction, lit), lit[:20]
+        assert parse_outcome(exact_pair, lit) == parse_outcome(fraction_310, lit), lit[:20]
+    for lit in ("1_000", "1 / 2", "1/\t2"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            exact_pair(lit)
 
 
 def test_exact_pair_refuses_literals_past_the_digit_limit():
@@ -471,89 +474,6 @@ def test_analytic_rejects_non_finite_data():
         map_from_descriptor([1, 2])
 
 
-class _RefLift:
-    """Fraction breakpoint data of a lift, as the Fraction-only kernel kept it."""
-
-    def __init__(self, degree, xs, ys):
-        def slope(x0, y0, x1, y1):
-            xd0, xd1, yd0, yd1 = x0.denominator, x1.denominator, y0.denominator, y1.denominator
-            return Fraction(
-                (y1.numerator * yd0 - y0.numerator * yd1) * (xd0 * xd1),
-                (x1.numerator * xd0 - x0.numerator * xd1) * (yd0 * yd1),
-            )
-
-        slopes = [slope(xs[i], ys[i], xs[i + 1], ys[i + 1]) for i in range(len(xs) - 1)]
-        slopes.append(slope(xs[-1], ys[-1], xs[0] + degree, ys[0] + degree))
-        self.degree, self.xs, self.ys, self.slopes = degree, xs, ys, tuple(slopes)
-
-    @classmethod
-    def of(cls, F):
-        return cls(F.degree, F.xs, F.ys)
-
-    def eval(self, x):
-        n = self.degree
-        j = _ref_floor_div(x, n)
-        x0 = x - j * n if j else x
-        i = bisect.bisect_right(self.xs, x0) - 1
-        if i < 0:
-            x1 = self.xs[-1] - n
-            y1 = self.ys[-1] - n
-            s = self.slopes[-1]
-        else:
-            x1 = self.xs[i]
-            y1 = self.ys[i]
-            s = self.slopes[i]
-        return y1 + (x0 - x1) * s + j * n
-
-    def compose(self, other):
-        n = self.degree
-        pts = {x: self.eval(y) for x, y in zip(other.xs, other.ys)}
-        oxs, oys, oslopes = other.xs, other.ys, other.slopes
-        y0 = oys[0]
-        for u, v in zip(self.xs, self.ys):
-            m = _ref_floor_div(u - y0, n)
-            w = u - m * n if m else u
-            i = bisect.bisect_right(oys, w) - 1
-            z = oxs[i] + (w - oys[i]) / oslopes[i]
-            if z >= n:
-                z -= n
-                m += 1
-            pts[z] = v - m * n if m else v
-        xs = tuple(sorted(pts))
-        return _RefLift(n, xs, tuple(pts[x] for x in xs))
-
-    def inverse(self):
-        n = self.degree
-        xs, ys = self.xs, self.ys
-        j = _ref_floor_div(ys[0], n)
-        lo, hi = j * n, (j + 1) * n
-        cut = bisect.bisect_left(ys, hi)
-        new_xs = [y - hi for y in ys[cut:]] + [y - lo if j else y for y in ys[:cut]]
-        new_ys = [x - hi for x in xs[cut:]] + [x - lo if j else x for x in xs[:cut]]
-        return _RefLift(n, tuple(new_xs), tuple(new_ys))
-
-    def power(self, q):
-        if q < 0:
-            return self.inverse().power(-q)
-        # the lowest set bit of q takes its square as is: no identity factor
-        result, base = None, self
-        while q:
-            if q & 1:
-                result = base if result is None else result.compose(base)
-            q >>= 1
-            if q:
-                base = base.compose(base)
-        return _RefLift(self.degree, (Fraction(0),), (Fraction(0),)) if result is None else result
-
-
-def _ref_floor_div(x, n):
-    if isinstance(x, Fraction):
-        return x.numerator // (x.denominator * n)
-    if isinstance(x, int):
-        return x // n
-    return math.floor(x / n)
-
-
 def _assert_same_lift(got, ref):
     check_table(got.degree, got._table)
     assert (got.xs, got.ys, got.slopes) == (ref.xs, ref.ys, ref.slopes)
@@ -576,11 +496,11 @@ def test_integer_kernel_matches_fraction_reference():
             lifts.append(grid_lift(rng, degree, nb, den))
     for F in lifts:
         n, nb = F.degree, len(F.xs)
-        R = _RefLift.of(F)
+        R = RefLift.of(F)
         _assert_same_lift(F, R)
         G = rng.choice([L for L in lifts if L.degree == n])
         for A, B in ((F, G), (G, F), (F, F), (F, F.inverse())):
-            _assert_same_lift(A.compose(B), _RefLift.of(A).compose(_RefLift.of(B)))
+            _assert_same_lift(A.compose(B), RefLift.of(A).compose(RefLift.of(B)))
         qs = [-3, -2, -1, 0, 1, 2, 3, 5]
         if nb <= 3:
             qs += [16, 33, 64]
@@ -591,7 +511,7 @@ def test_integer_kernel_matches_fraction_reference():
         _assert_same_lift(F.inverse(), R.inverse())
         # translate and shift_input against the Fraction data they move
         c = Fraction(rng.randint(-9 * n, 9 * n), rng.randint(1, 12))
-        _assert_same_lift(F.translate(c), _RefLift(n, F.xs, tuple(y + c for y in F.ys)))
+        _assert_same_lift(F.translate(c), RefLift(n, F.xs, tuple(y + c for y in F.ys)))
         S = F.shift_input(c)
         check_table(n, S._table)
         for x in (0, Fraction(1, 3), *S.xs):
@@ -665,25 +585,27 @@ def test_eval_pair_is_the_reduced_fraction_value():
 
 
 def test_shared_powers_match_separate_powers_and_reference(monkeypatch):
-    # one chain of squares serves every power pulled from a `powers`
-    # generator, in any order: the tables equal separate `power` calls and
-    # the Fraction reference, and the chain costs one composition per square
-    # plus one per further set bit of each q
+    # one chain of squares serves every pair pulled from a `last_pairs`
+    # generator, in any order: the pairs' compositions equal separate `power`
+    # calls and the Fraction reference, and the chain costs one composition
+    # per square below the top one each q needs, plus one per further set bit
+    # below the top one
     rng = random.Random(1414)
     lifts = [rand_pl_lift(rng, 1, 3, 8), grid_lift(rng, 2, 2, 8), rand_pl_lift(rng, 3, 3, 8)]
     for F in lifts:
-        n, R, qs = F.degree, _RefLift.of(F), list(range(65))
+        n, R, qs = F.degree, RefLift.of(F), list(range(65))
         rng.shuffle(qs)
         calls = count_compositions(monkeypatch)
-        shared = list(plkernel.powers(n, F._table, qs, BREAKPOINT_CAP))
-        squares = max(qs).bit_length() - 1
-        assert len(calls) == squares + sum(bin(q).count("1") - 1 for q in qs if q)
+        pairs = list(plkernel.last_pairs(n, F._table, qs, BREAKPOINT_CAP))
+        squares = max(q.bit_length() - 1 - (q & (q - 1) == 0) for q in qs if q > 1)
+        assert len(calls) == squares + sum(bin(q).count("1") - 2 for q in qs if q & (q - 1))
         monkeypatch.undo()
-        for q, table in zip(qs, shared):
+        for q, (outer, inner) in zip(qs, pairs):
+            table = outer if inner is None else plkernel.compose(n, outer, inner)
             check_table(n, table)
             assert table == plkernel.power(n, F._table, q, BREAKPOINT_CAP)
             _assert_same_lift(PLLift._from_table(n, table), R.power(q))
-        assert shared[qs.index(1)] is F._table
+        assert pairs[qs.index(1)][0] is F._table and pairs[qs.index(1)][1] is None
 
 
 def test_power_of_two_costs_one_composition_per_squaring(monkeypatch):
@@ -700,15 +622,22 @@ def test_powers_raise_past_the_cap_on_squares_and_products():
     m1 = len(F.xs)
     m2 = len(plkernel.power(1, F._table, 2, BREAKPOINT_CAP)[0])
     m3 = len(plkernel.power(1, F._table, 3, BREAKPOINT_CAP)[0])
-    assert m1 < m2 < m3
-    # F^2 is a square, F^3 = F o F^2 a product
+    assert m1 < m2 < m3 and m2 <= 2 * m1 and m3 <= m1 + m2
+    # F^2 is the composition of the pair (F, F), F^3 that of (F, F^2), F^2 a
+    # built square: a pair is refused when its two tables have more than the
+    # cap's breakpoints together
     with pytest.raises(BreakpointCapExceeded):
-        plkernel.power(1, F._table, 2, m2 - 1)
-    assert len(plkernel.power(1, F._table, 2, m2)[0]) == m2
+        plkernel.power(1, F._table, 2, 2 * m1 - 1)
+    assert len(plkernel.power(1, F._table, 2, 2 * m1)[0]) == m2
     with pytest.raises(BreakpointCapExceeded):
-        plkernel.power(1, F._table, 3, m3 - 1)
+        plkernel.power(1, F._table, 3, m1 + m2 - 1)
+    assert len(plkernel.power(1, F._table, 3, m1 + m2)[0]) == m3
+    # F^4's pair is (F^2, F^2): the built square passes the cap on its own
     with pytest.raises(BreakpointCapExceeded):
-        next(plkernel.powers(1, F._table, (4,), m2))
+        next(plkernel.last_pairs(1, F._table, (4,), m2 - 1))
+    with pytest.raises(BreakpointCapExceeded):
+        next(plkernel.last_pairs(1, F._table, (4,), 2 * m2 - 1))
+    assert next(plkernel.last_pairs(1, F._table, (4,), 2 * m2))[0] is not F._table
     # F itself is never checked against the cap, F^0 is the identity
     assert plkernel.power(1, F._table, 1, 1) is F._table
     assert plkernel.power(1, F._table, 0, 1) == plkernel.IDENTITY

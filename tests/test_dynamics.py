@@ -1,6 +1,8 @@
 import math
+import os
 import random
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,8 +38,10 @@ from soldyn import (
 from soldyn import SolenoidPoint, plkernel
 from soldyn import dynamics as dyn
 from genutil import (
-    count_compositions, rand_fraction, rand_induced, rand_pl_lift, rand_point, run_python,
+    count_compositions, degree1_scope, rand_fraction, rand_induced, rand_pl_lift, rand_point,
+    run_python,
 )
+from reference import RefLift, leftmost_return
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 FIXEDPOINT = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
@@ -179,6 +183,26 @@ def test_rotation_report_analytic_no_certificate():
     rep = rotation_report(F, 1000)
     assert rep.exact is None
     assert rep.lo <= Fraction(math.sqrt(5) - 1) / 2 <= rep.hi
+
+
+def test_each_certification_entry_point_refuses_an_analytic_lift():
+    from soldyn import AnalyticExactUnsupported
+
+    F = analytic_new((math.sqrt(5) - 1) / 2)
+    f = induce(F)
+    s = SolenoidPoint(Fraction(1, 3), embed_int(5, 8))
+    calls = {
+        "certification needs a PL lift": (
+            lambda: certify_rational(F, 1, 2),
+            lambda: rational_certificate(F, Fraction(0), Fraction(1), 5),
+        ),
+        "fiber-periodic search needs a PL lift": (lambda: find_fiber_periodic(f, 1, 2),),
+        "fiber targets need a PL base": (lambda: fiber_target(f, s, 1, 2),),
+    }
+    for message, entries in calls.items():
+        for call in entries:
+            with pytest.raises(AnalyticExactUnsupported, match=message):
+                call()
 
 
 def test_find_fiber_periodic_examples():
@@ -432,14 +456,15 @@ def test_farey_gap_q240_needs_logarithmically_many_compositions(monkeypatch):
 
 def test_bracket_end_that_certifies_leaves_the_other_power_unbuilt(monkeypatch):
     # the orbit of 0 is not periodic, so the bracket is [1/2, 20/39]; 1/2
-    # certifies from F^2, one square, and F^39 is never built
+    # certifies on the walk of F o F, which is never built, and neither is
+    # F^39
     F = pl_new(1, [(0, Fraction(11, 20)), (Fraction(1, 4), Fraction(3, 4)),
                    (Fraction(3, 4), Fraction(5, 4))])
     assert dyn._orbit_bracket(F, Fraction(0), 40, 40)[1:] == (Fraction(1, 2), Fraction(20, 39))
     calls = count_compositions(monkeypatch)
     rep = rotation_report(F, 40)
     assert (rep.exact, rep.witness) == (Fraction(1, 2), Fraction(1, 4))
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def _farey_gap_map(rng, order):
@@ -485,8 +510,9 @@ def test_farey_gap_map_builds_only_its_first_end_power(monkeypatch):
         calls.clear()
         rep = rotation_report(F, 40)
         assert rep.exact is None and rep.lo < lo < hi < rep.hi
-        # F^q is bit_length - 1 squares and popcount - 1 products
-        assert len(calls) == q.bit_length() - 1 + bin(q).count("1") - 1
+        # F^q is bit_length - 1 squares and popcount - 1 products, and the
+        # last of those compositions is walked, not built
+        assert len(calls) == q.bit_length() - 1 + bin(q).count("1") - 1 - 1
 
 
 def _reference_report(F, q, x0):
@@ -567,16 +593,15 @@ def test_rotation_report_accepts_induced_maps():
 
 
 def test_certificate_rechecks_survive_python_O():
-    # _leftmost_return is patched to hand back a wrong witness; the explicit
+    # the return scan is patched to hand back a wrong witness; the explicit
     # re-checks must still catch it when asserts are stripped
     code = textwrap.dedent("""
         import sys
         from fractions import Fraction
-        import soldyn.dynamics as dyn
-        from soldyn import CertificateMismatch, find_fiber_periodic, induce, pl_new, rotation_report
+        from soldyn import CertificateMismatch, find_fiber_periodic, induce, pl_new, plkernel, rotation_report
         if not sys.flags.optimize:
             sys.exit(3)
-        dyn._leftmost_return = lambda n, table, p: Fraction(1, 3)
+        plkernel.first_return = lambda n, points, p, rightmost=False: Fraction(1, 3)
         F = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(1, 4))])
         for call in (lambda: rotation_report(F, 10), lambda: find_fiber_periodic(induce(F), 0, 1)):
             try:
@@ -589,3 +614,39 @@ def test_certificate_rechecks_survive_python_O():
     res = run_python("-O", "-c", code, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "rechecked"
+
+
+# every degree-1 lift with 3 breakpoints on the 1/6 grid; SOLDYN_LARGE_SCOPES=1
+# adds those with 4 on the 1/8 grid (19,600 lifts)
+_SCOPES = [(3, 6, 924)] + ([(4, 8, None)] if os.environ.get("SOLDYN_LARGE_SCOPES") == "1" else [])
+
+
+@pytest.mark.parametrize("nb, den, certified", _SCOPES)
+def test_every_small_degree1_lift_is_certified_by_hermans_criterion(nb, den, certified):
+    # tau = a/b exactly when F^b - id - a has a zero (Herman): each exact
+    # value's witness is the leftmost zero, found on the Fraction power;
+    # each null report has no such zero for any a/b in [lo, hi], b <= 24;
+    # each certificate gives a fiber-periodic point that returns
+    q = 24
+    seen = Counter()
+    for F in degree1_scope(nb, den):
+        rep = rotation_report(F, q)
+        R = RefLift.of(F)
+        if rep.exact is not None:
+            a, b = rep.exact.numerator, rep.exact.denominator
+            assert leftmost_return(R.power(b), a) == rep.witness, F
+            f = induce(F)
+            s = find_fiber_periodic(f, a, b)
+            assert apply_iter(f, s, b) == sol_add(s, sigma(a, s.depth)), F
+            seen["certified"] += 1
+            continue
+        G = R
+        for b in range(1, q + 1):
+            for a in range(math.ceil(rep.lo * b), math.floor(rep.hi * b) + 1):
+                if math.gcd(a, b) == 1:
+                    assert leftmost_return(G, a) is None, (F, a, b)
+                    seen["ruled out"] += 1
+            G = G.compose(R)
+        seen["null"] += 1
+    assert certified is None or seen["certified"] == certified, seen
+    assert seen["null"] and seen["ruled out"] >= seen["null"], seen

@@ -3,8 +3,10 @@
 It is checked against `Fraction(n, d)`, and every Fraction the library
 builds through it is checked to be reduced.  The evaluation by per-piece
 forms that feeds it is checked in `test_circlemaps`
-(`test_eval_pair_is_the_reduced_fraction_value`).  `plkernel.offset_sign`
-is checked at exact ties, where its cross-multiplications compare equal.
+(`test_eval_pair_is_the_reduced_fraction_value`).  `plkernel.first_return`
+is checked on walks of products that are never built against the scan of
+the same products built, and the bracket rule that reads its miss range at
+exact ties, where its cross-multiplications compare equal.
 """
 import copy
 import math
@@ -19,6 +21,7 @@ from pathlib import Path
 from soldyn import (
     SolenoidPoint,
     apply,
+    dynamics,
     divisors,
     embed_degree,
     embed_int,
@@ -27,7 +30,6 @@ from soldyn import (
     plkernel,
     project,
 )
-from soldyn.dynamics import _leftmost_return
 from genutil import big_lift, grid_lift, rand_pl_lift, run_python
 from reference import check_reduced
 
@@ -120,7 +122,9 @@ def test_trusted_fractions_are_reduced():
             for d in divisors(f.degree):
                 check_reduced(project(t, d).value)
                 check_reduced(project(s, d).value)
-    # returns on a breakpoint and inside a piece, scanned from either side
+    # returns on a breakpoint and inside a piece, scanned from either side,
+    # on a built table's rows and on the walk of F o F, never built; a miss
+    # range is two reduced pairs
     returns = Counter()
     for F in lifts:
         n = F.degree
@@ -130,10 +134,14 @@ def test_trusted_fractions_are_reduced():
             disp = [Fraction(c, d) - Fraction(a, b) for a, b, c, d in zip(xn, xd, yn, yd)]
             for p in range(math.floor(min(disp)), math.ceil(max(disp)) + 1):
                 for rightmost in (False, True):
-                    w = _leftmost_return(n, table, p, rightmost)
-                    if w is not None:
-                        check_reduced(w)
-                        returns[(w.numerator, w.denominator) in zip(xn, xd)] += 1
+                    for points in _scans(n, F._table, q, table):
+                        w = plkernel.first_return(n, points, p, rightmost)
+                        if isinstance(w, Fraction):
+                            check_reduced(w)
+                            returns[(w.numerator, w.denominator) in zip(xn, xd)] += 1
+                        else:
+                            for pair in w:
+                                check_reduced(Fraction(*pair, _normalize=False))
     assert returns[True] >= 20 and returns[False] >= 20, returns
 
 
@@ -143,17 +151,69 @@ def test_interpreter_smoke_script_gives_its_pinned_digest():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_offset_sign_is_0_when_f_minus_id_meets_the_offset_exactly():
-    # F - id equals c = 1/3 at one breakpoint and lies strictly below c at
-    # the others, then strictly above (the mirror case): wherever the tie
-    # falls, no strict sign holds at every breakpoint
-    c, step = Fraction(1, 3), Fraction(1, 12)
-    xs = [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
-    for side in (-1, 1):
-        for tie in range(len(xs)):
-            gaps = [c if i == tie else c + side * step for i in range(len(xs))]
-            F = pl_new(1, [(x, x + g) for x, g in zip(xs, gaps)])
-            assert plkernel.offset_sign(F._table, 1, 3) == 0, (side, tie)
-        # moved off the tie, F - id is strictly on one side of c
-        F = pl_new(1, [(x, x + c + side * step) for x in xs])
-        assert plkernel.offset_sign(F._table, 1, 3) == side
+def _scans(n, table, q, built):
+    """Points for `first_return`: the rows of F^q built, and the walk of the
+    pair `last_pairs` gives, never built, when F^q is a product."""
+    outer, inner = next(plkernel.last_pairs(n, table, (q,), 10**4))
+    yield plkernel.rows(n, built)
+    if inner is not None:
+        yield plkernel.walk(n, outer, inner, True)
+
+
+def test_walked_pairs_return_what_their_built_products_return():
+    # lifts of degree 1-6, q <= 24 and p across the displacement range: the
+    # walk of the last pair gives the witness of both scans and the miss
+    # range of the built product, which is min and max of G - id
+    rng = random.Random(2701)
+    seen = Counter()
+    for i in range(36):
+        n = 1 + i % 6
+        F = rand_pl_lift(rng, n, rng.randint(1, 2 * n), rng.choice([4, 6, 8]))
+        if i % 3 == 2:
+            F = F.translate(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for q in sorted(rng.sample(range(2, 25), 3)):
+            G = plkernel.power(n, F._table, q, 10**4)
+            xn, xd, yn, yd = G[:4]
+            disp = [Fraction(c, d) - Fraction(a, b) for a, b, c, d in zip(xn, xd, yn, yd)]
+            for p in range(math.floor(min(disp)) - 1, math.ceil(max(disp)) + 2):
+                for rightmost in (False, True):
+                    built, walked = (plkernel.first_return(n, pts, p, rightmost)
+                                     for pts in _scans(n, F._table, q, G))
+                    assert walked == built, (F, q, p, rightmost)
+                    if isinstance(built, Fraction):
+                        seen["return"] += 1
+                    else:
+                        lo, hi = (Fraction(*pair) for pair in built)
+                        assert (lo, hi) == (min(disp), max(disp))
+                        seen["miss"] += 1
+    assert seen["return"] >= 400 and seen["miss"] >= 400, seen
+
+
+def test_an_end_that_ties_the_first_scans_range_is_still_tested(monkeypatch):
+    # F - id runs over [1/3, 1/2], so the end 0 has no return and its scan
+    # gives that range: a second end that meets it exactly, at either side,
+    # is scanned, and one strictly outside it is ruled out unscanned
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    F = pl_new(1, [(0, third), (Fraction(1, 4), Fraction(3, 4)), (half, half + Fraction(5, 12))])
+    assert plkernel.first_return(1, plkernel.rows(1, F._table), 0) == ((1, 3), (1, 2))
+    scans = []
+    first_return = plkernel.first_return
+    monkeypatch.setattr(plkernel, "first_return", lambda *a: scans.append(a[2]) or first_return(*a))
+    for end, tested in ((third, True), (half, True), (Fraction(2, 7), False), (Fraction(4, 7), False)):
+        scans.clear()
+        dynamics._certify_bracket(F, Fraction(0), end, Fraction(-1), Fraction(2), 10, 10**4)
+        assert scans == ([0, end.numerator] if tested else [0]), end
+
+
+def test_miss_range_is_exact_where_extremes_agree_to_64_bits():
+    # G - id at a later breakpoint beats the running minimum (maximum) by
+    # 2^-80, so floor(2^64 (G - id)) ties and only the cross-multiplication
+    # can tell them apart; there is no return at p = 0
+    eps = Fraction(1, 2**80)
+    gaps = [Fraction(1, 3), Fraction(1, 4) + 2 * eps, Fraction(1, 4) + eps,
+            Fraction(1, 2) - 2 * eps, Fraction(1, 2) - eps]
+    F = pl_new(1, [(Fraction(i, 8), Fraction(i, 8) + g) for i, g in enumerate(gaps)])
+    lo, hi = plkernel.first_return(1, plkernel.rows(1, F._table), 0)
+    assert (Fraction(*lo), Fraction(*hi)) == (Fraction(1, 4) + eps, Fraction(1, 2) - eps)
+    walked = plkernel.first_return(1, plkernel.walk(1, plkernel.IDENTITY, F._table, True), 0)
+    assert walked == (lo, hi)
