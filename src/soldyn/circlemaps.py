@@ -48,20 +48,18 @@ def floor_div(x, n):
 
 # strings read without Fraction: an integer or a ratio of two, in ASCII digits
 _PAIR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_NOT_310 = re.compile(r"_|\s/|/\s")  # read by Fraction only from 3.11 on
 # Fraction's decimal form with an exponent, which can need far more digits than its text
-_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
-                       r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)\d*(?:\.\d*)?[eE]([-+]?\d+)\s*")
 
 
 def exact_pair(v) -> tuple[int, int]:
     """The one parser of exact input: an int, Fraction or string as a reduced
     (numerator, denominator), denominator > 0.  A string `-?[0-9]+(/[0-9]+)?`
-    is read by `int()` and one gcd, raising what `Fraction` would; other
-    strings go to `Fraction`, unless an exponent would give the exact value
-    more digits than twice the interpreter's digit limit, the most a "p/q"
-    string has, or they hold what only 3.11 on reads (underscores, whitespace
-    next to "/"), refused as 3.10 does.  Floats and booleans (a JSON `true` would read as 1) are
-    refused: the PL variant is the exact one."""
+    is read by `int()` and one gcd, raising what `Fraction` would; `_NOT_310`
+    strings are refused as 3.10 does; others go to `Fraction`, unless an
+    exponent gives more digits than twice the digit limit (the most "p/q"
+    has).  Floats and booleans (JSON `true` would read as 1) are refused."""
     if type(v) is int:
         return v, 1
     if isinstance(v, str):
@@ -72,13 +70,13 @@ def exact_pair(v) -> tuple[int, int]:
                 raise ZeroDivisionError(f"Fraction({n}, 0)")
             g = math.gcd(n, d)
             return n // g, d // g
+        if _NOT_310.search(v):
+            raise ValueError(f"Invalid literal for Fraction: {v!r}")
         limit = 2 * sys.get_int_max_str_digits()
         m = limit and _EXPONENT.fullmatch(v)
         if m and len(v) + abs(int(m[1])) > limit:
             raise ValueError(f"number literal past the digit limit: its exact value "
                              f"would need more than {limit} digits")
-        if "_" in v or re.search(r"\s/|/\s", v):
-            raise ValueError(f"Invalid literal for Fraction: {v!r}")
     elif isinstance(v, (float, bool)):
         raise TypeError(f"exact PL data requires int/Fraction/str, not {type(v).__name__}")
     if not isinstance(v, Fraction):

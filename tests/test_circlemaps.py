@@ -89,17 +89,18 @@ def test_exact_pair_reads_integer_strings_as_fraction_does():
 
 def test_exact_pair_gives_what_fraction_gives_off_its_integer_path():
     # a value, or the same exception type and message, as 3.10's Fraction
-    # gives on every interpreter: "1_000" and "1 / 2" are refused
+    # gives on every interpreter: "1_000" and "1 / 2" are refused, and so is
+    # "1e9_000" before its exponent is read
     for lit in PARSER_CORPUS:
         assert parse_outcome(exact_pair, lit) == parse_outcome(fraction_310, lit), lit[:20]
-    for lit in ("1_000", "1 / 2", "1/\t2"):
+    for lit in ("1_000", "1 / 2", "1/\t2", "1e9_000"):
         with pytest.raises(ValueError, match="Invalid literal for Fraction"):
             exact_pair(lit)
 
 
 def test_exact_pair_refuses_literals_past_the_digit_limit():
     limit = sys.get_int_max_str_digits()
-    for lit in ("1e100000000", "1e-100000000", " -2.5E+9000 ", "1e9_000"):
+    for lit in ("1e100000000", "1e-100000000", " -2.5E+9000 "):
         with pytest.raises(ValueError, match="digit limit"):
             exact_pair(lit)
     # within twice the limit, the most a "p/q" literal holds, Fraction reads it
