@@ -1,24 +1,23 @@
-"""Monotone lifts of circle homeomorphisms of R/nZ.
+"""Monotone lifts of circle homeomorphisms of R/nZ, and periodic displacements.
 
-Two representations are provided.  Piecewise-linear lifts carry exact
-rational breakpoint data and support exact composition, inversion and
+Two representations of a lift are provided.  Piecewise-linear lifts carry
+exact rational breakpoint data and support exact composition, inversion and
 iteration; every certification claim in this package is made through them.
 The analytic family is binary64-only and exists for exploration.
 
 Exact input is read by one parser, `exact_pair`, to reduced integer pairs.
 A PL lift is its degree, one integer table of the numerators and
 denominators of its breakpoints, values and slopes (`plkernel`), checked on
-those pairs once when the lift is built from breakpoints (as a `PeriodicPL`
-is), and its pieces' affine forms, derived then.  Exact evaluation bisects
-the table by cross-multiplication and evaluates one form; composition,
-powers, inverses and translates build only tables.  A binary64 input is
-located on the table exactly and evaluated in floating point, each
-coordinate rounded once.  `xs`, `ys` and `slopes` build Fractions from the
-table on each read.
+those pairs once when the lift is built from breakpoints, and its pieces'
+affine forms, derived then.  Exact evaluation bisects the table by
+cross-multiplication and evaluates one form; composition, powers, inverses
+and translates build only tables.  A binary64 input is located on the table
+exactly and evaluated in floating point, each coordinate rounded once.
+`xs`, `ys` and `slopes` build Fractions from the table on each read.  A
+`PeriodicPL` delta is its integer period and the table of x + delta(x).
 """
 from __future__ import annotations
 
-import bisect
 import math
 import re
 import sys
@@ -33,17 +32,6 @@ from .errors import (
 )
 
 BREAKPOINT_CAP = 10**6
-
-
-def floor_div(x, n):
-    """floor(x / n) without building intermediate Fractions; exact for exact x."""
-    if isinstance(x, Fraction):
-        if isinstance(n, Fraction):
-            return (x.numerator * n.denominator) // (x.denominator * n.numerator)
-        return x.numerator // (x.denominator * n)
-    if isinstance(x, int):
-        return x // n
-    return math.floor(x / n)
 
 
 # strings read without Fraction: an integer or a ratio of two, in ASCII digits
@@ -102,10 +90,6 @@ def _columns(breakpoints, empty: str) -> list:
     return list(map(list, zip(*rows)))
 
 
-def _parts(values) -> tuple[list, list]:
-    return [v.numerator for v in values], [v.denominator for v in values]
-
-
 def _fractions(nums, dens) -> tuple:
     # through a list, so the tuple is allocated at its final size: a tuple
     # grown from a bare iterator is resized, and when freed it enlarges
@@ -139,7 +123,7 @@ class PLLift:
         if yn[-1] * yd[0] >= (yn[0] + degree * yd[0]) * yd[-1]:
             raise NotMonotone("wrap-around violates strict monotonicity")
         self.degree = degree
-        self._table = (xn, xd, yn, yd, *plkernel.slopes(xn, xd, yn, yd, degree, 1, degree))
+        self._table = (xn, xd, yn, yd, *plkernel.slopes(xn, xd, yn, yd, degree))
         self._forms = plkernel.forms(degree, self._table)
 
     @classmethod
@@ -170,7 +154,7 @@ class PLLift:
                 self._table, self._forms, self.degree, x.numerator, x.denominator
             ))
         n = self.degree
-        j = floor_div(x, n)
+        j = math.floor(x / n)
         x0 = x - j * n if j else x
         xn, xd, yn, yd, sn, sd = self._table
         # the piece is located exactly; each coordinate is rounded once, as
@@ -285,11 +269,8 @@ class PLLift:
         return None if table is None else PLLift._from_table(T, table)
 
     def displacement(self) -> "PeriodicPL":
-        """x -> F(x) - x, from the table: values y - x and slopes s - 1."""
-        xn, xd, yn, yd, sn, sd = self._table
-        vs = [plkernel.fraction(*plkernel.add(a, b, -c, d)) for a, b, c, d in zip(yn, yd, xn, xd)]
-        slopes = _fractions([a - b for a, b in zip(sn, sd)], sd)
-        return PeriodicPL._trusted(Fraction(self.degree), self.xs, tuple(vs), slopes)
+        """x -> F(x) - x: the lift's own table, read at period degree."""
+        return PeriodicPL._trusted(self.degree, self._table)
 
     def to_descriptor(self) -> dict:
         return {
@@ -366,92 +347,103 @@ CircleLift = PLLift | AnalyticLift
 
 
 class PeriodicPL:
-    """Continuous piecewise-linear function with exact rational period."""
+    """Continuous PL function delta of integer period T: T and the `plkernel`
+    table of G = id + delta, periodic like a degree-T lift but not necessarily
+    increasing, with no forms.  `xs`, `vs` (y - x) and `slopes` (s - 1) are
+    read-only views that build a fresh tuple of Fractions on every read."""
 
-    __slots__ = ("period", "xs", "vs", "slopes")
+    __slots__ = ("period", "_table")
 
     def __init__(self, period, breakpoints) -> None:
         pn, pd = exact_pair(period)
         if pn <= 0:
             raise ValueError("period must be positive")
+        if pd != 1:
+            raise ValueError(f"period {pn}/{pd} is not an integer")
         xn, xd, vn, vd = _columns(breakpoints, "a periodic PL function needs a breakpoint")
-        self.period = plkernel.fraction(pn, pd)
-        if xn[0] < 0 or xn[-1] * pd >= pn * xd[-1]:
-            raise ValueError(f"breakpoint abscissae must lie in [0, {self.period})")
+        if xn[0] < 0 or xn[-1] >= pn * xd[-1]:
+            raise ValueError(f"breakpoint abscissae must lie in [0, {pn})")
         for i in range(len(xn) - 1):
             if xn[i] == xn[i + 1] and xd[i] == xd[i + 1]:
                 raise ValueError(f"duplicate breakpoint at x={plkernel.fraction(xn[i], xd[i])}")
-        self.xs = _fractions(xn, xd)
-        self.vs = _fractions(vn, vd)
-        self.slopes = _fractions(*plkernel.slopes(xn, xd, vn, vd, pn, pd, 0))
+        yn, yd = map(list, zip(*map(plkernel.add, xn, xd, vn, vd)))
+        self.period = pn
+        self._table = (xn, xd, yn, yd, *plkernel.slopes(xn, xd, yn, yd, pn))
 
     @classmethod
-    def _trusted(cls, period: Fraction, xs: tuple, vs: tuple, slopes: tuple) -> "PeriodicPL":
-        """A function from data already known to be valid, unchecked: sorted
-        distinct `xs` in [0, period), their values and slopes, all Fractions."""
+    def _trusted(cls, period: int, table) -> "PeriodicPL":
+        """The function of a valid table of id + delta at integer `period`, unchecked."""
         d = cls.__new__(cls)
-        d.period, d.xs, d.vs, d.slopes = period, xs, vs, slopes
+        d.period, d._table = period, table
         return d
 
+    @property
+    def xs(self) -> tuple:
+        return _fractions(self._table[0], self._table[1])
+
+    @property
+    def vs(self) -> tuple:
+        xn, xd, yn, yd = self._table[:4]
+        return tuple([plkernel.fraction(*plkernel.add(c, d, -a, b))
+                      for a, b, c, d in zip(xn, xd, yn, yd)])
+
+    @property
+    def slopes(self) -> tuple:
+        sn, sd = self._table[4], self._table[5]
+        return _fractions([a - b for a, b in zip(sn, sd)], sd)
+
     def eval(self, x):
-        T = self.period
-        j = floor_div(x, T)
+        """delta(x): exact for int and Fraction x, binary64 for a float x."""
+        T, table = self.period, self._table
+        xn, xd, yn, yd, sn, sd = table
+        if isinstance(x, (int, Fraction)):
+            a, b = x.numerator, x.denominator
+            a -= a // (b * T) * T * b
+            gn, gd = plkernel.piece_value(table, plkernel.locate(xn, xd, a, b) - 1, T, a, b, 0)
+            return plkernel.fraction(*plkernel.add(gn, gd, -a, b))
+        j = math.floor(x / T)
         x0 = x - j * T if j else x
-        i = bisect.bisect_right(self.xs, x0) - 1
-        if i < 0:
-            x1 = self.xs[-1] - T
-            v1 = self.vs[-1]
-        else:
-            x1 = self.xs[i]
-            v1 = self.vs[i]
-        return v1 + (x0 - x1) * self.slopes[i]
+        # the piece is located exactly; each coordinate is rounded once, as
+        # float(Fraction) rounds it
+        i = plkernel.locate(xn, xd, *x0.as_integer_ratio()) - 1
+        x1 = (xn[i] - T * xd[i]) / xd[i] if i < 0 else xn[i] / xd[i]
+        v1 = (yn[i] * xd[i] - xn[i] * yd[i]) / (yd[i] * xd[i])
+        return v1 + (x0 - x1) * ((sn[i] - sd[i]) / sd[i])
 
     __call__ = eval
 
     def sup_norm(self) -> Fraction:
-        """Exact sup |delta|; PL extrema occur at breakpoints."""
-        return max(abs(v) for v in self.vs)
+        """Exact sup |delta|: PL extrema occur at breakpoints, where |y - x| is
+        compared on integer pairs by cross-multiplication."""
+        xn, xd, yn, yd = self._table[:4]
+        top_n, top_d = 0, 1
+        for a, b, c, d in zip(xn, xd, yn, yd):
+            t, e = abs(c * b - a * d), d * b
+            if t * top_d > top_n * e:
+                top_n, top_d = t, e
+        return Fraction(top_n, top_d)
 
     def translate(self, t) -> "PeriodicPL":
         """The translate delta^t(x) = delta(x + t)."""
-        t = as_rational(t)
         T = self.period
-        zs = [x - t for x in self.xs]
-        # the zs span less than T, so reducing them mod T rotates the list
-        j = floor_div(zs[0], T)
-        lo, hi = j * T, (j + 1) * T
-        cut = bisect.bisect_left(zs, hi)
-        xs = tuple([z - hi for z in zs[cut:]] + [z - lo for z in zs[:cut]])
-        return PeriodicPL._trusted(
-            T, xs, self.vs[cut:] + self.vs[:cut], self.slopes[cut:] + self.slopes[:cut]
-        )
-
-    def _lift_table(self) -> tuple[int, tuple]:
-        """(n, the `plkernel` table of x + delta(x)) at the integer stored period n."""
-        if self.period.denominator != 1:
-            raise ValueError(f"stored period {self.period} is not an integer")
-        ys = _parts([x + v for x, v in zip(self.xs, self.vs)])
-        return self.period.numerator, (*_parts(self.xs), *ys, *_parts([s + 1 for s in self.slopes]))
+        return PeriodicPL._trusted(T, plkernel.shift_input(T, self._table, *exact_pair(t)))
 
     def canonical_breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        keep = []
-        for i in range(len(self.xs)):
-            if self.slopes[i - 1] != self.slopes[i]:
-                keep.append((self.xs[i], self.vs[i]))
-        return tuple(keep)
+        """The (x, delta(x)) where the slope actually changes; () for a constant."""
+        xs, vs = self.xs, self.vs
+        return tuple((xs[i], vs[i]) for i in plkernel.slope_changes(self._table))
+
+    def _key(self) -> tuple:
+        """What fixes the function: its period and slope changes, or a constant's value."""
+        return self.period, self.canonical_breakpoints() or self.vs[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodicPL):
             return NotImplemented
-        if self.period != other.period:
-            return False
-        a, b = self.canonical_breakpoints(), other.canonical_breakpoints()
-        if not a and not b:
-            return self.vs[0] == other.vs[0]
-        return a == b
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.period, self.canonical_breakpoints() or self.vs[0]))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x}, {v})" for x, v in zip(self.xs, self.vs))
@@ -482,10 +474,9 @@ def divisors(n: int) -> list[int]:
 
 
 def minimal_period(delta: PeriodicPL) -> int:
-    """The least period of delta dividing its integer stored period, by
-    `plkernel.least_period`, which never factors it.  Non-divisor rational
-    periods are out of scope."""
-    return plkernel.least_period(*delta._lift_table())[0]
+    """The least period of delta dividing its stored period, by
+    `plkernel.least_period` on its table, which never factors that period."""
+    return plkernel.least_period(delta.period, delta._table)[0]
 
 
 def json_int(value, field: str) -> int:

@@ -8,7 +8,8 @@ handled only through their certified finite truncations.
 An induced map's leaf lift F is id + delta: `leaf_quotient` decides T and
 cuts F's integer table to the quotient map g, which `circle_map` reads at any
 level d that T divides.  `hull_of` and `quotient_map` run the same search
-and cut on the table of id + delta for a bare delta.
+and cut on a bare `PeriodicPL` delta's own table, that of id + delta.  Every
+period is an int.
 
 `check_semiconjugacy` runs an exact sample on integer pairs: both sides are
 read off the lifts' tables and compared mod T by one cross-multiplication,
@@ -39,7 +40,7 @@ class Hull:
     """The orbit closure of a periodic displacement, as the circle R/TZ."""
 
     delta: PeriodicPL
-    period: Fraction
+    period: int
 
     def translate(self, t) -> "HullPoint":
         return HullPoint(self, Fraction(t) % self.period)
@@ -62,7 +63,7 @@ class HullPoint:
 
 def hull_of(delta: PeriodicPL) -> Hull:
     """Hull of a periodic PL displacement at its exact minimal period."""
-    return Hull(delta, Fraction(minimal_period(delta)))
+    return Hull(delta, minimal_period(delta))
 
 
 def _same_hull(a: HullPoint, b: HullPoint) -> Hull:
@@ -85,26 +86,24 @@ def hull_inv(a: HullPoint) -> HullPoint:
 
 
 def hull_dist(a: HullPoint, b: HullPoint) -> Fraction:
-    """Arc distance of the parameters on R/TZ.  Scaled by B = b1 b2 Q for
-    parameters p1/b1, p2/b2 and T = P/Q, it is min(d, M - d) for the integers
-    M = T B and d = B (p1/b1 - p2/b2) mod M."""
+    """Arc distance of the parameters on R/TZ.  Scaled by B = b1 b2 for
+    parameters p1/b1 and p2/b2, it is min(d, M - d) for the integers M = T B
+    and d = B (p1/b1 - p2/b2) mod M."""
     h = _same_hull(a, b)
-    x, y, T = a.param, b.param, h.period
-    B = x.denominator * y.denominator * T.denominator
-    M = T.numerator * x.denominator * y.denominator
-    d = (x.numerator * y.denominator - y.numerator * x.denominator) * T.denominator % M
+    x, y = a.param, b.param
+    B = x.denominator * y.denominator
+    M = h.period * B
+    d = (x.numerator * y.denominator - y.numerator * x.denominator) % M
     return Fraction(min(d, M - d), B)
 
 
 def K_map(s: SolenoidPoint, hull: Hull) -> HullPoint:
     """The homomorphism solenoid -> hull with K(sigma(t)) = delta^t.
 
-    For integer minimal period T it factors through the level-T projection,
-    so the parameter is project(s, T).
+    It factors through the level-T projection for the hull period T, so the
+    parameter is project(s, T).
     """
-    if hull.period.denominator != 1:
-        raise ValueError("K_map needs an integer hull period")
-    v = project(s, hull.period.numerator).value
+    v = project(s, hull.period).value
     return HullPoint(hull, v if isinstance(v, Fraction) else Fraction(v))
 
 
@@ -116,7 +115,7 @@ class QuotientMap:
     by a strictly increasing degree-T PL lift.
     """
 
-    period: Fraction
+    period: int
     lift: PLLift
 
     def param_apply(self, t) -> Fraction:
@@ -125,10 +124,10 @@ class QuotientMap:
 
 
 def quotient_map(delta: PeriodicPL) -> QuotientMap:
-    T, table = plkernel.least_period(*delta._lift_table())
+    T, table = plkernel.least_period(delta.period, delta._table)
     if min(table[4]) <= 0:  # a continuous PL map increases iff its slopes are positive
         raise NotIncreasing("id + delta is not strictly increasing")
-    return QuotientMap(Fraction(T), PLLift._from_table(T, table))
+    return QuotientMap(T, PLLift._from_table(T, table))
 
 
 def leaf_quotient(f: InducedHomeo) -> QuotientMap:
@@ -137,7 +136,7 @@ def leaf_quotient(f: InducedHomeo) -> QuotientMap:
     if not isinstance(f.base, PLLift):
         raise AnalyticExactUnsupported("the quotient map needs a PL base")
     T, table = plkernel.least_period(f.degree, plkernel.translate(f.base._table, f.offset, 1))
-    return QuotientMap(Fraction(T), PLLift._from_table(T, table))
+    return QuotientMap(T, PLLift._from_table(T, table))
 
 
 def circle_map(f: InducedHomeo, d: int) -> "CircleMapModN":
@@ -192,7 +191,7 @@ class SemiconjugacyReport:
     max_error: Fraction
     exact: bool
     samples: int
-    period: Fraction
+    period: int
 
     def to_report(self) -> dict:
         return {
@@ -223,7 +222,7 @@ def check_semiconjugacy(
     """
     g = leaf_quotient(f)
     gm = quotient if quotient is not None else g
-    T = g.period.numerator
+    T = g.period
     if gm.period != T:
         raise MixedHulls(f"quotient map of period {gm.period}, hull of period {T}")
     n, table, forms, offset = f.degree, f.base._table, f.base._forms, f.offset
@@ -276,7 +275,7 @@ def periodicity_classify(source) -> PeriodicityVerdict:
         bounds = tuple(source.tail_from(j) for j in range(1, source.levels + 1))
         return LimitPeriodicCertified(source.tower, bounds)
     if isinstance(source, InducedHomeo):
-        return Periodic(leaf_quotient(source).period.numerator)
+        return Periodic(leaf_quotient(source).period)
     return Periodic(minimal_period(source))
 
 

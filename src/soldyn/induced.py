@@ -309,10 +309,11 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
     # S_j = delta_1 + ... + delta_j as its breakpoints over [0, T_j) and its
     # slope on the piece from each, integers over D and R: the pieces of
     # S_{j-1} repeated T_j / T_{j-1} times, merged with delta_j's
-    D = math.lcm(*(x.denominator for d in summands for x in d.xs))
-    R = math.lcm(*(s.denominator for d in summands for s in d.slopes))
+    D = math.lcm(*(b for d in summands for b in d._table[1]))
+    R = math.lcm(*(b for d in summands for b in d._table[5]))
     for j, (T, d) in enumerate(zip(tower, summands)):
-        bx, bs = _over(d.xs, D), _over(d.slopes, R)
+        xn, xd, _, _, sn, sd = d._table
+        bx, bs = _over(xn, xd, D), [s - R for s in _over(sn, sd, R)]  # delta's slope is s - 1
         if j:
             reps = T // P
             if reps * len(xs) > BREAKPOINT_CAP or len(bx) > BREAKPOINT_CAP:
@@ -352,23 +353,24 @@ def _merge_slopes(ax, a_slopes, bx, b_slopes) -> tuple[list, list]:
     return xs, slopes
 
 
-def _over(values, den: int) -> list:
-    """The numerators of Fractions whose denominators divide `den`, over `den`."""
-    return [v.numerator * (den // v.denominator) for v in values]
+def _over(nums, dens, den: int) -> list:
+    """The numerators of nums[i]/dens[i], each denominator dividing `den`, over `den`."""
+    return [a * (den // b) for a, b in zip(nums, dens)]
 
 
 def _tower_rows(summands, T: int) -> tuple[int, int, list, list]:
     """(D, Q, grid, rows): the sorted union of the summands' breakpoints over
     [0, T), as integers over one denominator D, and rows[i][k] / Q, summand i
-    at grid point k, with Q = D * lcm(value and slope denominators).  Each
-    row is one walk along the grid; T is a multiple of every integer period.
-    Raises BreakpointCapExceeded when an operand of the sum, a summand
-    repeated over [0, T) or the union of those before it, passes the cap."""
-    D = math.lcm(*(x.denominator for d in summands for x in d.xs))
-    L = math.lcm(*(v.denominator for d in summands for v in (*d.vs, *d.slopes)))
+    at grid point k, with Q = D L for the lcm L of the y and slope
+    denominators of the tables.  Each row is one walk along the grid; T is a
+    multiple of every period.  Raises BreakpointCapExceeded when an operand
+    of the sum, a summand repeated over [0, T) or the union of those before
+    it, passes the cap."""
+    D = math.lcm(*(b for d in summands for b in d._table[1]))
+    L = math.lcm(*(b for d in summands for k in (3, 5) for b in d._table[k]))
     points, starts = set(), []
     for d in summands:
-        P, bx = d.period.numerator, _over(d.xs, D)
+        P, bx = d.period, _over(d._table[0], d._table[1], D)
         if len(points) > BREAKPOINT_CAP or T // P * len(bx) > BREAKPOINT_CAP:
             raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
         # piece starts: the last breakpoint a period back, ..., a stop past the grid
@@ -376,8 +378,11 @@ def _tower_rows(summands, T: int) -> tuple[int, int, list, list]:
         points.update(starts[-1][1:-1])
     grid, rows = sorted(points), []
     for d, a in zip(summands, starts):
-        vq, sq, j, row = _over(d.vs, D * L), _over(d.slopes, L), 0, []
-        v, s = vq[-1:] + vq * (T // d.period.numerator), sq[-1:] + sq * (T // d.period.numerator)
+        xn, xd, yn, yd, sn, sd = d._table
+        # delta = y - x and its slope s - 1, times Q and L
+        vq = [y - x for y, x in zip(_over(yn, yd, D * L), _over(xn, xd, D * L))]
+        sq, j, row, reps = [s - L for s in _over(sn, sd, L)], 0, [], T // d.period
+        v, s = vq[-1:] + vq * reps, sq[-1:] + sq * reps
         for g in grid:
             if g == a[j + 1]:
                 j += 1

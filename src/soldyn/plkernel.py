@@ -11,12 +11,14 @@ outer o inner in increasing x without building it: `compose` keeps it, and
 `first_return` scans it, or a built table's `rows`, for the first zero of
 G - id - p; `last_pairs` builds a power up to its last composition.
 `eval_pair` evaluates a point by its piece's affine form (`forms`).  Fractions
-leave only through `fraction`, from reduced pairs.  The period search
-(`slope_changes`, `descend`, `least_period`) only compares and copies pairs,
-so it also takes the table of x + delta(x) for a bare periodic delta, whose
-values need not increase, as `walk` and `wrap_cut` need.  Pairs are reduced
-in the order `fractions` uses, gcd of the denominators first, so `add`, `mul`
-and `walk` take no gcd of a product of coordinates; `eval_pair` takes one.
+leave only through `fraction`, from reduced pairs.  A `PeriodicPL` delta of
+integer period T is the table of x + delta(x), periodic like a degree-T lift
+but with values that need not increase, as `walk` and `wrap_cut` need them
+to: `slopes`, `locate`, `piece_value`, `shift_input` and the period search
+(`slope_changes`, `descend`, `least_period`) only compare, copy and add
+pairs, so they take it too.  Pairs are reduced in the order `fractions`
+uses, gcd of the denominators first, so `add`, `mul` and `walk` take no gcd
+of a product of coordinates; `eval_pair` takes one.
 
 This module is internal; `PLLift` is the public face of a table.
 """
@@ -71,13 +73,12 @@ def mul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
     return na * nb, da * db
 
 
-def slopes(xn, xd, yn, yd, pn: int, pd: int, rise: int) -> tuple[list, list]:
+def slopes(xn, xd, yn, yd, n: int) -> tuple[list, list]:
     """The slope of the piece from each breakpoint as (numerators,
     denominators), for sorted distinct abscissae in lists: the last piece
-    ends at the first breakpoint plus the period pn/pd, its value risen by
-    `rise` (n for a degree-n lift, 0 for a periodic function)."""
-    wn, wd = add(xn[0], xd[0], pn, pd)
-    ends = zip(xn[1:] + [wn], xd[1:] + [wd], yn[1:] + [yn[0] + rise * yd[0]], yd[1:] + yd[:1])
+    ends at the first breakpoint plus (n, n)."""
+    ends = zip(xn[1:] + [xn[0] + n * xd[0]], xd[1:] + xd[:1],
+               yn[1:] + [yn[0] + n * yd[0]], yd[1:] + yd[:1])
     pairs = [mul(*add(en, ed, -cn, cd), *add(bn, bd, -an, ad)[::-1])
              for an, ad, cn, cd, (bn, bd, en, ed) in zip(xn, xd, yn, yd, ends)]
     return [p[0] for p in pairs], [p[1] for p in pairs]

@@ -10,7 +10,7 @@ seed and, for each, writes the module with that one operator swapped (by
 (without .git and caches) under a temporary directory, where it runs
 `pytest -x -q` on the module's test files, or on the whole suite for a
 module that `TESTS` does not list.  A mutant is killed when pytest fails or
-passes its timeout.
+passes its timeout; the killed line names the file of the first failing test.
 The unmutated copy runs first and must pass, or no mutant is run.
 Survivors are printed with their ledger reason, if they are known to be
 equivalent; the exit status is 1 when some survivor is not in the ledger.
@@ -23,6 +23,7 @@ import argparse
 import ast
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -36,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # module runs the whole suite, which cannot miss a test that kills a mutant
 TESTS = {
     "plkernel": ["test_plkernel", "test_circlemaps", "test_dynamics", "test_hull", "test_induced"],
+    "hull": ["test_acceptance", "test_golden", "test_hull"],
 }
 MODULES = sorted(p.stem for p in (ROOT / "src" / "soldyn").glob("*.py")
                  if not p.stem.startswith("__"))
@@ -120,29 +122,33 @@ def run(module: str, count: int, seed: int, timeout: float) -> int:
         target = work / "src" / "soldyn" / f"{module}.py"
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
 
-        def passes() -> bool:
+        def failure() -> str | None:
+            """None if the tests pass, else the first failing test's file."""
             try:
                 done = subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
                     cwd=work, env=env, capture_output=True, text=True, timeout=timeout,
                 )
             except subprocess.TimeoutExpired:
-                return False
-            return done.returncode == 0
+                return "timeout"
+            if done.returncode == 0:
+                return None
+            found = re.search(r"^(?:FAILED|ERROR) ([^\s:]+)", done.stdout, re.M)
+            return found[1] if found else f"pytest exit {done.returncode}"
 
-        if not passes():
+        if failure():
             sys.exit(f"the unmutated copy fails {' '.join(tests)}")
         for k in picks:
             index, pos, func, node = found[k]
             text, original, symbol = mutate(source, index, pos)
             target.write_text(text)
             start = time.perf_counter()
-            alive = passes()
+            killer = failure()
             target.write_text(source)
             label = f"line {node.lineno} {func}: {original!r} -> {symbol}"
-            if not alive:
+            if killer:
                 killed += 1
-                print(f"  killed   {label} ({time.perf_counter() - start:.0f} s)")
+                print(f"  killed   {label} by {killer} ({time.perf_counter() - start:.0f} s)")
                 continue
             survived += 1
             reason = LEDGER.get((module, func, original, symbol))

@@ -1,11 +1,16 @@
 """Independent references that the suite checks the library against.
 
-The periodic references work on `PeriodicPL`'s Fraction data with the
-Fraction `eval` (a bisection over Fractions) and build every sum on a
-Python set of Fraction grid points, apart from the library's integer tower
-sums (`induced._tower_rows`).  `check_table` states the invariants of a
-`plkernel` table, `piece_eval` evaluates one on Fractions, and
-`check_reduced` states what `plkernel.fraction` takes on trust.
+The periodic references work on `PeriodicPL`'s Fraction views (`xs`, `vs`,
+`slopes`) with `periodic_eval`, the Fraction-tuple evaluation that the
+integer table replaced (a bisection over Fractions), and build every sum on
+a Python set of Fraction grid points, apart from the library's integer
+tower sums (`induced._tower_rows`).  `reference_quotient` decides a
+displacement's period and quotient map on Fractions alone, and `apply`,
+`project`, `hull_dist`, `displacement` and `add_const` are the read path
+on Fractions and floats, as it was before it ran on integer pairs.
+`check_table` states the invariants of a `plkernel` table, `piece_eval`
+evaluates one on Fractions, and `check_reduced` states what
+`plkernel.fraction` takes on trust.
 `fraction_pieces` builds breakpoint columns as the Fraction construction
 that `circlemaps.exact_pair` and `plkernel.slopes` replaced did.  `RefLift`
 is a lift as the Fraction-only kernel kept it, and `leftmost_return` scans
@@ -24,6 +29,7 @@ from soldyn import (
     NotMonotone,
     PeriodicPL,
     PLLift,
+    canonicalize,
     circlemaps,
     plkernel,
 )
@@ -36,7 +42,7 @@ def periodic_grid(d: PeriodicPL, T) -> set:
     read at call time so that a test may lower it."""
     cap = circlemaps.BREAKPOINT_CAP
     P = d.period
-    reps = int(T / P)
+    reps = T // P
     if reps * len(d.xs) > cap:
         raise BreakpointCapExceeded(f"more than {cap} breakpoints over [0, {T})")
     return {x + j * P for j in range(reps) for x in d.xs}
@@ -45,7 +51,7 @@ def periodic_grid(d: PeriodicPL, T) -> set:
 def common_grid(a: PeriodicPL, b: PeriodicPL):
     """A common period T of a and b and the union of both grids over it."""
     T = max(a.period, b.period)
-    if (T / a.period).denominator != 1 or (T / b.period).denominator != 1:
+    if T % a.period or T % b.period:
         raise ValueError(f"incommensurable periods {a.period}, {b.period}")
     return T, periodic_grid(a, T) | periodic_grid(b, T)
 
@@ -55,13 +61,30 @@ def periodic_add(a: PeriodicPL, b: PeriodicPL) -> PeriodicPL:
     by two Fraction evaluations; the periods must be equal or one a multiple
     of the other."""
     T, points = common_grid(a, b)
-    return PeriodicPL(T, [(x, a.eval(x) + b.eval(x)) for x in sorted(points)])
+    return PeriodicPL(T, [(x, periodic_eval(a, x) + periodic_eval(b, x)) for x in sorted(points)])
 
 
 def sup_diff(a: PeriodicPL, b: PeriodicPL) -> Fraction:
     """Exact sup |a - b| over a common period."""
     _, points = common_grid(a, b)
-    return max(abs(a.eval(x) - b.eval(x)) for x in points)
+    return max(abs(periodic_eval(a, x) - periodic_eval(b, x)) for x in points)
+
+
+def periodic_eval(d: PeriodicPL, x):
+    """delta(x) as the Fraction-tuple `PeriodicPL.eval` computed it: the
+    piece found by bisecting `xs`, then v + (x - x_i) s on Fractions, which a
+    binary64 x turns into binary64 operations on each coordinate rounded once."""
+    T, xs, vs, slopes = d.period, d.xs, d.vs, d.slopes
+    j = _floor_div(x, T)
+    x0 = x - j * T if j else x
+    i = bisect.bisect_right(xs, x0) - 1
+    if i < 0:
+        x1 = xs[-1] - T
+        v1 = vs[-1]
+    else:
+        x1 = xs[i]
+        v1 = vs[i]
+    return v1 + (x0 - x1) * slopes[i]
 
 
 def has_period(delta: PeriodicPL, T) -> bool:
@@ -117,12 +140,50 @@ def displacement_lift(delta: PeriodicPL, period: int) -> PLLift:
     """The degree-`period` lift of x + delta(x): delta's table cut by `plkernel.descend`.
     Raises ValueError unless `period` is a period of delta dividing its stored
     period, and NotMonotone unless the lift is strictly increasing."""
-    table = plkernel.descend(*delta._lift_table(), period)
+    table = plkernel.descend(delta.period, delta._table, period)
     if table is None:
         raise ValueError(f"{period} is not a period of delta dividing {delta.period}")
     if min(table[4]) <= 0:  # a continuous PL map increases iff its slopes are positive
         raise NotMonotone("x + delta(x) is not strictly increasing")
     return PLLift._from_table(period, table)
+
+
+def reference_quotient(delta: PeriodicPL, n: int):
+    """(T, g) decided on the Fraction displacement alone: T the first divisor
+    of n that `has_period` accepts, g built by the checked PLLift constructor
+    from delta's canonical breakpoints reduced mod T, plus 0."""
+    T = next(T for T in circlemaps.divisors(n) if has_period(delta, T))
+    xs = sorted({x % T for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
+    return T, PLLift(T, [(x, x + periodic_eval(delta, x)) for x in xs])
+
+
+def apply(f, s):
+    """The induced map f at the solenoid point s, by the lift's `eval` and
+    `canonicalize`, as the read path was before it ran on integer pairs."""
+    r = s.k.residue(f.degree)
+    return canonicalize(f.base.eval(s.x + r) - r + f.offset, s.k)
+
+
+def project(s, n: int):
+    """The level-n coordinate of s, (x + k mod n) mod n, in the type of x."""
+    return (s.x + s.k.residue(n)) % n
+
+
+def hull_dist(a, b) -> Fraction:
+    """The arc distance of two hull points' parameters on R/TZ, on Fractions."""
+    T = a.hull.period
+    d = (a.param - b.param) % T
+    return min(d, T - d)
+
+
+def displacement(F: PLLift) -> PeriodicPL:
+    """F - id by the checked constructor, from F's Fraction breakpoints."""
+    return PeriodicPL(F.degree, [(x, y - x) for x, y in zip(F.xs, F.ys)])
+
+
+def add_const(delta: PeriodicPL, c) -> PeriodicPL:
+    """delta + c by the checked constructor."""
+    return PeriodicPL(delta.period, [(x, v + c) for x, v in zip(delta.xs, delta.vs)])
 
 
 def check_table(n: int, table) -> None:

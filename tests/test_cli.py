@@ -471,6 +471,15 @@ def test_booleans_and_floats_are_not_exact_rationals(runner, tmp_path, sub, desc
     assert "invalid descriptor" in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("sub", ["density", "hull"])
+def test_a_non_integer_summand_period_exits_2(runner, tmp_path, sub):
+    summands = [{"period": "3/2", "breakpoints": [["0", "0"], ["1", "1/16"]]}]
+    desc = {"lp": {**LP4["lp"], "summands": summands + LP4["lp"]["summands"][1:]}}
+    res = runner.invoke(main, [sub, "--input", write(tmp_path, "d.json", desc)])
+    assert_usage_error(res)
+    assert "invalid descriptor" in res.stderr and "period 3/2 is not an integer" in res.stderr
+
+
 # malformed descriptors: one field of a valid descriptor replaced by a bad value
 
 _HUGE_LITERALS = ["1e100000000", "1e-100000000"]  # past the digit limit

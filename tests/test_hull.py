@@ -46,7 +46,7 @@ from soldyn import (
 from genutil import (
     rand_embedded, rand_induced, rand_pl_lift, rand_point, rand_tower, run_python
 )
-from reference import displacement_lift, has_period, sup_diff
+from reference import displacement_lift, has_period, reference_quotient, sup_diff
 
 SAW2 = PeriodicPL(2, [(0, 0), (1, Fraction(1, 4))])  # minimal period 2
 
@@ -344,18 +344,9 @@ def test_semiconjugacy_is_commuting_diagram_at_period():
         assert lhs == rhs
 
 
-def _reference_quotient(delta, n):
-    """(T, g) decided on the Fraction displacement alone: T the first divisor
-    of n that has_period accepts, g built by the checked PLLift constructor
-    from delta's canonical breakpoints reduced mod T, plus 0."""
-    T = next(T for T in divisors(n) if has_period(delta, T))
-    xs = sorted({x % T for x, _ in delta.canonical_breakpoints()} | {Fraction(0)})
-    return T, PLLift(T, [(x, x + delta.eval(x)) for x in xs])
-
-
 def test_leaf_quotient_matches_displacement_reference():
     # the leaf lift's period search and cut, and the same search on a bare
-    # delta, against `_reference_quotient`; descend is checked on every candidate T
+    # delta, against `reference_quotient`; descend is checked on every candidate T
     rng = random.Random(12)
     periods = set()
     for n in (1, 2, 3, 4, 6, 12):
@@ -366,7 +357,7 @@ def test_leaf_quotient_matches_displacement_reference():
         maps += [induce(rand_induced(rng, n).base, c) for c in range(-2, 3)]
         for f in maps:
             delta = leaf_displacement(f)
-            T, ref = _reference_quotient(delta, n)
+            T, ref = reference_quotient(delta, n)
             for g in (leaf_quotient(f), quotient_map(delta)):
                 assert g.period == T, f
                 assert (g.lift.degree, g.lift.xs, g.lift.ys, g.lift.slopes) == (

@@ -52,6 +52,7 @@ from soldyn import (
     translation_homeo,
 )
 from genutil import rand_embedded, rand_induced, rand_lp, rand_pl_lift, rand_point, run_python
+import reference
 from reference import (
     lp_partial_sum_check, lp_sup_gaps, lp_truncation_lift, periodic_grid, sup_diff
 )
@@ -511,31 +512,7 @@ def test_circle_map_breakpoints_match_direct_construction():
             )
 
 
-# The Fraction read path that the integer kernel replaced, kept as a reference.
-
-
-def _ref_apply(f, s):
-    n = f.degree
-    r = s.k.residue(n)
-    return canonicalize(f.base.eval(s.x + r) - r + f.offset, s.k)
-
-
-def _ref_project(s, n):
-    return (s.x + s.k.residue(n)) % n
-
-
-def _ref_hull_dist(a, b):
-    T = a.hull.period
-    d = (a.param - b.param) % T
-    return min(d, T - d)
-
-
-def _ref_displacement(F):
-    return PeriodicPL(F.degree, [(x, y - x) for x, y in zip(F.xs, F.ys)])
-
-
-def _ref_add_const(delta, c):
-    return PeriodicPL(delta.period, [(x, v + c) for x, v in zip(delta.xs, delta.vs)])
+# The Fraction read path that the integer kernel replaced is kept in `reference`.
 
 
 def _same(u, v):
@@ -580,22 +557,21 @@ def test_integer_read_path_matches_fraction_reference():
                     u = inv.eval(Fraction(m + r - f.offset))
                     pts.append(canonicalize(u - r, k))
             for s in pts:
-                new, ref = apply(f, s), _ref_apply(f, s)
+                new, ref = apply(f, s), reference.apply(f, s)
                 assert _same(new.x, ref.x) and new.k == ref.k, (f, s)
                 carries += pl and isinstance(s.x, Fraction) and new.x == 0 and new.k != s.k
                 for m in {n, *(d for d in (1, 2, 6, 24, 120) if top % d == 0)}:
                     for t in (s, new):
                         c = project(t, m)
-                        assert c.modulus == m and _same(c.value, _ref_project(t, m)), (t, m)
+                        assert c.modulus == m and _same(c.value, reference.project(t, m)), (t, m)
         if pl:
             delta = f.base.displacement()
-            assert _same_pl(delta, _ref_displacement(f.base))
-            assert _same_pl(leaf_displacement(f), _ref_add_const(delta, f.offset))
-            for hull in (hull_of(delta), Hull(delta, Fraction(rng.randint(1, 9), rng.randint(1, 4)))):
+            assert _same_pl(delta, reference.displacement(f.base))
+            assert _same_pl(leaf_displacement(f), reference.add_const(delta, f.offset))
+            for hull in (hull_of(delta), Hull(delta, rng.randint(1, 9))):
                 params = [Fraction(rng.randrange(10**6), 10**6) * hull.period for _ in range(6)]
-                if hull.period.denominator == 1:
-                    params += [K_map(s, hull).param for s in pts]
+                params += [K_map(s, hull).param for s in pts]
                 hps = [HullPoint(hull, t) for t in params + [hull.period - params[0]]]
                 for a, b in zip(hps, hps[1:] + hps[:2]):
-                    assert _same(hull_dist(a, b), _ref_hull_dist(a, b)), (a.param, b.param)
+                    assert _same(hull_dist(a, b), reference.hull_dist(a, b)), (a.param, b.param)
     assert carries > 100
