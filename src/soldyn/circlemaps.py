@@ -15,6 +15,8 @@ and translates build only tables.  A binary64 input is located on the table
 exactly and evaluated in floating point, each coordinate rounded once.
 `xs`, `ys` and `slopes` build Fractions from the table on each read.  A
 `PeriodicPL` delta is its integer period and the table of x + delta(x).
+Every exact entry point of the package refuses an analytic lift through
+`_pl`.
 """
 from __future__ import annotations
 
@@ -30,8 +32,6 @@ from .errors import (
     EmptyBreakpoints,
     NotMonotone,
 )
-
-BREAKPOINT_CAP = 10**6
 
 
 # strings read without Fraction: an integer or a ratio of two, in ASCII digits
@@ -212,12 +212,12 @@ class PLLift:
             sd[cut:] + sd[:cut], sn[cut:] + sn[:cut],
         ))
 
-    def power(self, q: int, cap: int = BREAKPOINT_CAP) -> "PLLift":
+    def power(self, q: int) -> "PLLift":
         """Materialize F^q as a PL lift (exponentiation by squaring on
-        integer tables)."""
+        integer tables), within `plkernel.BREAKPOINT_CAP`."""
         if q < 0:
-            return self.inverse().power(-q, cap)
-        return PLLift._from_table(self.degree, plkernel.power(self.degree, self._table, q, cap))
+            return self.inverse().power(-q)
+        return PLLift._from_table(self.degree, plkernel.power(self.degree, self._table, q))
 
     def translate(self, c) -> "PLLift":
         """The lift F + c; F itself when c = 0, as lifts are immutable."""
@@ -278,6 +278,14 @@ class PLLift:
             "variant": "pl",
             "breakpoints": [[str(x), str(y)] for x, y in zip(self.xs, self.ys)],
         }
+
+
+def _pl(F, message: str) -> PLLift:
+    """F itself if it is a PL lift, else AnalyticExactUnsupported(message):
+    the one refusal of an analytic lift by an exact entry point."""
+    if not isinstance(F, PLLift):
+        raise AnalyticExactUnsupported(message)
+    return F
 
 
 class AnalyticLift:

@@ -4,7 +4,8 @@ The enclosure is the classical one for monotone lifts: a degree-n lift's
 translation number tau satisfies |F^q(x) - x - q tau| < n, so
 [(F^q(x) - x - n)/q, (F^q(x) - x + n)/q] always contains it.
 translation_enclosure gives this width-2n/q interval for any lift; an
-induced map is measured through its leaf lift.
+induced map is measured through its leaf lift.  A PL lift's orbit is exact,
+from Fraction(x0) also for a binary64 start; an analytic lift's is binary64.
 
 Exact certification scans g = F^q - id - p for its first zero
 (`plkernel.first_return`) on the walk of F^q's last composition, never built
@@ -17,8 +18,9 @@ with denominator <= M lies strictly between.  Only L or U can certify; the
 second is tested only when the first end a/q fails and q times the second
 lies in the range of F^q - id that the first scan returns, as q tau does.
 At degree n >= 2 a return with n not dividing p does not pin tau, so every
-denominator is tried in order, within SWEEP_BUDGET numerators.
-Analytic maps get float enclosures only.
+denominator is tried in order, within SWEEP_BUDGET numerators.  Every power
+and every product is held to `plkernel.BREAKPOINT_CAP` by `plkernel.check_cap`.
+Analytic maps get binary64 enclosures only, and no certificate.
 
 fiber_target and classify_orbit find the limit of a non-periodic orbit the
 same way: the nearest fixed point of the leafwise return map G - p, with
@@ -34,10 +36,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import plkernel
-from .circlemaps import BREAKPOINT_CAP, CircleLift, PLLift
+from .circlemaps import CircleLift, PLLift, _pl
 from .errors import (
     AnalyticExactUnsupported,
-    BreakpointCapExceeded,
     CertificateMismatch,
     DegreeMismatch,
     NoSuchOrbit,
@@ -86,10 +87,13 @@ class RotationEnclosure:
 
 
 def translation_enclosure(F: CircleLift, q: int, x0=0) -> RotationEnclosure:
-    """Finite-q enclosure of tau(F) for a degree-n lift; width exactly 2n/q."""
+    """Finite-q enclosure of tau(F) for a degree-n lift; width exactly 2n/q.
+    A PL lift is iterated exactly from Fraction(x0), also for a binary64 x0."""
     if q < 1:
         raise ValueError("iteration count must be >= 1")
     n = F.degree
+    if isinstance(F, PLLift):
+        x0 = Fraction(x0)
     v = F.iterate_eval(x0, q)
     d = Fraction(v - x0)
     return RotationEnclosure((d - n) / q, (d + n) / q, q)
@@ -106,13 +110,6 @@ def enclosure_sequence(F: CircleLift, q_max: int, x0=0):
         yield RotationEnclosure((d - 1) / q, (d + 1) / q, q)
 
 
-def _pl(F, message: str) -> PLLift:
-    """F itself if it is a PL lift; else AnalyticExactUnsupported(message)."""
-    if not isinstance(F, PLLift):
-        raise AnalyticExactUnsupported(message)
-    return F
-
-
 def _return(n: int, pair, p: int):
     """`plkernel.first_return` on a `plkernel.last_pairs` pair, walked."""
     outer, inner = pair
@@ -120,9 +117,7 @@ def _return(n: int, pair, p: int):
     return plkernel.first_return(n, points, p)
 
 
-def certify_rational(
-    F: PLLift, p: int, q: int, cap: int = BREAKPOINT_CAP
-) -> Optional[Fraction]:
+def certify_rational(F: PLLift, p: int, q: int) -> Optional[Fraction]:
     """Leftmost exact solution of F^q(x) = x + p in [0, degree), or None.
 
     Scans g(x) = F^q(x) - x - p on F^q's last composition, walked, up to the
@@ -133,7 +128,7 @@ def certify_rational(
         raise ValueError("q must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"{p}/{q} is not reduced")
-    wit = _return(n, next(plkernel.last_pairs(n, F._table, (q,), cap)), p)
+    wit = _return(n, next(plkernel.last_pairs(n, F._table, (q,))), p)
     return wit if isinstance(wit, Fraction) else None
 
 
@@ -165,7 +160,7 @@ def _orbit_bracket(F: PLLift, x0: Fraction, steps: int, q: int):
 
 
 def _certify_bracket(
-    F: PLLift, L: Fraction, U: Fraction, lo, hi, max_den: int, cap: int
+    F: PLLift, L: Fraction, U: Fraction, lo, hi, max_den: int
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Test the bracket ends that lie in [lo, hi] with denominator <= max_den,
     by (denominator, value), each on a pair pulled from one chain of squares.
@@ -175,7 +170,7 @@ def _certify_bracket(
     ends = (L,) if L == U else sorted((L, U), key=lambda c: (c.denominator, c))
     cands = [c for c in ends if c.denominator <= max_den and lo <= c <= hi]
     n = F.degree
-    pairs = plkernel.last_pairs(n, F._table, (c.denominator for c in cands), cap)
+    pairs = plkernel.last_pairs(n, F._table, (c.denominator for c in cands))
     miss = None
     for cand in cands:
         p, q = cand.numerator, cand.denominator
@@ -191,7 +186,7 @@ def _certify_bracket(
 
 
 def rational_certificate(
-    F: PLLift, lo: Fraction, hi: Fraction, max_den: int, cap: int = BREAKPOINT_CAP
+    F: PLLift, lo: Fraction, hi: Fraction, max_den: int
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Search [lo, hi] for a certified rational rotation number.
 
@@ -211,7 +206,7 @@ def rational_certificate(
         if max_den < 1:
             return None
         _, L, U = _orbit_bracket(F, Fraction(0), max_den, max_den)
-        return _certify_bracket(F, L, U, lo, hi, max_den, cap)
+        return _certify_bracket(F, L, U, lo, hi, max_den)
     spans, total = [], 0
     for den in range(1, max_den + 1):
         first, last = math.ceil(lo * den), math.floor(hi * den)
@@ -225,8 +220,7 @@ def rational_certificate(
     G = None
     for den, nums in enumerate(spans, start=1):
         G = F._table if G is None else plkernel.compose(n, F._table, G)
-        if len(G[0]) > cap:
-            raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+        plkernel.check_cap(len(G[0]), "more than {cap} breakpoints")
         for num in nums:
             if math.gcd(num, den) != 1:
                 continue
@@ -261,9 +255,9 @@ def rotation_report(
 
     At degree 1 one orbit pass of max(q, max_cert_den) evaluations gives
     both the enclosure and the Farey bracket, whose at most two ends are
-    scanned as rational_certificate scans them.  A binary64 x0 keeps its
-    float enclosure; its bracket comes from the exact orbit of Fraction(x0).
-    Degree n >= 2 runs the per-denominator search of rational_certificate.
+    scanned as rational_certificate scans them.  The orbit is that of
+    Fraction(x0), exact also for a binary64 x0.  Degree n >= 2 runs the
+    per-denominator search of rational_certificate.
     """
     if max_cert_den is None:
         max_cert_den = min(q, 1000)
@@ -279,13 +273,9 @@ def rotation_report(
     if q < 1:
         raise ValueError("iteration count must be >= 1")
     (num, den), L, U = _orbit_bracket(F, Fraction(x0), max(q, max_cert_den), q)
-    if isinstance(x0, float):
-        enc = translation_enclosure(F, q, x0)
-        lo, hi = enc.lo, enc.hi
-    else:
-        # (v_q - 1) / q and (v_q + 1) / q, v_q = num / den
-        lo, hi = Fraction(num - den, den * q), Fraction(num + den, den * q)
-    found = _certify_bracket(F, L, U, lo, hi, max_cert_den, BREAKPOINT_CAP)
+    # (v_q - 1) / q and (v_q + 1) / q, v_q = num / den
+    lo, hi = Fraction(num - den, den * q), Fraction(num + den, den * q)
+    found = _certify_bracket(F, L, U, lo, hi, max_cert_den)
     return _checked(F, lo, hi, q, found)
 
 

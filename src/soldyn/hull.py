@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import plkernel
-from .circlemaps import PeriodicPL, PLLift, minimal_period
-from .errors import AnalyticExactUnsupported, MixedHulls, NotIncreasing, NotInducedAtLevel
+from .circlemaps import PeriodicPL, PLLift, _pl, minimal_period
+from .errors import MixedHulls, NotIncreasing, NotInducedAtLevel
 from .induced import (
     InducedHomeo,
     LimitPeriodicHomeo,
@@ -133,9 +133,8 @@ def quotient_map(delta: PeriodicPL) -> QuotientMap:
 def leaf_quotient(f: InducedHomeo) -> QuotientMap:
     """g: the leaf lift F = id + delta cut by `plkernel.least_period` at the
     minimal period T of delta.  F is read as a table; only g is a lift."""
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("the quotient map needs a PL base")
-    T, table = plkernel.least_period(f.degree, plkernel.translate(f.base._table, f.offset, 1))
+    base = _pl(f.base, "the quotient map needs a PL base")
+    T, table = plkernel.least_period(f.degree, plkernel.translate(base._table, f.offset, 1))
     return QuotientMap(T, PLLift._from_table(T, table))
 
 

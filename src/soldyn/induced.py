@@ -32,24 +32,18 @@ from itertools import accumulate
 
 from . import plkernel
 from .circlemaps import (
-    BREAKPOINT_CAP,
     AnalyticLift,
     CircleLift,
     PeriodicPL,
     PLLift,
+    _pl,
     as_rational,
     identity_lift,
     json_int,
     map_from_descriptor,
     rotation_lift,
 )
-from .errors import (
-    AnalyticExactUnsupported,
-    BreakpointCapExceeded,
-    NotDivisorChain,
-    NotHomeomorphism,
-    NotMultiple,
-)
+from .errors import NotDivisorChain, NotHomeomorphism, NotMultiple
 from .profinite import ProfiniteInt
 from .solenoid import SolenoidPoint, canonicalize
 
@@ -81,9 +75,7 @@ class InducedHomeo:
         r = k.residue(self.degree)
         if r == 0:
             return self.leaf_lift()
-        if isinstance(self.base, AnalyticLift):
-            raise AnalyticExactUnsupported("fiber lifts need a PL base")
-        return self.base.shift_input(r).translate(self.offset)
+        return _pl(self.base, "fiber lifts need a PL base").shift_input(r).translate(self.offset)
 
     def to_descriptor(self) -> dict:
         return {
@@ -150,29 +142,24 @@ def displacement_at(f: InducedHomeo, k: ProfiniteInt) -> PeriodicPL:
 
 def leaf_displacement(f: InducedHomeo) -> PeriodicPL:
     """Displacement at the zero fiber (any depth): leaf lift minus id."""
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("exact displacement needs a PL base")
+    _pl(f.base, "exact displacement needs a PL base")
     return f.leaf_lift().displacement()
 
 
 def embed_degree(f: InducedHomeo, m: int) -> InducedHomeo:
     """Direct-limit inclusion: reinterpret a degree-n map at degree m, n | m.
     Raises BreakpointCapExceeded, before copying, when the m/n copies of the
-    table would pass BREAKPOINT_CAP breakpoints."""
+    table would pass `plkernel.BREAKPOINT_CAP` breakpoints."""
     n = f.degree
     if m % n != 0:
         raise NotMultiple(f"{m} is not a multiple of {n}")
     if m == n:
         return f
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("degree embedding needs a PL base")
     # the lift repeated m/n times: copy j of each breakpoint is moved by j n
-    xn, xd, yn, yd, sn, sd = f.base._table
+    xn, xd, yn, yd, sn, sd = _pl(f.base, "degree embedding needs a PL base")._table
     k = m // n
-    if k * len(xn) > BREAKPOINT_CAP:
-        raise BreakpointCapExceeded(
-            f"degree {m} would copy the table to more than {BREAKPOINT_CAP} breakpoints"
-        )
+    plkernel.check_cap(k * len(xn),
+                       f"degree {m} would copy the table to more than {{cap}} breakpoints")
 
     def copies(nums, dens):
         return [a + j * n * b for j in range(k) for a, b in zip(nums, dens)]
@@ -196,16 +183,13 @@ def compose_induced(f: InducedHomeo, g: InducedHomeo) -> InducedHomeo:
     L = math.lcm(f.degree, g.degree)
     f2 = embed_degree(f, L)
     g2 = embed_degree(g, L)
-    if not isinstance(f2.base, PLLift) or not isinstance(g2.base, PLLift):
-        raise AnalyticExactUnsupported("exact composition needs PL bases")
-    inner = g2.base.translate(g2.offset) if g2.offset else g2.base
-    return _normalize(f2.base.compose(inner), f2.offset)
+    outer = _pl(f2.base, "exact composition needs PL bases")
+    inner = _pl(g2.base, "exact composition needs PL bases")
+    return _normalize(outer.compose(inner.translate(g2.offset)), f2.offset)
 
 
 def invert_induced(f: InducedHomeo) -> InducedHomeo:
-    if not isinstance(f.base, PLLift):
-        raise AnalyticExactUnsupported("exact inversion needs a PL base")
-    inv = f.base.inverse()
+    inv = _pl(f.base, "exact inversion needs a PL base").inverse()
     if f.offset:
         inv = inv.compose(rotation_lift(-f.offset, f.degree))
     return _normalize(inv, 0)
@@ -286,7 +270,7 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
     A continuous PL map increases iff its slopes are positive, so the
     truncation check reads slopes only: one merge per level of S_{j-1}'s
     pieces with delta_j's, on integer slopes over one denominator R, with no
-    value evaluated and no S_j built.  BREAKPOINT_CAP bounds each merged
+    value evaluated and no S_j built.  The breakpoint cap bounds each merged
     level: BreakpointCapExceeded is raised before S_{j-1}'s breakpoints are
     repeated over [0, T_j) past the cap.
     """
@@ -316,8 +300,8 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
         bx, bs = _over(xn, xd, D), [s - R for s in _over(sn, sd, R)]  # delta's slope is s - 1
         if j:
             reps = T // P
-            if reps * len(xs) > BREAKPOINT_CAP or len(bx) > BREAKPOINT_CAP:
-                raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
+            plkernel.check_cap(max(reps * len(xs), len(bx)),
+                               f"more than {{cap}} breakpoints over [0, {T})")
             ax = [a + k * P * D for k in range(reps) for a in xs]
             xs, slopes = _merge_slopes(ax, slopes * reps, bx, bs)
         else:
@@ -371,8 +355,8 @@ def _tower_rows(summands, T: int) -> tuple[int, int, list, list]:
     points, starts = set(), []
     for d in summands:
         P, bx = d.period, _over(d._table[0], d._table[1], D)
-        if len(points) > BREAKPOINT_CAP or T // P * len(bx) > BREAKPOINT_CAP:
-            raise BreakpointCapExceeded(f"more than {BREAKPOINT_CAP} breakpoints over [0, {T})")
+        plkernel.check_cap(max(len(points), T // P * len(bx)),
+                           f"more than {{cap}} breakpoints over [0, {T})")
         # piece starts: the last breakpoint a period back, ..., a stop past the grid
         starts.append([bx[-1] - P * D, *(b + k * P * D for k in range(T // P) for b in bx), T * D])
         points.update(starts[-1][1:-1])

@@ -20,6 +20,10 @@ pairs, so they take it too.  Pairs are reduced in the order `fractions`
 uses, gcd of the denominators first, so `add`, `mul` and `walk` take no gcd
 of a product of coordinates; `eval_pair` takes one.
 
+`BREAKPOINT_CAP` is the one bound on breakpoint counts: every size check,
+here and in `dynamics` and `induced`, calls `check_cap`, which reads it when
+called, so setting it here sets it at every site.
+
 This module is internal; `PLLift` is the public face of a table.
 """
 from __future__ import annotations
@@ -34,6 +38,10 @@ from .errors import BreakpointCapExceeded
 
 IDENTITY = ((0,), (1,), (0,), (1,), (1,), (1,))
 
+# Most breakpoints a checked count may reach: a table, a pair of tables about
+# to be composed, or an operand of a sum over one period.
+BREAKPOINT_CAP = 10**6
+
 _new = object.__new__
 
 
@@ -45,6 +53,13 @@ def fraction(n: int, d: int) -> Fraction:
     f._numerator = n
     f._denominator = d
     return f
+
+
+def check_cap(count: int, message: str) -> None:
+    """BreakpointCapExceeded when count passes BREAKPOINT_CAP, read now; the
+    message is `message` with the cap put in for "{cap}"."""
+    if count > BREAKPOINT_CAP:
+        raise BreakpointCapExceeded(message.format(cap=BREAKPOINT_CAP))
 
 
 def add(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
@@ -403,7 +418,7 @@ def first_return(n: int, points, p: int, rightmost: bool = False):
     return fraction(*add(xn, xd, gn, gd))
 
 
-def last_pairs(n: int, table, qs, cap: int):
+def last_pairs(n: int, table, qs):
     """Yield, for each q >= 0 in `qs` in the order pulled, a pair (outer,
     inner) of tables whose composition is F^q, or (F^q, None) when F^q is
     already built: q = 0 (IDENTITY), q = 1 (F itself) or a square.
@@ -411,9 +426,10 @@ def last_pairs(n: int, table, qs, cap: int):
     Every power is a product, from q's lowest set bit up, of one chain of
     squares F, F^2, F^4, ..., kept for this call and grown only as far as
     pulled; every composition but the last is built.  BreakpointCapExceeded
-    when a square passes `cap`, or a pair's two tables have more than `cap`
-    breakpoints together, which bounds their product's.  A product below the
-    top square needs no check: F^m has F^(m - 1)'s breakpoints and more.
+    (`check_cap`) when a square passes the cap, or a pair's two tables have
+    more than the cap's breakpoints together, which bounds their product's.
+    A product below the top square needs no check: F^m has F^(m - 1)'s
+    breakpoints and more.
     """
     squares = [table]
     for q in qs:
@@ -424,8 +440,7 @@ def last_pairs(n: int, table, qs, cap: int):
         rest = q ^ 1 << top
         while len(squares) < top + (rest > 0):
             squares.append(compose(n, squares[-1], squares[-1]))
-            if len(squares[-1][0]) > cap:
-                raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+            check_cap(len(squares[-1][0]), "more than {cap} breakpoints")
         if rest:
             parts = [s for k, s in enumerate(squares) if rest >> k & 1]
             pair = reduce(partial(compose, n), parts), squares[top]
@@ -434,12 +449,11 @@ def last_pairs(n: int, table, qs, cap: int):
             continue
         else:
             pair = squares[top - 1], squares[top - 1]
-        if len(pair[0][0]) + len(pair[1][0]) > cap:
-            raise BreakpointCapExceeded(f"more than {cap} breakpoints")
+        check_cap(len(pair[0][0]) + len(pair[1][0]), "more than {cap} breakpoints")
         yield pair
 
 
-def power(n: int, table, q: int, cap: int) -> tuple:
+def power(n: int, table, q: int) -> tuple:
     """The table of F^q for q >= 0: `last_pairs`' pair, composed."""
-    outer, inner = next(last_pairs(n, table, (q,), cap))
+    outer, inner = next(last_pairs(n, table, (q,)))
     return outer if inner is None else compose(n, outer, inner)

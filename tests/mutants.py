@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TESTS = {
     "plkernel": ["test_plkernel", "test_circlemaps", "test_dynamics", "test_hull", "test_induced"],
     "hull": ["test_acceptance", "test_golden", "test_hull"],
+    "dynamics": ["test_acceptance", "test_dynamics", "test_golden"],
 }
 MODULES = sorted(p.stem for p in (ROOT / "src" / "soldyn").glob("*.py")
                  if not p.stem.startswith("__"))
@@ -69,6 +70,9 @@ LEDGER = {
     ("plkernel", "mul", "g2 > 1", ">="): "g2 >= 1 there, and dividing by g2 = 1 changes nothing",
     ("plkernel", "first_return", "t * lo_e < lo_t * e", "<="): "on a tie the minimum keeps its value, and the range is reduced",
     ("plkernel", "first_return", "t * hi_e > hi_t * e", ">="): "on a tie the maximum keeps its value, and the range is reduced",
+    ("plkernel", "first_return", "t < 0 < pt", "<="): "a zero at a piece's end is hit at its row too; the closed form gives that end",
+    ("plkernel", "first_return", "sd > sn", ">="): "g changes sign on the piece, so its slope is not 1 and sd != sn",
+    ("dynamics", "_orbit_bracket", "fl * ld > ln * m", ">="): "on a tie L keeps its value; Fraction(ln, ld) reduces either pair",
 }
 
 

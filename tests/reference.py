@@ -15,13 +15,17 @@ evaluates one on Fractions, and `check_reduced` states what
 that `circlemaps.exact_pair` and `plkernel.slopes` replaced did.  `RefLift`
 is a lift as the Fraction-only kernel kept it, and `leftmost_return` scans
 one of its powers for a return with no code of `plkernel`.
+`reference_inverse` and `reference_compose` build a `PLLift`'s inverse and
+composition from breakpoints and evaluations, as the lifts did before they
+were built as tables, and `reference_sweep` is the certification that tried
+every reduced p/q by denominator before the degree-1 Farey bracket.
 """
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
 
-from math import floor, gcd
+from math import ceil, floor, gcd
 
 from soldyn import (
     BreakpointCapExceeded,
@@ -30,6 +34,7 @@ from soldyn import (
     PeriodicPL,
     PLLift,
     canonicalize,
+    certify_rational,
     circlemaps,
     plkernel,
 )
@@ -38,9 +43,9 @@ from soldyn.circlemaps import as_rational
 
 def periodic_grid(d: PeriodicPL, T) -> set:
     """d's breakpoint abscissae repeated over [0, T); T a multiple of the period.
-    Raises BreakpointCapExceeded past `circlemaps.BREAKPOINT_CAP` of them,
+    Raises BreakpointCapExceeded past `plkernel.BREAKPOINT_CAP` of them,
     read at call time so that a test may lower it."""
-    cap = circlemaps.BREAKPOINT_CAP
+    cap = plkernel.BREAKPOINT_CAP
     P = d.period
     reps = T // P
     if reps * len(d.xs) > cap:
@@ -353,4 +358,36 @@ def leftmost_return(G, p):
             return a
         if ga * gb < 0:
             return a - ga * (b - a) / (gb - ga)
+    return None
+
+
+def reference_inverse(F: PLLift) -> PLLift:
+    """The previous inverse: reduce every breakpoint pair, then validate and sort."""
+    n = F.degree
+    pts = []
+    for x, y in zip(F.xs, F.ys):
+        j = y.numerator // (y.denominator * n)
+        pts.append((y - j * n, x - j * n))
+    return PLLift(n, pts)
+
+
+def reference_compose(F: PLLift, G: PLLift) -> PLLift:
+    """The previous composition: evaluate F(G(x)) on the merged breakpoint set."""
+    n = F.degree
+    xs = set(G.xs)
+    inv = reference_inverse(G)
+    for u in F.xs:
+        z = inv.eval(u)
+        xs.add(z - (z.numerator // (z.denominator * n)) * n)
+    return PLLift(n, [(x, F.eval(G.eval(x))) for x in sorted(xs)])
+
+
+def reference_sweep(F: PLLift, lo, hi, max_den: int):
+    """The previous certification: every reduced p/q in [lo, hi], by denominator."""
+    for den in range(1, max_den + 1):
+        for num in range(ceil(lo * den), floor(hi * den) + 1):
+            if gcd(num, den) == 1:
+                wit = certify_rational(F, num, den)
+                if wit is not None:
+                    return Fraction(num, den), wit
     return None

@@ -30,7 +30,7 @@ from soldyn import (
     plkernel,
     rotation_lift,
 )
-from soldyn.circlemaps import BREAKPOINT_CAP, exact_pair
+from soldyn.circlemaps import exact_pair
 from soldyn.induced import _tower_rows
 from genutil import (
     big_lift, count_compositions, grid_lift, rand_fraction, rand_pl_lift, small_fractions,
@@ -38,7 +38,7 @@ from genutil import (
 from interpreter_smoke import PARSER_CORPUS, fraction_310, parse_outcome
 from reference import (
     RefLift, check_table, common_grid, fraction_columns, fraction_pieces, has_period, periodic_add,
-    periodic_eval, piece_eval, sup_diff,
+    periodic_eval, piece_eval, reference_compose, reference_inverse, sup_diff,
 )
 
 HALF = [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
@@ -476,27 +476,6 @@ def test_equal_lifts_hash_equal_and_translate_by_zero_is_the_lift():
         F.translate(0.0)
 
 
-def _reference_inverse(F):
-    """The previous inverse: reduce every breakpoint pair, then validate and sort."""
-    n = F.degree
-    pts = []
-    for x, y in zip(F.xs, F.ys):
-        j = y.numerator // (y.denominator * n)
-        pts.append((y - j * n, x - j * n))
-    return pl_new(n, pts)
-
-
-def _reference_compose(F, G):
-    """The previous composition: evaluate F(G(x)) on the merged breakpoint set."""
-    n = F.degree
-    xs = set(G.xs)
-    inv = _reference_inverse(G)
-    for u in F.xs:
-        z = inv.eval(u)
-        xs.add(z - (z.numerator // (z.denominator * n)) * n)
-    return pl_new(n, [(x, F.eval(G.eval(x))) for x in sorted(xs)])
-
-
 def test_compose_and_inverse_match_reference_construction():
     rng = random.Random(2024)
     for i in range(150):
@@ -505,9 +484,9 @@ def test_compose_and_inverse_match_reference_construction():
         G = rand_pl_lift(rng, n, rng.randint(1, 4 * n), rng.choice([4, 8, 12]))
         F = F.translate(Fraction(rng.randint(-12, 12), 4))
         G = G.translate(Fraction(rng.randint(-12, 12), 3))
-        for got, ref in ((F.compose(G), _reference_compose(F, G)),
-                         (G.compose(F), _reference_compose(G, F)),
-                         (F.inverse(), _reference_inverse(F))):
+        for got, ref in ((F.compose(G), reference_compose(F, G)),
+                         (G.compose(F), reference_compose(G, F)),
+                         (F.inverse(), reference_inverse(F))):
             assert (got.xs, got.ys, got.slopes) == (ref.xs, ref.ys, ref.slopes)
 
 
@@ -649,14 +628,14 @@ def test_shared_powers_match_separate_powers_and_reference(monkeypatch):
         n, R, qs = F.degree, RefLift.of(F), list(range(65))
         rng.shuffle(qs)
         calls = count_compositions(monkeypatch)
-        pairs = list(plkernel.last_pairs(n, F._table, qs, BREAKPOINT_CAP))
+        pairs = list(plkernel.last_pairs(n, F._table, qs))
         squares = max(q.bit_length() - 1 - (q & (q - 1) == 0) for q in qs if q > 1)
         assert len(calls) == squares + sum(bin(q).count("1") - 2 for q in qs if q & (q - 1))
         monkeypatch.undo()
         for q, (outer, inner) in zip(qs, pairs):
             table = outer if inner is None else plkernel.compose(n, outer, inner)
             check_table(n, table)
-            assert table == plkernel.power(n, F._table, q, BREAKPOINT_CAP)
+            assert table == plkernel.power(n, F._table, q)
             _assert_same_lift(PLLift._from_table(n, table), R.power(q))
         assert pairs[qs.index(1)][0] is F._table and pairs[qs.index(1)][1] is None
 
@@ -670,30 +649,35 @@ def test_power_of_two_costs_one_composition_per_squaring(monkeypatch):
         assert len(calls) == k
 
 
-def test_powers_raise_past_the_cap_on_squares_and_products():
+def test_powers_raise_past_the_cap_on_squares_and_products(monkeypatch):
     F = rand_pl_lift(random.Random(9), 1, 5, 12)
     m1 = len(F.xs)
-    m2 = len(plkernel.power(1, F._table, 2, BREAKPOINT_CAP)[0])
-    m3 = len(plkernel.power(1, F._table, 3, BREAKPOINT_CAP)[0])
+    m2 = len(plkernel.power(1, F._table, 2)[0])
+    m3 = len(plkernel.power(1, F._table, 3)[0])
     assert m1 < m2 < m3 and m2 <= 2 * m1 and m3 <= m1 + m2
+
+    def capped(cap, call, *args):
+        monkeypatch.setattr(plkernel, "BREAKPOINT_CAP", cap)
+        return call(*args)
+
     # F^2 is the composition of the pair (F, F), F^3 that of (F, F^2), F^2 a
     # built square: a pair is refused when its two tables have more than the
     # cap's breakpoints together
     with pytest.raises(BreakpointCapExceeded):
-        plkernel.power(1, F._table, 2, 2 * m1 - 1)
-    assert len(plkernel.power(1, F._table, 2, 2 * m1)[0]) == m2
+        capped(2 * m1 - 1, plkernel.power, 1, F._table, 2)
+    assert len(capped(2 * m1, plkernel.power, 1, F._table, 2)[0]) == m2
     with pytest.raises(BreakpointCapExceeded):
-        plkernel.power(1, F._table, 3, m1 + m2 - 1)
-    assert len(plkernel.power(1, F._table, 3, m1 + m2)[0]) == m3
+        capped(m1 + m2 - 1, plkernel.power, 1, F._table, 3)
+    assert len(capped(m1 + m2, plkernel.power, 1, F._table, 3)[0]) == m3
     # F^4's pair is (F^2, F^2): the built square passes the cap on its own
     with pytest.raises(BreakpointCapExceeded):
-        next(plkernel.last_pairs(1, F._table, (4,), m2 - 1))
+        capped(m2 - 1, next, plkernel.last_pairs(1, F._table, (4,)))
     with pytest.raises(BreakpointCapExceeded):
-        next(plkernel.last_pairs(1, F._table, (4,), 2 * m2 - 1))
-    assert next(plkernel.last_pairs(1, F._table, (4,), 2 * m2))[0] is not F._table
+        capped(2 * m2 - 1, next, plkernel.last_pairs(1, F._table, (4,)))
+    assert capped(2 * m2, next, plkernel.last_pairs(1, F._table, (4,)))[0] is not F._table
     # F itself is never checked against the cap, F^0 is the identity
-    assert plkernel.power(1, F._table, 1, 1) is F._table
-    assert plkernel.power(1, F._table, 0, 1) == plkernel.IDENTITY
+    assert capped(1, plkernel.power, 1, F._table, 1) is F._table
+    assert capped(1, plkernel.power, 1, F._table, 0) == plkernel.IDENTITY
 
 
 def test_periodic_sum_stops_at_the_breakpoint_cap():

@@ -41,7 +41,7 @@ from genutil import (
     count_compositions, degree1_scope, rand_fraction, rand_induced, rand_pl_lift, rand_point,
     run_python,
 )
-from reference import RefLift, leftmost_return
+from reference import RefLift, leftmost_return, reference_sweep
 
 HALFMAP = pl_new(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 FIXEDPOINT = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(3, 4))])
@@ -400,25 +400,16 @@ def test_rho_of_induced_degree_n_width():
     assert e2.lo <= enc.hi and enc.lo <= e2.hi
 
 
-def test_breakpoint_cap_guards_materialization():
+def test_breakpoint_cap_guards_materialization(monkeypatch):
     from soldyn import BreakpointCapExceeded
 
     F = rand_pl_lift(random.Random(8), n_bps=5)
+    monkeypatch.setattr(plkernel, "BREAKPOINT_CAP", 20)
     with pytest.raises(BreakpointCapExceeded):
-        F.power(100, cap=20)
+        F.power(100)
+    monkeypatch.setattr(plkernel, "BREAKPOINT_CAP", 30)
     with pytest.raises(BreakpointCapExceeded):
-        certify_rational(F, 1, 97, cap=30)
-
-
-def _reference_sweep(F, lo, hi, max_den):
-    """The previous certification: every reduced p/q in [lo, hi], by denominator."""
-    for den in range(1, max_den + 1):
-        for num in range(math.ceil(lo * den), math.floor(hi * den) + 1):
-            if math.gcd(num, den) == 1:
-                wit = certify_rational(F, num, den)
-                if wit is not None:
-                    return Fraction(num, den), wit
-    return None
+        certify_rational(F, 1, 97)
 
 
 def test_rational_certificate_degree1_matches_reference_sweep():
@@ -430,7 +421,7 @@ def test_rational_certificate_degree1_matches_reference_sweep():
         lo = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
         intervals = [(enc.lo, enc.hi), (lo, lo + Fraction(rng.randint(0, 8), 8))]
         for a, b in intervals:
-            assert rational_certificate(F, a, b, max_den) == _reference_sweep(F, a, b, max_den)
+            assert rational_certificate(F, a, b, max_den) == reference_sweep(F, a, b, max_den)
 
 
 # displacement strictly inside the Farey gap (139/226, 147/239) of order 240
@@ -590,6 +581,32 @@ def test_rotation_report_accepts_induced_maps():
             )
     with pytest.raises(DegreeMismatch):
         rotation_report(rand_pl_lift(rng, 2, 3, 8), 20)
+
+
+def test_enclosure_refuses_an_inverted_interval_or_an_outside_exact():
+    with pytest.raises(ValueError, match="^enclosure has lo > hi$"):
+        dyn.RotationEnclosure(Fraction(1, 2), Fraction(1, 3), 1)
+    with pytest.raises(ValueError, match="^exact value outside enclosure$"):
+        dyn.RotationEnclosure(Fraction(1, 3), Fraction(1, 2), 1, Fraction(2, 3), Fraction(0))
+    assert dyn.RotationEnclosure(Fraction(1, 3), Fraction(1, 3), 1, Fraction(1, 3)).width == 0
+
+
+def test_certificate_rechecks_name_the_failing_witness(monkeypatch):
+    # the scans find true certificates; the re-checks' evaluations are
+    # patched to miss by 1/7, and each re-check names what failed
+    from soldyn import CertificateMismatch, PLLift
+
+    F = pl_new(1, [(0, 0), (Fraction(1, 2), Fraction(1, 4))])
+    assert rotation_report(F, 10).exact == 0
+    assert find_fiber_periodic(induce(F), 0, 1) == sigma(0)
+    iterate_eval = PLLift.iterate_eval
+    monkeypatch.setattr(PLLift, "iterate_eval", lambda *a: iterate_eval(*a) + Fraction(1, 7))
+    with pytest.raises(CertificateMismatch, match="^witness 0 fails the return identity for 0$"):
+        rotation_report(F, 10)
+    monkeypatch.setattr(dyn, "apply_iter", lambda f, s, q: sol_add(s, sigma(Fraction(1, 7))))
+    message = r"^point over 0 fails f\^1\(s\) = s \+ sigma\(0\)$"
+    with pytest.raises(CertificateMismatch, match=message):
+        find_fiber_periodic(induce(F), 0, 1)
 
 
 def test_certificate_rechecks_survive_python_O():

@@ -8,6 +8,7 @@ import pytest
 
 import soldyn
 from soldyn import (
+    AnalyticExactUnsupported,
     BreakpointCapExceeded,
     DepthExceeded,
     Hull,
@@ -40,6 +41,7 @@ from soldyn import (
     induce,
     invert_induced,
     leaf_displacement,
+    leaf_quotient,
     lp_build,
     lp_from_descriptor,
     lp_truncate,
@@ -208,6 +210,29 @@ def test_embed_degree_stops_at_the_breakpoint_cap():
     assert embed_degree(f, 3).degree == 3
 
 
+def test_each_exact_entry_point_refuses_an_analytic_base():
+    # one refusal, with one message per entry point, wherever the analytic
+    # base is met: at a nonzero fiber, at a degree it must be copied to, or
+    # as either factor of a composition at a common degree
+    f = induce(analytic_new(0.3, [(0.05, 2.0)], 2), -1)
+    pl = induce(rotation_lift(Fraction(1, 3), 2))
+    calls = {
+        "fiber lifts need a PL base": (lambda: f.fiber_lift(embed_int(1, 8)),),
+        "exact displacement needs a PL base": (
+            lambda: leaf_displacement(f), lambda: displacement_at(f, embed_int(1, 8))),
+        "degree embedding needs a PL base": (lambda: embed_degree(f, 4),),
+        "exact composition needs PL bases": (
+            lambda: compose_induced(f, pl), lambda: compose_induced(pl, f)),
+        "exact inversion needs a PL base": (lambda: invert_induced(f),),
+        "the quotient map needs a PL base": (lambda: leaf_quotient(f),),
+    }
+    for message, entries in calls.items():
+        for call in entries:
+            with pytest.raises(AnalyticExactUnsupported, match=f"^{message}$"):
+                call()
+    assert f.fiber_lift(embed_int(2, 8)).alpha == pytest.approx(-0.7)
+
+
 def test_compose_and_invert():
     rng = random.Random(11)
     f = rand_induced(rng, degree=1)
@@ -299,8 +324,7 @@ def test_lp_build_tower_check_matches_partial_sum_reference(monkeypatch, cap):
     # every summand passes on its own; a refusal comes from a partial sum at
     # level 2 or later, or, under a small cap, from a repeated grid past it
     if cap is not None:
-        monkeypatch.setattr(soldyn.induced, "BREAKPOINT_CAP", cap)
-        monkeypatch.setattr(soldyn.circlemaps, "BREAKPOINT_CAP", cap)
+        monkeypatch.setattr(soldyn.plkernel, "BREAKPOINT_CAP", cap)
     rng = random.Random(2117)
     chains = ((1, 2), (1, 3), (1, 2, 6), (2, 4, 12), (1, 2, 4, 12, 24), (3, 6, 12))
     kinds, levels = set(), set()
@@ -441,8 +465,7 @@ def test_tower_sums_match_the_reference_add_chain(monkeypatch, cap):
     # chains of Fraction sums; under a small cap a union of tail summands
     # can pass it in both, with the same exception
     if cap is not None:
-        monkeypatch.setattr(soldyn.induced, "BREAKPOINT_CAP", cap)
-        monkeypatch.setattr(soldyn.circlemaps, "BREAKPOINT_CAP", cap)
+        monkeypatch.setattr(soldyn.plkernel, "BREAKPOINT_CAP", cap)
     rng = random.Random(2323)
     chains = ((1,), (1, 2, 2, 2), (1, 2, 4), (1, 3, 6, 6), (1, 1, 2, 2, 2),
               (1, 2, 4, 12, 12, 24), (1, 1, 2, 2, 2, 2))

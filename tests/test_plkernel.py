@@ -6,7 +6,9 @@ forms that feeds it is checked in `test_circlemaps`
 (`test_eval_pair_is_the_reduced_fraction_value`).  `plkernel.first_return`
 is checked on walks of products that are never built against the scan of
 the same products built, and the bracket rule that reads its miss range at
-exact ties, where its cross-multiplications compare equal.
+exact ties, where its cross-multiplications compare equal.  The one
+breakpoint cap, `plkernel.BREAKPOINT_CAP`, is set once and checked at the
+margin of every site that reads it, and its three messages are pinned.
 """
 import copy
 import math
@@ -18,17 +20,29 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import pytest
+
 from soldyn import (
+    BreakpointCapExceeded,
+    LimitPeriodicHomeo,
+    PeriodicPL,
+    PLLift,
     SolenoidPoint,
     apply,
+    certify_rational,
     dynamics,
     divisors,
     embed_degree,
     embed_int,
     induce,
+    lp_build,
+    lp_truncate,
     pl_new,
     plkernel,
     project,
+    rational_certificate,
+    rotation_lift,
+    rotation_report,
 )
 from genutil import big_lift, grid_lift, rand_pl_lift, run_python
 from reference import check_reduced
@@ -129,7 +143,7 @@ def test_trusted_fractions_are_reduced():
     for F in lifts:
         n = F.degree
         for q in (1, 2):
-            table = plkernel.power(n, F._table, q, 10**4)
+            table = plkernel.power(n, F._table, q)
             xn, xd, yn, yd = table[:4]
             disp = [Fraction(c, d) - Fraction(a, b) for a, b, c, d in zip(xn, xd, yn, yd)]
             for p in range(math.floor(min(disp)), math.ceil(max(disp)) + 1):
@@ -154,7 +168,7 @@ def test_interpreter_smoke_script_gives_its_pinned_digest():
 def _scans(n, table, q, built):
     """Points for `first_return`: the rows of F^q built, and the walk of the
     pair `last_pairs` gives, never built, when F^q is a product."""
-    outer, inner = next(plkernel.last_pairs(n, table, (q,), 10**4))
+    outer, inner = next(plkernel.last_pairs(n, table, (q,)))
     yield plkernel.rows(n, built)
     if inner is not None:
         yield plkernel.walk(n, outer, inner, True)
@@ -172,7 +186,7 @@ def test_walked_pairs_return_what_their_built_products_return():
         if i % 3 == 2:
             F = F.translate(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
         for q in sorted(rng.sample(range(2, 25), 3)):
-            G = plkernel.power(n, F._table, q, 10**4)
+            G = plkernel.power(n, F._table, q)
             xn, xd, yn, yd = G[:4]
             disp = [Fraction(c, d) - Fraction(a, b) for a, b, c, d in zip(xn, xd, yn, yd)]
             for p in range(math.floor(min(disp)) - 1, math.ceil(max(disp)) + 2):
@@ -201,7 +215,7 @@ def test_an_end_that_ties_the_first_scans_range_is_still_tested(monkeypatch):
     monkeypatch.setattr(plkernel, "first_return", lambda *a: scans.append(a[2]) or first_return(*a))
     for end, tested in ((third, True), (half, True), (Fraction(2, 7), False), (Fraction(4, 7), False)):
         scans.clear()
-        dynamics._certify_bracket(F, Fraction(0), end, Fraction(-1), Fraction(2), 10, 10**4)
+        dynamics._certify_bracket(F, Fraction(0), end, Fraction(-1), Fraction(2), 10)
         assert scans == ([0, end.numerator] if tested else [0]), end
 
 
@@ -217,3 +231,74 @@ def test_miss_range_is_exact_where_extremes_agree_to_64_bits():
     assert (Fraction(*lo), Fraction(*hi)) == (Fraction(1, 4) + eps, Fraction(1, 2) - eps)
     walked = plkernel.first_return(1, plkernel.walk(1, plkernel.IDENTITY, F._table, True), 0)
     assert walked == (lo, hi)
+
+
+def _padded_rotation(n, alpha, S):
+    """x -> x + alpha at degree n, with a breakpoint at i/9 for each i in S."""
+    return pl_new(n, [(Fraction(i, 9), Fraction(i, 9) + alpha) for i in S])
+
+
+def test_one_cap_bounds_every_site_at_its_margin(monkeypatch):
+    # the cap is set once, in plkernel; each site reads it there, so an input
+    # whose count is the cap passes and one whose count is the cap plus one
+    # raises, whichever module the site is in
+    cap = 12
+    monkeypatch.setattr(plkernel, "BREAKPOINT_CAP", cap)
+    third = Fraction(1, 3)
+    # F^3 is composed from the pair (F, F^2): 5 + 7 breakpoints, then 5 + 8
+    at, past = _padded_rotation(1, third, (0, 1, 2, 3, 6)), _padded_rotation(1, third, range(5))
+    for F, count in ((at, cap), (past, cap + 1)):
+        assert len(F.xs) + len(plkernel.compose(1, F._table, F._table)[0]) == count
+    assert at.power(3) == rotation_lift(1)
+    assert certify_rational(at, 1, 3) == 0
+    assert rotation_report(at, 3).exact == third
+    for call in (lambda: past.power(3), lambda: certify_rational(past, 1, 3),
+                 lambda: rotation_report(past, 3)):
+        with pytest.raises(BreakpointCapExceeded, match=f"^more than {cap} breakpoints$"):
+            call()
+    # the degree-2 sweep builds F^2 = F o F, with 12 and then 13 breakpoints
+    at, past = _padded_rotation(2, third, range(9)), _padded_rotation(2, third, range(10))
+    assert rational_certificate(at, third, third, 2) is None
+    with pytest.raises(BreakpointCapExceeded, match=f"^more than {cap} breakpoints$"):
+        rational_certificate(past, third, third, 2)
+    # 12 and 13 copies of a one-breakpoint table
+    f = induce(rotation_lift(third))
+    assert embed_degree(f, cap).degree == cap
+    with pytest.raises(BreakpointCapExceeded, match=f"to more than {cap} breakpoints$"):
+        embed_degree(f, cap + 1)
+    # a one-breakpoint summand of period 1 repeated over [0, 12) and [0, 13)
+    one = PeriodicPL(1, [(0, Fraction(1, 8))])
+    at, past = (one, PeriodicPL(cap, [(0, 0)])), (one, PeriodicPL(cap + 1, [(0, 0)]))
+    assert lp_build((1, cap), at).levels == 2
+    assert lp_truncate(LimitPeriodicHomeo((1, cap), at), 2)[0].degree == cap
+    message = f"^more than {cap} breakpoints over \\[0, {cap + 1}\\)$"
+    with pytest.raises(BreakpointCapExceeded, match=message):
+        lp_build((1, cap + 1), past)
+    with pytest.raises(BreakpointCapExceeded, match=message):
+        lp_truncate(LimitPeriodicHomeo((1, cap + 1), past), 2)
+
+
+def test_cap_messages_at_the_default_cap():
+    # a lift whose columns are ranges has a length and no memory: the power
+    # and sweep checks read only lengths, so they refuse it before composing
+    def lift(n, m):
+        F = PLLift.__new__(PLLift)
+        F.degree, F._table, F._forms = n, (range(m),) * 6, None
+        return F
+
+    big = lift(1, 500_001)
+    for call in (lambda: big.power(2), lambda: certify_rational(big, 1, 2),
+                 lambda: rational_certificate(lift(2, 10**6 + 1), Fraction(0), Fraction(0), 1)):
+        with pytest.raises(BreakpointCapExceeded) as exc:
+            call()
+        assert str(exc.value) == "more than 1000000 breakpoints"
+    with pytest.raises(BreakpointCapExceeded) as exc:
+        embed_degree(induce(rotation_lift(0)), 10**6 + 1)
+    assert str(exc.value) == "degree 1000001 would copy the table to more than 1000000 breakpoints"
+    T = 10**6 + 1
+    summands = (PeriodicPL(1, [(0, 0)]), PeriodicPL(T, [(0, 0)]))
+    for call in (lambda: lp_build((1, T), summands),
+                 lambda: lp_truncate(LimitPeriodicHomeo((1, T), summands), 2)):
+        with pytest.raises(BreakpointCapExceeded) as exc:
+            call()
+        assert str(exc.value) == "more than 1000000 breakpoints over [0, 1000001)"
