@@ -100,9 +100,11 @@ def translation_enclosure(F: CircleLift, q: int, x0=0) -> RotationEnclosure:
 
 
 def enclosure_sequence(F: CircleLift, q_max: int, x0=0):
-    """Yield the enclosures for q = 1..q_max from a single orbit pass."""
+    """Yield the enclosures for q = 1..q_max from one orbit, from Fraction(x0) for a PL lift."""
     if F.degree != 1:
         raise DegreeMismatch("enclosure_sequence needs a degree-1 lift")
+    if isinstance(F, PLLift):
+        x0 = Fraction(x0)
     x = x0
     for q in range(1, q_max + 1):
         x = F.eval(x)

@@ -16,6 +16,10 @@ the table of the leaf lift F0 + offset = id + delta and cuts it to g there.
 reduced image pair becomes a Fraction with no second gcd; binary64 points
 and analytic bases take the float path.
 
+A limit-periodic homeomorphism is read through its truncations id + delta_1
++ ... + delta_j: `lp_build`, `lp_truncate` and `sup_gaps` reach each such sum
+by one integer add chain of tower sums (`_forms`, `_add`).
+
 A map's points are checked where they enter, by `SolenoidPoint` and
 `ProfiniteInt`.  `apply`, `cover_eval` and `InducedHomeo.fiber_lift` read
 r(k) through `ProfiniteInt.residue`, which raises DepthExceeded unless the
@@ -28,7 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, chain
+from operator import mul, sub
 
 from . import plkernel
 from .circlemaps import (
@@ -237,11 +243,12 @@ class LimitPeriodicHomeo:
 
     def sup_gaps(self) -> list[Fraction]:
         """Exact sup |h - truncation at level j|, j = 1..levels: the sup norm of
-        the finite tail sum_{i>j} delta_i, one running suffix sum of the rows
-        of summands m, ..., 2 (`_tower_rows`).  Level m's gap is 0."""
-        _, Q, _, rows = _tower_rows(self.summands[:0:-1], self.tower[-1])
-        tails = accumulate(rows, lambda tail, row: [a + b for a, b in zip(tail, row)])
-        return [Fraction(max(map(abs, tail)), Q) for tail in tails][::-1] + [Fraction(0)]
+        the finite tail sum_{i>j} delta_i, one suffix chain delta_m,
+        delta_{m-1} + delta_m, ... over [0, T_m) (`_add`), each gap the largest
+        absolute value at a tail's breakpoints.  Level m's gap is 0."""
+        D, L, forms = _forms(self.summands[1:])
+        tails = accumulate(reversed(forms), lambda tail, d: _add(d, tail, tail[0], D))
+        return [Fraction(max(map(abs, _values(t))), D * L) for t in tails][::-1] + [Fraction(0)]
 
     def to_descriptor(self) -> dict:
         return {
@@ -268,58 +275,73 @@ def lp_build(tower, summands, tail_bound=0) -> LimitPeriodicHomeo:
     tail bound must be nonnegative.
 
     A continuous PL map increases iff its slopes are positive, so the
-    truncation check reads slopes only: one merge per level of S_{j-1}'s
-    pieces with delta_j's, on integer slopes over one denominator R, with no
-    value evaluated and no S_j built.  The breakpoint cap bounds each merged
-    level: BreakpointCapExceeded is raised before S_{j-1}'s breakpoints are
-    repeated over [0, T_j) past the cap.
+    truncation check reads the slopes of the prefix chain of tower sums
+    S_j = S_{j-1} + delta_j (`_add`) and refuses the first level whose least
+    slope is <= -1.  The breakpoint cap bounds each level: BreakpointCapExceeded
+    is raised when S_{j-1} repeated over [0, T_j), or S_j, would pass it.
     """
     tail_bound = as_rational(tail_bound)
     if tail_bound < 0:
         raise ValueError(f"tail_bound must be nonnegative, got {tail_bound}")
-    tower = tuple(int(T) for T in tower)
+    tower = tuple(map(int, tower))
     summands = tuple(summands)
     if len(tower) != len(summands) or not tower:
         raise ValueError("tower and summands must be nonempty and equal length")
-    for T in tower:
-        if T < 1:
-            raise NotDivisorChain("tower periods must be positive integers")
+    if min(tower) < 1:
+        raise NotDivisorChain("tower periods must be positive integers")
     for a, b in zip(tower, tower[1:]):
         if b % a != 0:
             raise NotDivisorChain(f"{a} does not divide {b}")
     for T, d in zip(tower, summands):
         if d.period != T:
             raise ValueError(f"summand period {d.period} != tower period {T}")
-    # S_j = delta_1 + ... + delta_j as its breakpoints over [0, T_j) and its
-    # slope on the piece from each, integers over D and R: the pieces of
-    # S_{j-1} repeated T_j / T_{j-1} times, merged with delta_j's
-    D = math.lcm(*(b for d in summands for b in d._table[1]))
-    R = math.lcm(*(b for d in summands for b in d._table[5]))
-    for j, (T, d) in enumerate(zip(tower, summands)):
-        xn, xd, _, _, sn, sd = d._table
-        bx, bs = _over(xn, xd, D), [s - R for s in _over(sn, sd, R)]  # delta's slope is s - 1
-        if j:
-            reps = T // P
-            plkernel.check_cap(max(reps * len(xs), len(bx)),
-                               f"more than {{cap}} breakpoints over [0, {T})")
-            ax = [a + k * P * D for k in range(reps) for a in xs]
-            xs, slopes = _merge_slopes(ax, slopes * reps, bx, bs)
-        else:
-            xs, slopes = bx, bs
-        P = T
-        if min(slopes) <= -R:
+    D, L, forms = _forms(summands)
+    for S in accumulate(forms, lambda S, d: _add(S, d, d[0], D)):
+        if min(S[2]) <= -L:
             raise NotHomeomorphism(
                 "partial displacement sum has slope <= -1; id + sum not increasing"
             )
     return LimitPeriodicHomeo(tower, summands, tail_bound)
 
 
-def _merge_slopes(ax, a_slopes, bx, b_slopes) -> tuple[list, list]:
-    """The sorted union of two sorted breakpoint lists over one period, with
-    the sum of both slopes on the piece from each point; the piece before a
-    list's first point carries its last slope."""
-    xs, slopes = [], []
+def _forms(summands) -> tuple[int, int, list]:
+    """(D, L, sums): each summand as a tower sum over [0, T): (T, breakpoints
+    over D, the slope of the piece from each over L, the first breakpoint's
+    value over D L), all integers; the piece before the first breakpoint
+    carries the last slope.  D is the lcm of the abscissa denominators, L that
+    of the slopes' and of each first value's: the other values are the first
+    plus slopes times runs."""
+    D = math.lcm(*chain.from_iterable(d._table[1] for d in summands))
+    L = math.lcm(*chain.from_iterable(d._table[5] for d in summands),
+                 *[d._table[3][0] for d in summands])
+    DL, sums = D * L, []
+    for d in summands:
+        xn, xd, yn, yd, sn, sd = d._table
+        xs = [a * (D // b) for a, b in zip(xn, xd)]
+        # delta = y - x and its slope s - 1
+        sums.append((d.period, xs, [a * (L // b) - L for a, b in zip(sn, sd)],
+                     yn[0] * (DL // yd[0]) - xs[0] * L))
+    return D, L, sums
+
+
+def _add(a, b, T: int, D: int) -> tuple:
+    """The tower sum a + b over [0, T), a multiple of both periods: each
+    operand repeated over [0, T), then one merge of the two breakpoint lists
+    that adds both slopes on each piece, and both values at the first point.
+    Raises BreakpointCapExceeded when a repeated operand, or the sum, passes
+    the cap."""
+    message = f"more than {{cap}} breakpoints over [0, {T})"
+    repeated = []
+    for P, xs, slopes, _ in (a, b):
+        plkernel.check_cap(T // P * len(xs), message)
+        repeated.append((xs, slopes) if P == T else
+                        ([x + k * P * D for k in range(T // P) for x in xs], slopes * (T // P)))
+    (ax, a_slopes), (bx, b_slopes) = repeated
     sa, sb = a_slopes[-1], b_slopes[-1]
+    # the side whose first point comes later carries its value back to the other's
+    a0, b0 = ax[0], bx[0]
+    v = a[3] + b[3] - ((a0 - b0) * sa if a0 > b0 else (b0 - a0) * sb)
+    xs, slopes = [], []
     i = k = 0
     na, nb = len(ax), len(bx)
     while i < na or k < nb:
@@ -334,64 +356,33 @@ def _merge_slopes(ax, a_slopes, bx, b_slopes) -> tuple[list, list]:
             k += 1
         xs.append(x)
         slopes.append(sa + sb)
-    return xs, slopes
+    plkernel.check_cap(len(xs), message)
+    return T, xs, slopes, v
 
 
-def _over(nums, dens, den: int) -> list:
-    """The numerators of nums[i]/dens[i], each denominator dividing `den`, over `den`."""
-    return [a * (den // b) for a, b in zip(nums, dens)]
-
-
-def _tower_rows(summands, T: int) -> tuple[int, int, list, list]:
-    """(D, Q, grid, rows): the sorted union of the summands' breakpoints over
-    [0, T), as integers over one denominator D, and rows[i][k] / Q, summand i
-    at grid point k, with Q = D L for the lcm L of the y and slope
-    denominators of the tables.  Each row is one walk along the grid; T is a
-    multiple of every period.  Raises BreakpointCapExceeded when an operand
-    of the sum, a summand repeated over [0, T) or the union of those before
-    it, passes the cap."""
-    D = math.lcm(*(b for d in summands for b in d._table[1]))
-    L = math.lcm(*(b for d in summands for k in (3, 5) for b in d._table[k]))
-    points, starts = set(), []
-    for d in summands:
-        P, bx = d.period, _over(d._table[0], d._table[1], D)
-        plkernel.check_cap(max(len(points), T // P * len(bx)),
-                           f"more than {{cap}} breakpoints over [0, {T})")
-        # piece starts: the last breakpoint a period back, ..., a stop past the grid
-        starts.append([bx[-1] - P * D, *(b + k * P * D for k in range(T // P) for b in bx), T * D])
-        points.update(starts[-1][1:-1])
-    grid, rows = sorted(points), []
-    for d, a in zip(summands, starts):
-        xn, xd, yn, yd, sn, sd = d._table
-        # delta = y - x and its slope s - 1, times Q and L
-        vq = [y - x for y, x in zip(_over(yn, yd, D * L), _over(xn, xd, D * L))]
-        sq, j, row, reps = [s - L for s in _over(sn, sd, L)], 0, [], T // d.period
-        v, s = vq[-1:] + vq * reps, sq[-1:] + sq * reps
-        for g in grid:
-            if g == a[j + 1]:
-                j += 1
-            row.append(v[j] + (g - a[j]) * s[j])
-        rows.append(row)
-    return D, D * L, grid, rows
+def _values(S) -> list:
+    """A tower sum's values at its breakpoints, over D L: the first value, then
+    each next one the last plus slope times run."""
+    _, xs, slopes, v = S
+    return list(accumulate(map(mul, slopes, map(sub, xs[1:], xs)), initial=v))
 
 
 def lp_truncate(h: LimitPeriodicHomeo, level: int) -> tuple[InducedHomeo, Fraction]:
     """Induced homeomorphism of degree T_level with the first `level` summands,
     together with the certified sup bound on the discarded tail.  The lift
-    x + S(x) is tabled on the summands' union grid from the prefix sum of
-    their rows (`_tower_rows`) and cut by `plkernel.descend`."""
+    x + S(x) is tabled from the prefix sum S = delta_1 + ... + delta_level
+    (`_add`), its slopes straight from the merged ones, and cut by
+    `plkernel.descend`."""
     if not 1 <= level <= h.levels:
         raise ValueError(f"level must be in 1..{h.levels}")
     T = h.tower[level - 1]
-    D, Q, grid, rows = _tower_rows(h.summands[:level], T)
-    ys = [g * (Q // D) + v for g, v in zip(grid, map(sum, zip(*rows)))]
-    # the last piece runs to the first point one period on
-    rise = [b - a for a, b in zip(ys, ys[1:] + [ys[0] + T * Q])]
-    run = [Q // D * (b - a) for a, b in zip(grid, grid[1:] + [grid[0] + T * D])]
+    D, L, forms = _forms(h.summands[:level])
+    _, xs, slopes, _ = S = reduce(lambda S, d: _add(S, d, d[0], D), forms)
+    ys = [x * L + v for x, v in zip(xs, _values(S))]
     table = []
-    for nums, dens in ((grid, [D] * len(grid)), (ys, [Q] * len(ys)), (rise, run)):
-        gs = list(map(math.gcd, nums, dens))
-        table += [[a // g for a, g in zip(nums, gs)], [b // g for b, g in zip(dens, gs)]]
+    for nums, den in ((xs, D), (ys, D * L), ([s + L for s in slopes], L)):
+        gs = [math.gcd(a, den) for a in nums]
+        table += [[a // g for a, g in zip(nums, gs)], [den // g for g in gs]]
     return InducedHomeo(PLLift._from_table(T, plkernel.descend(T, table, T))), h.tail_from(level)
 
 

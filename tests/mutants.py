@@ -39,6 +39,7 @@ TESTS = {
     "plkernel": ["test_plkernel", "test_circlemaps", "test_dynamics", "test_hull", "test_induced"],
     "hull": ["test_acceptance", "test_golden", "test_hull"],
     "dynamics": ["test_acceptance", "test_dynamics", "test_golden"],
+    "induced": ["test_acceptance", "test_circlemaps", "test_golden", "test_induced"],
 }
 MODULES = sorted(p.stem for p in (ROOT / "src" / "soldyn").glob("*.py")
                  if not p.stem.startswith("__"))

@@ -3,8 +3,7 @@
 The periodic references work on `PeriodicPL`'s Fraction views (`xs`, `vs`,
 `slopes`) with `periodic_eval`, the Fraction-tuple evaluation that the
 integer table replaced (a bisection over Fractions), and build every sum on
-a Python set of Fraction grid points, apart from the library's integer
-tower sums (`induced._tower_rows`).  `reference_quotient` decides a
+a Python set of Fraction grid points.  `reference_quotient` decides a
 displacement's period and quotient map on Fractions alone, and `apply`,
 `project`, `hull_dist`, `displacement` and `add_const` are the read path
 on Fractions and floats, as it was before it ran on integer pairs.
@@ -54,11 +53,17 @@ def periodic_grid(d: PeriodicPL, T) -> set:
 
 
 def common_grid(a: PeriodicPL, b: PeriodicPL):
-    """A common period T of a and b and the union of both grids over it."""
+    """A common period T of a and b and the union of both grids over it.
+    Raises BreakpointCapExceeded, as `periodic_grid` does, when either grid
+    or their union passes the cap."""
     T = max(a.period, b.period)
     if T % a.period or T % b.period:
         raise ValueError(f"incommensurable periods {a.period}, {b.period}")
-    return T, periodic_grid(a, T) | periodic_grid(b, T)
+    points = periodic_grid(a, T) | periodic_grid(b, T)
+    cap = plkernel.BREAKPOINT_CAP
+    if len(points) > cap:
+        raise BreakpointCapExceeded(f"more than {cap} breakpoints over [0, {T})")
+    return T, points
 
 
 def periodic_add(a: PeriodicPL, b: PeriodicPL) -> PeriodicPL:

@@ -31,13 +31,13 @@ from soldyn import (
     rotation_lift,
 )
 from soldyn.circlemaps import exact_pair
-from soldyn.induced import _tower_rows
+from soldyn.induced import _add, _forms, _values
 from genutil import (
     big_lift, count_compositions, grid_lift, rand_fraction, rand_pl_lift, small_fractions,
 )
 from interpreter_smoke import PARSER_CORPUS, fraction_310, parse_outcome
 from reference import (
-    RefLift, check_table, common_grid, fraction_columns, fraction_pieces, has_period, periodic_add,
+    RefLift, check_table, fraction_columns, fraction_pieces, has_period, periodic_add,
     periodic_eval, piece_eval, reference_compose, reference_inverse, sup_diff,
 )
 
@@ -341,8 +341,8 @@ def _same_periodic(d, e):
 
 def test_periodic_translate_add_match_checked_constructor():
     # translate rotates at the wrap index; the reference sorts and checks
-    # every breakpoint again.  The integer rows of a sum (`_tower_rows`)
-    # hold the Fraction values on the reference union grid
+    # every breakpoint again.  The integer tower sum of two summands (`_add`)
+    # has the grid, values and slopes of the Fraction sum
     rng = random.Random(909)
     for _ in range(300):
         T = rng.choice([1, 2, 3, 4, 5])
@@ -357,10 +357,12 @@ def test_periodic_translate_add_match_checked_constructor():
         e = PeriodicPL(T, [(x, v * c) for x, v in zip(d.xs, d.vs)]).translate(t)
         big = PeriodicPL(2 * T, [(x * 2, v) for x, v in zip(d.xs, d.vs)])
         for a, b in ((d, e), (d, big), (big, d)):
-            P, grid = common_grid(a, b)
-            D, Q, points, rows = _tower_rows([a, b], P)
-            assert [Fraction(g, D) for g in points] == sorted(grid)
-            assert rows == [[c.eval(x) * Q for x in sorted(grid)] for c in (a, b)]
+            ref = periodic_add(a, b)
+            D, L, (fa, fb) = _forms([a, b])
+            S = _add(fa, fb, ref.period, D)
+            assert (S[0], [Fraction(x, D) for x in S[1]]) == (ref.period, list(ref.xs))
+            assert [Fraction(v, D * L) for v in _values(S)] == list(ref.vs)
+            assert [Fraction(s, L) for s in S[2]] == list(ref.slopes)
 
 
 def test_periodic_eval_matches_the_fraction_tuple_eval_bit_for_bit():

@@ -78,6 +78,14 @@ def test_enclosure_sequence_matches_single_calls():
         assert (seq[q - 1].lo, seq[q - 1].hi) == (enc.lo, enc.hi)
 
 
+def test_enclosure_sequence_walks_the_exact_orbit_from_a_binary64_start():
+    # a PL lift is iterated from Fraction(0.3), as translation_enclosure does
+    F = pl_new(1, [(0, Fraction(1, 3)), (Fraction(1, 5), Fraction(3, 5)), (Fraction(2, 3), 1)])
+    for q, enc in enumerate(enclosure_sequence(F, 60, 0.3), start=1):
+        want = translation_enclosure(F, q, 0.3)
+        assert (enc.lo, enc.hi) == (want.lo, want.hi), q
+
+
 def test_enclosures_intersect_across_budgets_and_starts():
     rng = random.Random(1)
     for _ in range(25):

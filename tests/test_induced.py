@@ -14,6 +14,7 @@ from soldyn import (
     Hull,
     HullPoint,
     K_map,
+    LimitPeriodicHomeo,
     NotDivisorChain,
     NotHomeomorphism,
     NotInducedAtLevel,
@@ -394,6 +395,22 @@ def test_lp_build_stops_at_the_breakpoint_cap(tmp_path):
     assert got[0] is BreakpointCapExceeded
 
 
+def test_a_tower_sum_past_the_cap_is_refused_by_every_consumer(monkeypatch):
+    # each operand of the last sum has 12 breakpoints over [0, 12), their
+    # union 24: lp_build, sup_gaps and lp_truncate check the union too
+    cap = 12
+    monkeypatch.setattr(soldyn.plkernel, "BREAKPOINT_CAP", cap)
+    tower = (1, cap, cap)
+    halves = PeriodicPL(cap, [(k + Fraction(1, 2), Fraction(k % 2, 64)) for k in range(cap)])
+    summands = (PeriodicPL(1, [(0, Fraction(1, 64))]), PeriodicPL(cap, [(0, 0)]), halves)
+    h = LimitPeriodicHomeo(tower, summands)
+    message = f"^more than {cap} breakpoints over \\[0, {cap}\\)$"
+    for call in (lambda: lp_build(tower, summands), h.sup_gaps, lambda: lp_truncate(h, 3)):
+        with pytest.raises(BreakpointCapExceeded, match=message):
+            call()
+    assert lp_truncate(h, 2)[0].degree == cap
+
+
 def test_lp_truncate_geometric_tail():
     tower = (1, 2, 6, 24)
     summands = [tri(T, Fraction(1, 4**j)) for j, T in enumerate(tower, start=1)]
@@ -462,26 +479,33 @@ def _outcome(call, *args):
 @pytest.mark.parametrize("cap", [None, 24])
 def test_tower_sums_match_the_reference_add_chain(monkeypatch, cap):
     # sup_gaps and every lp_truncate table, field by field, against the
-    # chains of Fraction sums; under a small cap a union of tail summands
-    # can pass it in both, with the same exception
+    # chains of Fraction sums.  Every sum of a tower that lp_build accepts
+    # lies on the grid of its last prefix sum, so none passes the cap; under
+    # a small cap, sup_gaps of a tower that lp_build refuses for its size can
+    # pass it in both, with the same exception
     if cap is not None:
         monkeypatch.setattr(soldyn.plkernel, "BREAKPOINT_CAP", cap)
     rng = random.Random(2323)
     chains = ((1,), (1, 2, 2, 2), (1, 2, 4), (1, 3, 6, 6), (1, 1, 2, 2, 2),
               (1, 2, 4, 12, 12, 24), (1, 1, 2, 2, 2, 2))
     accepted, kinds = 0, set()
-    for i in range(180):
+    for i in range(240):
         tower = chains[i % len(chains)]
         summands = [_oracle_summand(rng, T, j) for j, T in enumerate(tower)]
         tail_bound = Fraction(rng.randrange(3), 4**8)
         try:
             h = lp_build(tower, summands, tail_bound)
-        except (NotHomeomorphism, BreakpointCapExceeded):
+        except NotHomeomorphism:
+            continue
+        except BreakpointCapExceeded:
+            h = LimitPeriodicHomeo(tower, tuple(summands), tail_bound)
+            gaps = _outcome(h.sup_gaps)
+            assert gaps == _outcome(lp_sup_gaps, h), tower
+            kinds.add("capped" if isinstance(gaps, tuple) else "gaps")
             continue
         accepted += 1
-        gaps = _outcome(h.sup_gaps)
-        assert gaps == _outcome(lp_sup_gaps, h), tower
-        kinds.add("capped" if isinstance(gaps, tuple) else "gaps")
+        assert h.sup_gaps() == lp_sup_gaps(h), tower
+        kinds.add("gaps")
         for j in range(1, h.levels + 1):
             trunc, bound = lp_truncate(h, j)
             ref = lp_truncation_lift(h, j)

@@ -276,6 +276,12 @@ def test_one_cap_bounds_every_site_at_its_margin(monkeypatch):
         lp_build((1, cap + 1), past)
     with pytest.raises(BreakpointCapExceeded, match=message):
         lp_truncate(LimitPeriodicHomeo((1, cap + 1), past), 2)
+    # sup_gaps sums the tail delta_2 + delta_3, a period-1 summand repeated
+    # over [0, 12) and [0, 13) with a breakpoint of the top one's
+    at, past = (one, *at), (one, *past)
+    assert LimitPeriodicHomeo((1, 1, cap), at).sup_gaps() == [Fraction(1, 8), 0, 0]
+    with pytest.raises(BreakpointCapExceeded, match=message):
+        LimitPeriodicHomeo((1, 1, cap + 1), past).sup_gaps()
 
 
 def test_cap_messages_at_the_default_cap():
